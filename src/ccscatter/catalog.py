@@ -15,7 +15,7 @@ import numpy as np
 
 from .problem import PotentialSpec, ScatteringProblem, Tolerances, build_problem
 
-_CORPUS_TOL = Tolerances(ode_rtol=1e-12, ode_atol=1e-15)
+_CORPUS_TOL = Tolerances(ode_rtol=1e-12)
 
 # fixed sampled-noise cell values (seeded draw, frozen for reproducibility)
 _NOISE_CELLS = tuple(

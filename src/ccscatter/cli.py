@@ -16,9 +16,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +29,6 @@ from .errors import (
     WitnessNotFoundError,
 )
 from .scattering import coefficients_batch, realify, reflection
-
-_ENV_JOBS = "CCSCATTER_JOBS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,19 +82,6 @@ def _resolve_lambdas(flag: str | None, block: dict) -> list[float]:
     return list(np.linspace(-5.0, 5.0, 21))
 
 
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    return max(1, int(os.environ.get(_ENV_JOBS, "1")))
-
-
-def _ordered_map(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _real_problem(run: cfg.RunConfig):
     """Realify for the real-axis analyses, with a notice when it matters."""
     if run.problem.ref.u0_is_real:
@@ -134,21 +117,22 @@ def _cmd_scan(run: cfg.RunConfig, args) -> list[dict]:
 
 def _cmd_reflect(run: cfg.RunConfig, args) -> list[dict]:
     lams = _resolve_lambdas(args.lambdas, run.command.get("reflect", {}))
-
-    def one(lam: float) -> dict:
+    rows = []
+    for lam in lams:
         res = reflection(run.problem, lam)
-        return {
-            "lambda": float(lam),
-            "alpha_re": res.alpha.real,
-            "alpha_im": res.alpha.imag,
-            "beta_re": res.beta.real,
-            "beta_im": res.beta.imag,
-            "R": res.R,
-            "flux_defect": res.flux_defect,
-            "method": "ode",
-        }
-
-    return _ordered_map(one, lams, _jobs(args))
+        rows.append(
+            {
+                "lambda": float(lam),
+                "alpha_re": res.alpha.real,
+                "alpha_im": res.alpha.imag,
+                "beta_re": res.beta.real,
+                "beta_im": res.beta.imag,
+                "R": res.R,
+                "flux_defect": res.flux_defect,
+                "method": "ode",
+            }
+        )
+    return rows
 
 
 def _cmd_series(run: cfg.RunConfig, args) -> list[dict]:
@@ -242,17 +226,18 @@ def _cmd_eigencount(run: cfg.RunConfig, args) -> list[dict]:
     lams = _resolve_lambdas(args.lambdas, run.command.get("eigencount", {}))
     problem = _real_problem(run)
     angles = spectral.boundary_angles(problem)
-
-    def one(lam: float) -> dict:
+    rows = []
+    for lam in lams:
         count = spectral.negative_eigenvalue_count(problem, lam, angles)
-        return {
-            "lambda": float(lam),
-            "count": int(count),
-            "boundary_degenerate": int(count.boundary_degenerate),
-            "method": "prufer",
-        }
-
-    return _ordered_map(one, lams, _jobs(args))
+        rows.append(
+            {
+                "lambda": float(lam),
+                "count": int(count),
+                "boundary_degenerate": int(count.boundary_degenerate),
+                "method": "prufer",
+            }
+        )
+    return rows
 
 
 def _cmd_witness(run: cfg.RunConfig, args) -> list[dict]:
@@ -318,11 +303,6 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", help="write the table to this path")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        help=f"worker threads for sweeps (default ${_ENV_JOBS} or 1)",
-    )
     # accept the output flags after the subcommand too; SUPPRESS keeps the
     # globally parsed value when the trailing flag is absent
     common = argparse.ArgumentParser(add_help=False)
@@ -330,7 +310,6 @@ def _build_parser() -> _Parser:
         "--format", choices=("csv", "json"), default=argparse.SUPPRESS
     )
     common.add_argument("--output", default=argparse.SUPPRESS)
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def add(name: str, help_text: str, needs_config: bool = True):

@@ -8,7 +8,7 @@ Layout::
         "V": {"segments": [...], "spikes": [[position, weight], ...]},
         "u0": {"value": [re, im], "derivative": [re, im]},
         "k": 1.0,                      # optional traveling-wave tag
-        "tolerances": {"ode_rtol": ..., "ode_atol": ..., "wronskian_tol": ...}
+        "tolerances": {"ode_rtol": ..., "wronskian_tol": ...}
       },
       "command": {"scan": {...}, "zeros": {...}, ...}   # optional defaults
     }
@@ -100,7 +100,6 @@ def problem_to_dict(problem: ScatteringProblem) -> dict:
         },
         "tolerances": {
             "ode_rtol": problem.tolerances.ode_rtol,
-            "ode_atol": problem.tolerances.ode_atol,
             "wronskian_tol": problem.tolerances.wronskian_tol,
         },
     }
@@ -129,7 +128,6 @@ def problem_from_dict(d, where: str = "problem") -> ScatteringProblem:
         raise ConfigError("tolerances must be an object", f"{where}.tolerances")
     tol = Tolerances(
         ode_rtol=float(tol_block.get("ode_rtol", Tolerances.ode_rtol)),
-        ode_atol=float(tol_block.get("ode_atol", Tolerances.ode_atol)),
         wronskian_tol=float(
             tol_block.get("wronskian_tol", Tolerances.wronskian_tol)
         ),

@@ -164,8 +164,15 @@ def _step_matrices(c1: np.ndarray, c2: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _sweep(piece: _Piece, lams: np.ndarray, n: int) -> np.ndarray:
-    """Transfer matrices across one piece with n Magnus sub-steps."""
+def _gauss_coefficients(
+    piece: _Piece, lams: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """c = Q + lam*V at the Gauss nodes of n equal sub-steps: (c1, c2, h).
+
+    ``c1`` and ``c2`` have shape (L, n); ``h`` is the sub-step length.  The
+    sweep and spectral's phase count both step from these values, so the
+    coefficients and the eigenvalue counts use one discretization.
+    """
     h = piece.length / n
     starts = piece.x0 + h * np.arange(n)
     x1 = (starts - piece.x0) + (0.5 - _GAUSS_OFFSET) * h
@@ -177,7 +184,12 @@ def _sweep(piece: _Piece, lams: np.ndarray, n: int) -> np.ndarray:
     lam = lams[:, None]
     c1 = q1[None, :] + lam * v1[None, :]
     c2 = q2[None, :] + lam * v2[None, :]
-    steps = _step_matrices(c1, c2, h)  # (L, n, 2, 2)
+    return c1, c2, h
+
+
+def _sweep(piece: _Piece, lams: np.ndarray, n: int) -> np.ndarray:
+    """Transfer matrices across one piece with n Magnus sub-steps."""
+    steps = _step_matrices(*_gauss_coefficients(piece, lams, n))  # (L, n, 2, 2)
     M = steps[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, n):
@@ -288,17 +300,8 @@ def _transfer_batch(
 # public operations
 
 
-def apply_delta(
-    state: Pair, lam: complex, weight: float, u_side: str = "left"
-) -> Pair:
-    """Jump condition of a point mass: u continuous, u' += lam*weight*u.
-
-    ``u_side`` names the side whose u-value feeds the jump; u is continuous
-    across the spike so both choices agree, and only "left" (the direction
-    of propagation) is meaningful here.
-    """
-    if u_side not in ("left", "right"):
-        raise ValueError("u_side must be 'left' or 'right'")
+def apply_delta(state: Pair, lam: complex, weight: float) -> Pair:
+    """Jump condition of a point mass: u continuous, u' += lam*weight*u."""
     u, up = complex(state[0]), complex(state[1])
     return (u, up + complex(lam) * weight * u)
 

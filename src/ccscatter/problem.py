@@ -193,7 +193,6 @@ class Tolerances:
     """
 
     ode_rtol: float = 1e-10
-    ode_atol: float = 1e-13
     wronskian_tol: float = 1e-10
 
 

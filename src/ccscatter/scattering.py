@@ -88,12 +88,6 @@ def coefficients(
     )
 
 
-def b_values(problem: ScatteringProblem, lams, *, rtol: float | None = None) -> np.ndarray:
-    """Just b(lam) over a batch; convenience for scans and contours."""
-    _, b, _ = coefficients_batch(problem, lams, rtol=rtol)
-    return b
-
-
 def reflection(problem: ScatteringProblem, lam: float) -> ReflectionResult:
     """Reflection probability R = |beta/alpha|^2 at a real coupling.
 

@@ -11,8 +11,11 @@ energy zero: the phase can cross multiples of pi only upward, so the
 terminal phase against the right boundary mark gives the count exactly.
 
 On constant-coefficient pieces the phase advance is evaluated in closed
-form (trigonometric zero counting); varying pieces are stepped with
-rotation-bounded Magnus sub-steps so each step crosses at most one zero.
+form (trigonometric zero counting).  Varying pieces take their
+rotation-bounded Magnus sub-steps from the engine, which builds all step
+matrices of a piece in one call; the states after every sub-step are
+prefix products of those matrices, and crossings are counted as sign
+changes of u between consecutive states, all in one vectorized pass.
 
 Tent functions phi_eps(x) = sqrt(3/2) eps^{-3/2} (eps - |x|)_+ supply
 minimax witnesses: N disjointly supported tents with negative Rayleigh
@@ -34,7 +37,6 @@ from .problem import PotentialSpec, ScatteringProblem
 from .scattering import require_real_reference
 
 _PHASE_TOL = 1e-6
-_TWO_GAUSS = math.sqrt(3.0) / 6.0
 
 
 @dataclass(frozen=True)
@@ -150,32 +152,28 @@ def _constant_piece_phase(alpha: float, c: float, h: float) -> float:
 
 
 def _varying_phase_fixed(alpha: float, piece: engine._Piece, lam: float, n: int) -> float:
-    h = piece.length / n
-    u = math.sin(alpha)
-    up = math.cos(alpha)
-    k = math.floor(alpha / math.pi)
-    for i in range(n):
-        x1 = i * h + (0.5 - _TWO_GAUSS) * h
-        x2 = i * h + (0.5 + _TWO_GAUSS) * h
-        c1 = float(npoly.polyval(x1, piece.q_coeffs)) + lam * float(
-            npoly.polyval(x1, piece.v_coeffs)
-        )
-        c2 = float(npoly.polyval(x2, piece.q_coeffs)) + lam * float(
-            npoly.polyval(x2, piece.v_coeffs)
-        )
-        step = engine._step_matrices(
-            np.array([c1 + 0.0j]), np.array([c2 + 0.0j]), h
-        )[0]
-        u_n = (step[0, 0] * u + step[0, 1] * up).real
-        up_n = (step[1, 0] * u + step[1, 1] * up).real
-        crossed = u_n == 0.0 or (u != 0.0 and (u_n < 0.0) != (u < 0.0))
-        if crossed:
-            k += 1
-        u, up = u_n, up_n
-        norm = math.hypot(u, up)
-        u /= norm
-        up /= norm
-    return _phase_from_state(u, up, k)
+    """Phase advance across a varying piece with n Magnus sub-steps.
+
+    The state after each sub-step comes from prefix products of the
+    engine's step matrices, built by recursive doubling; every level is
+    rescaled by a positive factor, which keeps the sign of u and the
+    terminal angle and rules out overflow.  Each sign change of u between
+    consecutive sub-steps is one crossing of a multiple of pi.
+    """
+    c1, c2, h = engine._gauss_coefficients(piece, np.array([lam]), n)
+    prefix = engine._step_matrices(c1[0], c2[0], h).real  # (n, 2, 2)
+    d = 1
+    while d < n:
+        prefix[d:] = prefix[d:] @ prefix[:-d]
+        prefix /= np.abs(prefix).max(axis=(1, 2), keepdims=True)
+        d *= 2
+    start = np.array([math.sin(alpha), math.cos(alpha)])
+    states = prefix @ start  # (n, 2), positive multiples of the true states
+    u = np.concatenate(([start[0]], states[:, 0]))
+    before, after = u[:-1], u[1:]
+    crossed = (after == 0.0) | ((before != 0.0) & ((after < 0.0) != (before < 0.0)))
+    k = math.floor(alpha / math.pi) + int(np.count_nonzero(crossed))
+    return _phase_from_state(float(states[-1, 0]), float(states[-1, 1]), k)
 
 
 def _varying_piece_phase(alpha: float, piece: engine._Piece, lam: float) -> float:
@@ -254,9 +252,7 @@ def zero_eigen_check(
     problem: ScatteringProblem, lam: float, angles: BoundaryAngles
 ) -> bool:
     """Whether zero is an eigenvalue of H_lam (phase meets the mark)."""
-    alpha1 = _terminal_phase(problem, float(lam), angles.theta0)
-    t = (alpha1 + angles.theta1) / math.pi
-    return abs(t - round(t)) * math.pi <= _PHASE_TOL
+    return negative_eigenvalue_count(problem, lam, angles).boundary_degenerate
 
 
 # ---------------------------------------------------------------------------

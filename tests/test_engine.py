@@ -38,8 +38,6 @@ def test_apply_delta_jump_rule():
     out = apply_delta((1.0 + 1j, 2.0), 1j, 0.5)
     assert out[0] == 1.0 + 1j
     assert out[1] == pytest.approx(2.0 + 1j * 0.5 * (1.0 + 1j))
-    with pytest.raises(ValueError):
-        apply_delta((1.0, 0.0), 1.0, 1.0, u_side="middle")
 
 
 def test_transfer_matrix_free(free_problem):

@@ -88,6 +88,24 @@ def test_monotone_counting(sine_well, corpus):
     assert all(a >= b for a, b in zip(counts2[:-1], counts2[1:]))  # V >= 0
 
 
+def test_count_on_varying_pieces_at_large_coupling():
+    """Polynomial pieces stepped at |lam| up to 3e4, and at -3e6, where the
+    unscaled sub-step states would overflow (exp(sqrt|lam|) growth)."""
+    lams = (-3e6, -3e4, -17000.37, -8000.37, -1500.37, 1500.37, 8000.37,
+            17000.37, 3e4)
+    expected = {
+        "ramp_well": [0, 0, 0, 0, 0, 9, 20, 29, 38],
+        "tilted_background": [0, 0, 0, 0, 0, 10, 23, 33, 43],
+    }
+    for name, want in expected.items():
+        prob = getattr(catalog, name)()
+        ang = boundary_angles(prob)
+        with np.errstate(over="raise", invalid="raise"):
+            got = [negative_eigenvalue_count(prob, lam, ang) for lam in lams]
+        assert [int(c) for c in got] == want, name
+        assert not any(c.boundary_degenerate for c in got), name
+
+
 def test_zero_eigen_check_known_values(sine_well):
     ang = boundary_angles(sine_well)
     assert zero_eigen_check(sine_well, 3 * PI * PI, ang)
