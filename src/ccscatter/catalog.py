@@ -135,7 +135,3 @@ def corpus_problems() -> list[tuple[str, ScatteringProblem]]:
 
 def spike_free_corpus() -> list[tuple[str, ScatteringProblem]]:
     return [(n, p) for n, p in corpus_problems() if not p.V.has_spikes]
-
-
-def real_reference_corpus() -> list[tuple[str, ScatteringProblem]]:
-    return [(n, p) for n, p in corpus_problems() if p.ref.u0_is_real]

@@ -65,17 +65,28 @@ def _emit(rows: list[dict], fmt: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+_SHORT_GRID = "coupling grids need at least 2 points"
+
+
 def _resolve_lambdas(flag: str | None, block: dict) -> list[float]:
     if flag:
-        if ":" in flag:
+        try:
+            if ":" not in flag:
+                return [float(tok) for tok in flag.split(",") if tok]
             lo, hi, count = flag.split(":")
-            return list(np.linspace(float(lo), float(hi), int(count)))
-        return [float(tok) for tok in flag.split(",") if tok]
+            lo, hi, count = float(lo), float(hi), int(count)
+        except ValueError:
+            raise ValueError(
+                f"--lambdas takes lo:hi:count or a comma list, not {flag!r}"
+            ) from None
+        if count < 2:
+            raise ValueError(_SHORT_GRID)
+        return list(np.linspace(lo, hi, count))
     spec = block.get("lambdas")
     if isinstance(spec, dict):
         count = int(spec.get("count", 0))
         if count < 2:
-            raise ConfigError("coupling grids need at least 2 points", "command")
+            raise ConfigError(_SHORT_GRID, "command")
         return list(np.linspace(float(spec["start"]), float(spec["stop"]), count))
     if isinstance(spec, list):
         return [float(v) for v in spec]
@@ -166,11 +177,11 @@ def _cmd_zeros(run: cfg.RunConfig, args) -> list[dict]:
         lo, hi = args.interval.split(":")
         interval = [float(lo), float(hi)]
     grid_points = args.grid_points or int(block.get("grid_points", 400))
-    if zeros.is_identically_zero(run.problem):
-        raise DegenerateFunctionError("b identically zero")
     report = zeros.real_zero_scan(
         _real_problem(run), (interval[0], interval[1]), grid_points
     )
+    if report.identically_zero:
+        raise DegenerateFunctionError("b identically zero")
     return [
         {
             "zero_re": z.real,
@@ -372,6 +383,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # flag values the analyses reject
+        return _Parser._fail(str(exc))
     except DegenerateFunctionError as exc:
         print(f"degenerate: {exc}", file=sys.stderr)
         return 2

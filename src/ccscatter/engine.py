@@ -16,8 +16,17 @@ Richardson error estimate meets the problem tolerance.
 
 Everything is vectorized over a batch of coupling values: the same
 subdivision is applied to every lam in the batch and the per-step 2x2
-matrices are multiplied with stacked matmul.  Delta spikes contribute the
-jump u' -> u' + lam * weight * u between pieces.
+matrices are multiplied with stacked matmul.
+
+``_layout`` is the one place that decides how [0, 1] is walked: it returns
+the weight of the spike at 0 and the pieces, each carrying the weight of
+the spike at its right end.  A spike contributes the jump
+u' -> u' + lam * weight * u.  ``transfer_matrices`` walks the layout from
+0- to 1+, and every whole-interval quantity (coefficients, reflection,
+``propagate``, ``transfer_matrix``) is a read-out of it; spectral's phase
+count walks the same layout.  ``reference_states`` steps between interior
+nodes over clipped pieces; it runs at lam = 0, where spikes are the
+identity.
 """
 
 from __future__ import annotations
@@ -73,6 +82,7 @@ class _Piece:
     x1: float
     q_coeffs: tuple[float, ...]  # local to x0
     v_coeffs: tuple[float, ...]  # local to x0
+    jump: float = 0.0  # weight of the spike at x1
 
     @property
     def length(self) -> float:
@@ -99,26 +109,32 @@ def _local_coeffs(pot: PotentialSpec, x: float) -> tuple[float, ...]:
 
 
 @functools.lru_cache(maxsize=256)
-def _pieces_cached(q: PotentialSpec, v: PotentialSpec) -> tuple[_Piece, ...]:
-    cuts = sorted(set(q.breakpoints) | set(v.breakpoints) | {p for p, _ in v.spikes})
+def _layout(q: PotentialSpec, v: PotentialSpec) -> tuple[float, tuple[_Piece, ...]]:
+    """How [0, 1] is walked: (weight of the spike at 0, pieces).
+
+    Pieces are split at every breakpoint and spike position, so each spike
+    in (0, 1] sits at the right end of exactly one piece, as its ``jump``.
+    """
+    spikes = dict(v.spikes)
+    cuts = sorted(set(q.breakpoints) | set(v.breakpoints) | set(spikes))
     cuts = [c for c in cuts if 0.0 <= c <= 1.0]
     if cuts[0] != 0.0:
         cuts.insert(0, 0.0)
     if cuts[-1] != 1.0:
         cuts.append(1.0)
-    pieces = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo <= 0.0:
-            continue
-        pieces.append(_Piece(lo, hi, _local_coeffs(q, lo), _local_coeffs(v, lo)))
-    return tuple(pieces)
+    pieces = tuple(
+        _Piece(lo, hi, _local_coeffs(q, lo), _local_coeffs(v, lo), spikes.get(hi, 0.0))
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    )
+    return spikes.get(0.0, 0.0), pieces
 
 
 def _pieces(problem: ScatteringProblem) -> tuple[_Piece, ...]:
-    return _pieces_cached(problem.Q, problem.V)
+    return _layout(problem.Q, problem.V)[1]
 
 
 def _clip_piece(piece: _Piece, lo: float, hi: float) -> _Piece:
+    """The part of a piece inside [lo, hi], without its spike."""
     lo = max(lo, piece.x0)
     hi = min(hi, piece.x1)
     return _Piece(
@@ -201,29 +217,22 @@ def _matrix_scale(M: np.ndarray) -> np.ndarray:
     return np.abs(M).max(axis=(-2, -1))
 
 
-def _initial_substeps(piece: _Piece, lams: np.ndarray, min_substeps: int) -> int:
+def _initial_substeps(piece: _Piece, lams: np.ndarray) -> int:
     qmax = max(abs(c) for c in piece.q_coeffs) * max(1.0, piece.length)
     vmax = max(abs(c) for c in piece.v_coeffs) * max(1.0, piece.length)
     cmax = qmax + float(np.abs(lams).max()) * vmax
-    n = max(4, min_substeps, int(piece.length * math.sqrt(cmax) / 2.0) + 1)
+    n = max(4, int(piece.length * math.sqrt(cmax) / 2.0) + 1)
     return min(n, _MAX_SUBSTEPS)
 
 
 def _piece_transfer(
-    piece: _Piece,
-    lams: np.ndarray,
-    rtol: float,
-    min_substeps: int,
+    piece: _Piece, lams: np.ndarray, rtol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adaptive transfer over a piece; returns (matrices, relative errors)."""
-    if piece.length <= 0.0:
-        eye = np.broadcast_to(np.eye(2, dtype=complex), lams.shape + (2, 2)).copy()
-        return eye, np.zeros(lams.shape)
     if piece.is_constant:
-        M = _sweep(piece, lams, max(1, min_substeps))
-        return M, np.zeros(lams.shape)
+        return _sweep(piece, lams, 1), np.zeros(lams.shape)
 
-    n = _initial_substeps(piece, lams, min_substeps)
+    n = _initial_substeps(piece, lams)
     M = _sweep(piece, lams, n)
     while True:
         M2 = _sweep(piece, lams, 2 * n)
@@ -249,53 +258,6 @@ def _spike_matrices(lams: np.ndarray, weight: float) -> np.ndarray:
     return out
 
 
-def _transfer_batch(
-    problem: ScatteringProblem,
-    lams: np.ndarray,
-    x_from: float,
-    x_to: float,
-    *,
-    rtol: float | None = None,
-    min_substeps: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched transfer matrices from x_from to x_to (spikes included).
-
-    A spike at position p is applied when crossing it from the left, i.e.
-    when x_from < p <= x_to; the spike at p = 0 is applied whenever the
-    sweep starts at 0 (it represents the 0- to 0+ transition).
-    """
-    lams = np.asarray(lams, dtype=complex)
-    if x_to < x_from:
-        raise ValueError("x_to must be >= x_from")
-    tol = problem.tolerances.ode_rtol if rtol is None else rtol
-    M = np.broadcast_to(np.eye(2, dtype=complex), lams.shape + (2, 2)).copy()
-    err = np.zeros(lams.shape)
-
-    spikes = [
-        (p, w)
-        for p, w in problem.V.spikes
-        if (x_from < p <= x_to) or (p == 0.0 and x_from == 0.0)
-    ]
-    for p, w in spikes:  # spike sitting at the start of the sweep (p = 0)
-        if p <= x_from:
-            M = _spike_matrices(lams, w) @ M
-    for piece in _pieces(problem):
-        if piece.x1 <= x_from or piece.x0 >= x_to:
-            continue
-        part = _clip_piece(piece, x_from, x_to)
-        Mp, rel = _piece_transfer(part, lams, tol, min_substeps)
-        M = Mp @ M
-        err = err + rel
-        # pieces are split at spike positions, so spikes are crossed at
-        # piece boundaries exactly
-        for p, w in spikes:
-            if part.x0 < p <= part.x1 and p > x_from:
-                M = _spike_matrices(lams, w) @ M
-    if not np.all(np.isfinite(M.view(float))):
-        raise IntegrationError("propagation produced non-finite values", x_to)
-    return M, err * (_matrix_scale(M) + 1.0)
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -306,62 +268,44 @@ def apply_delta(state: Pair, lam: complex, weight: float) -> Pair:
     return (u, up + complex(lam) * weight * u)
 
 
-def propagate(
-    problem: ScatteringProblem,
-    lam: complex,
-    init: Pair,
-    x_from: float = 0.0,
-    x_to: float = 1.0,
-    *,
-    rtol: float | None = None,
-    min_substeps: int = 1,
-) -> Pair:
-    """Propagate (u, u') from x_from to x_to at coupling lam.
+def transfer_matrices(
+    problem: ScatteringProblem, lams, *, rtol: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer matrices from 0- to 1+ for a batch of couplings.
 
-    The default sweep over [0, 1] returns the state at 1+, i.e. after any
-    spike at the right endpoint has been applied.
+    Walks the layout: the spike at 0, then each piece followed by the spike
+    at its right end.  Returns (matrices of shape (L, 2, 2), error
+    estimates of shape (L,)).
     """
-    M, _ = _transfer_batch(
-        problem,
-        np.array([lam], dtype=complex),
-        x_from,
-        x_to,
-        rtol=rtol,
-        min_substeps=min_substeps,
-    )
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    tol = problem.tolerances.ode_rtol if rtol is None else rtol
+    jump0, pieces = _layout(problem.Q, problem.V)
+    M = np.broadcast_to(np.eye(2, dtype=complex), lams.shape + (2, 2)).copy()
+    err = np.zeros(lams.shape)
+    if jump0:
+        M = _spike_matrices(lams, jump0) @ M
+    for piece in pieces:
+        Mp, rel = _piece_transfer(piece, lams, tol)
+        M = Mp @ M
+        err = err + rel
+        if piece.jump:
+            M = _spike_matrices(lams, piece.jump) @ M
+    if not np.all(np.isfinite(M.view(float))):
+        raise IntegrationError("propagation produced non-finite values", 1.0)
+    return M, err * (_matrix_scale(M) + 1.0)
+
+
+def propagate(problem: ScatteringProblem, lam: complex, init: Pair) -> Pair:
+    """Propagate (u, u') from 0- to 1+ at coupling lam (spikes included)."""
+    M, _ = transfer_matrices(problem, [lam])
     u = M[0, 0, 0] * init[0] + M[0, 0, 1] * init[1]
     up = M[0, 1, 0] * init[0] + M[0, 1, 1] * init[1]
     return (complex(u), complex(up))
 
 
-def transfer_matrices(
-    problem: ScatteringProblem,
-    lams,
-    *,
-    rtol: float | None = None,
-    min_substeps: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Transfer matrices over [0, 1] for a batch of couplings.
-
-    Returns (matrices of shape (L, 2, 2), error estimates of shape (L,)).
-    """
-    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    return _transfer_batch(
-        problem, lams, 0.0, 1.0, rtol=rtol, min_substeps=min_substeps
-    )
-
-
-def transfer_matrix(
-    problem: ScatteringProblem,
-    lam: complex,
-    *,
-    rtol: float | None = None,
-    min_substeps: int = 1,
-) -> TransferMatrix:
+def transfer_matrix(problem: ScatteringProblem, lam: complex) -> TransferMatrix:
     """Transfer matrix over [0, 1] at a single coupling value."""
-    M, err = transfer_matrices(
-        problem, [lam], rtol=rtol, min_substeps=min_substeps
-    )
+    M, err = transfer_matrices(problem, [lam])
     m = M[0]
     floor = 5e-16 * float(_matrix_scale(m)) * (len(_pieces(problem)) + 1)
     return TransferMatrix(
@@ -379,8 +323,9 @@ def reference_states(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Values (u0, u0', v0, v0') of the reference solutions at sorted xs.
 
-    Reference solutions solve the zero-coupling equation, so spikes in V do
-    not contribute.  ``xs`` must lie in [0, 1] and be nondecreasing.
+    Reference solutions solve the zero-coupling equation, where spikes are
+    the identity, so the walk steps over the clipped pieces alone.  ``xs``
+    must lie in [0, 1] and be nondecreasing.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
@@ -394,13 +339,18 @@ def reference_states(
     v0 = np.empty(len(xs), dtype=complex)
     v0p = np.empty(len(xs), dtype=complex)
     zero = np.array([0.0 + 0.0j])
+    tol = problem.tolerances.ode_rtol
+    pieces = _pieces(problem)
     M = np.eye(2, dtype=complex)
     x_prev = 0.0
     for i, x in enumerate(xs):
         x = min(max(float(x), 0.0), 1.0)
         if x > x_prev:
-            # zero-coupling: spikes vanish, so plain piece sweep
-            step, _ = _transfer_batch(problem, zero, x_prev, x)
+            step = np.eye(2, dtype=complex)[None]
+            for piece in pieces:
+                if x_prev < piece.x1 and piece.x0 < x:
+                    part = _clip_piece(piece, x_prev, x)
+                    step = _piece_transfer(part, zero, tol)[0] @ step
             M = step[0] @ M
             x_prev = x
         ru = M @ np.array(problem.ref.u0_at_0)

@@ -9,7 +9,11 @@ off from Wronskians at x = 1+ (after the last spike):
 
 For a genuinely complex u0 the pair (u0, conj(u0)) is a traveling-wave
 basis and ``u_lam = alpha u0 + beta conj(u0)`` defines the reflection
-probability R = |beta/alpha|^2.
+probability R = |beta/alpha|^2.  The amplitudes are a fixed linear function
+of (a, b), so reflection is read from the same batch as the coefficients:
+
+    beta = b / W[u0, conj(u0)],
+    alpha = a + b W[conj(u0), v0] / W[conj(u0), u0]   (Wronskians at 1).
 """
 
 from __future__ import annotations
@@ -106,12 +110,13 @@ def reflection(problem: ScatteringProblem, lam: float) -> ReflectionResult:
             "reference solution is (a multiple of) a real solution; "
             "apply realify() and work with the real-solution machinery"
         )
-    u1 = engine.propagate(problem, lam, u0_0)
+    a, b, _ = coefficients_batch(problem, [lam])
     u0_1 = ref.u0_at_1
     u0bar_1 = (u0_1[0].conjugate(), u0_1[1].conjugate())
-    # constancy of W for the zero-coupling equation: same value at 1
-    beta = wronskian(u0_1, u1) / w_u_ubar
-    alpha = wronskian(u0bar_1, u1) / wronskian(u0bar_1, u0_1)
+    # u_lam = a u0 + b v0 past the spikes; Wronskians with u0 and conj(u0)
+    # at 1 split it into the traveling pair
+    beta = b[0] / wronskian(u0_1, u0bar_1)
+    alpha = a[0] + b[0] * wronskian(u0bar_1, ref.v0_at_1) / wronskian(u0bar_1, u0_1)
     R = abs(beta / alpha) ** 2
     flux_defect = abs(abs(alpha) ** 2 - abs(beta) ** 2 - 1.0)
     return ReflectionResult(

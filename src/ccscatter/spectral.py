@@ -213,17 +213,17 @@ def _spike_phase_jump(alpha: float, lam: float, weight: float) -> float:
 
 def _terminal_phase(problem: ScatteringProblem, lam: float, theta0: float) -> float:
     alpha = (-theta0) % math.pi
-    spikes = dict(problem.V.spikes)
-    if 0.0 in spikes:
-        alpha = _spike_phase_jump(alpha, lam, spikes[0.0])
-    for piece in engine._pieces(problem):
+    jump0, pieces = engine._layout(problem.Q, problem.V)
+    if jump0:
+        alpha = _spike_phase_jump(alpha, lam, jump0)
+    for piece in pieces:
         if piece.is_constant:
             c = piece.q_coeffs[0] + lam * piece.v_coeffs[0]
             alpha = _constant_piece_phase(alpha, c, piece.length)
         else:
             alpha = _varying_piece_phase(alpha, piece, lam)
-        if piece.x1 in spikes and piece.x1 > 0.0:
-            alpha = _spike_phase_jump(alpha, lam, spikes[piece.x1])
+        if piece.jump:
+            alpha = _spike_phase_jump(alpha, lam, piece.jump)
     return alpha
 
 

@@ -120,6 +120,27 @@ def test_zeros_exit_code_on_degenerate(tmp_path, capsys):
     assert "identically zero" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scan", "delta_pair.json", "--lambdas=1:2"],
+        ["scan", "delta_pair.json", "--lambdas=a,b"],
+        ["scan", "delta_pair.json", "--lambdas=1:2:0"],
+        ["count", "sine_well.json", "--radius=-5"],
+        ["zeros", "sine_well.json", "--interval=5:1"],
+        ["series", "noise_bed.json", "--order", "0"],
+        ["witness", "box_barrier.json", "--tents", "0"],
+        ["order", "sine_well.json", "--radii", "1,2"],
+    ],
+)
+def test_bad_flag_values_are_usage_errors(bundle_dir, capsys, args):
+    cmd, name, *flags = args
+    code, out, err = run_cli([cmd, str(bundle_dir / name), *flags], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_count_and_eigencount(bundle_dir, capsys):
     code, out, _ = run_cli(["count", str(bundle_dir / "sine_well.json")], capsys)
     assert code == 0

@@ -117,28 +117,25 @@ def test_entries_analytic_in_coupling(corpus):
 
 
 def test_composition_of_subinterval_sweeps(spike_free):
-    rng = np.random.default_rng(9)
+    """Node-to-node steps compose to the whole-interval reference data."""
     for name, prob in spike_free:
-        lam = complex(rng.uniform(-10, 10), rng.uniform(-3, 3))
-        init = (0.3 - 0.2j, 1.1 + 0.4j)
-        mid = propagate(prob, lam, init, 0.0, 0.5)
-        full_via_mid = propagate(prob, lam, mid, 0.5, 1.0)
-        full = propagate(prob, lam, init, 0.0, 1.0)
-        assert full_via_mid[0] == pytest.approx(full[0], rel=1e-11, abs=1e-12), name
-        assert full_via_mid[1] == pytest.approx(full[1], rel=1e-11, abs=1e-12), name
+        u0, u0p, v0, v0p = reference_states(prob, [0.5, 1.0])
+        assert (u0[1], u0p[1]) == pytest.approx(prob.ref.u0_at_1, rel=1e-11, abs=1e-12), name
+        assert (v0[1], v0p[1]) == pytest.approx(prob.ref.v0_at_1, rel=1e-11, abs=1e-12), name
 
 
 def test_halving_step_bound_stays_within_error_estimate():
+    """A run at a 1000x tighter tolerance moves within the error estimate."""
     prob = build_problem(
         PotentialSpec.polynomial([1.0, -2.0]),
         PotentialSpec.polynomial([0.0, -3.0, 3.0]),
         (1.0, 0.0),
     )
     for lam in (7.0, -25.0, 4.0 + 9.0j):
-        coarse = transfer_matrix(prob, lam, min_substeps=1)
-        fine = transfer_matrix(prob, lam, min_substeps=2)
-        diff = np.abs(coarse.as_array() - fine.as_array()).max()
-        assert diff <= coarse.err_estimate
+        coarse = transfer_matrix(prob, lam)
+        fine, _ = transfer_matrices(prob, [lam], rtol=1e-13)
+        diff = np.abs(coarse.as_array() - fine[0]).max()
+        assert 0.0 < diff <= coarse.err_estimate
 
 
 def test_varying_piece_against_ivp_oracle():
@@ -191,13 +188,9 @@ def test_reference_states_closed_form(sine_well):
     assert v0 == pytest.approx(np.cos(PI * xs) / PI, abs=1e-12)
 
 
-def test_spike_inside_partial_sweep():
+def test_interior_spike_jump():
     prob = build_problem(
         PotentialSpec.zero(), PotentialSpec.deltas([(0.5, 2.0)]), (1.0, 0.0)
     )
-    lam = 3.0
-    # crossing 0.5 applies the jump; stopping before it does not
-    before = propagate(prob, lam, (1.0, 0.0), 0.0, 0.5)
-    after = propagate(prob, lam, (1.0, 0.0), 0.0, 0.75)
-    assert before == pytest.approx((1.0, 6.0))  # jump applied at 0.5 itself
-    assert after[1] == pytest.approx(6.0)
+    # u = 1 up to 0.5, where u' jumps by lam * 2 = 6; then u = 1 + 6 (x - 0.5)
+    assert propagate(prob, 3.0, (1.0, 0.0)) == pytest.approx((4.0, 6.0))

@@ -133,14 +133,16 @@ def test_link_between_phase_and_wronskian(real_corpus):
 
 
 def test_link_with_interior_spike():
-    prob = build_problem(
-        PotentialSpec.zero(), PotentialSpec.deltas([(0.5, 1.0)]), (1.0, 0.0)
-    )
-    ang = boundary_angles(prob)
     grid = np.linspace(-40.0, 40.0, 81)
-    b = np.abs(coefficients_batch(prob, grid.astype(complex))[1])
-    for lam, ab in zip(grid, b):
-        assert zero_eigen_check(prob, float(lam), ang) == (ab < 1e-8), lam
+    # an interior spike, and one at each end of the walk
+    for spikes in ([(0.5, 1.0)], [(0.0, 2.0)], [(1.0, -1.5)]):
+        prob = build_problem(
+            PotentialSpec.zero(), PotentialSpec.deltas(spikes), (1.0, 0.0)
+        )
+        ang = boundary_angles(prob)
+        b = np.abs(coefficients_batch(prob, grid.astype(complex))[1])
+        for lam, ab in zip(grid, b):
+            assert zero_eigen_check(prob, float(lam), ang) == (ab < 1e-8), (spikes, lam)
 
 
 def test_tent_normalization():
