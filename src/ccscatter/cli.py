@@ -173,10 +173,15 @@ def _cmd_series(run: cfg.RunConfig, args) -> list[dict]:
 def _cmd_zeros(run: cfg.RunConfig, args) -> list[dict]:
     block = run.command.get("zeros", {})
     interval = block.get("interval", [-50.0, 50.0])
-    if args.interval:
-        lo, hi = args.interval.split(":")
-        interval = [float(lo), float(hi)]
-    grid_points = args.grid_points or int(block.get("grid_points", 400))
+    if args.interval is not None:
+        try:
+            lo, hi = (float(tok) for tok in args.interval.split(":"))
+        except ValueError:
+            raise ValueError(f"--interval expects lo:hi, not {args.interval!r}") from None
+        interval = [lo, hi]
+    grid_points = args.grid_points
+    if grid_points is None:
+        grid_points = int(block.get("grid_points", 400))
     report = zeros.real_zero_scan(
         _real_problem(run), (interval[0], interval[1]), grid_points
     )
@@ -196,11 +201,12 @@ def _cmd_zeros(run: cfg.RunConfig, args) -> list[dict]:
 
 def _cmd_count(run: cfg.RunConfig, args) -> list[dict]:
     block = run.command.get("count", {})
-    radii = [float(args.radius)] if args.radius else None
-    if radii is None:
+    if args.radius is not None:
+        radii = [float(args.radius)]
+    else:
         raw = block.get("radius", 50.0)
         radii = [float(r) for r in raw] if isinstance(raw, list) else [float(raw)]
-    nodes = args.nodes or int(block.get("nodes", 64))
+    nodes = args.nodes if args.nodes is not None else int(block.get("nodes", 64))
     return [
         {
             "radius": r,

@@ -15,8 +15,9 @@ with genuinely varying coefficients are refined by step doubling until the
 Richardson error estimate meets the problem tolerance.
 
 Everything is vectorized over a batch of coupling values: the same
-subdivision is applied to every lam in the batch and the per-step 2x2
-matrices are multiplied with stacked matmul.
+subdivision is applied to every lam in the batch.  The steps of a piece are
+held as four component arrays, one per matrix entry, and multiplied by a
+pairwise reduction in log2(n) vectorized levels.
 
 ``_layout`` is the one place that decides how [0, 1] is walked: it returns
 the weight of the spike at 0 and the pieces, each carrying the weight of
@@ -41,9 +42,10 @@ from numpy.polynomial import polynomial as npoly
 from .errors import IntegrationError
 from .problem import Pair, PotentialSpec, ScatteringProblem
 
-_GAUSS_OFFSET = math.sqrt(3.0) / 6.0  # Gauss-Legendre 2-point nodes: 1/2 -/+ this
+# Gauss-Legendre 2-point nodes of a unit step, as a column: 1/2 -/+ sqrt(3)/6
+_GAUSS_NODES = 0.5 + np.array([[-1.0], [1.0]]) * (math.sqrt(3.0) / 6.0)
 _MAX_SUBSTEPS = 1 << 15
-_SMALL_S = 1e-4
+_BLOCK_ENTRIES = 1 << 13  # steps x couplings per block of the sweep's product
 
 
 @dataclass(frozen=True)
@@ -149,35 +151,26 @@ def _clip_piece(piece: _Piece, lo: float, hi: float) -> _Piece:
 # Magnus stepping (batched over couplings)
 
 
-def _sinhc(s: np.ndarray) -> np.ndarray:
-    """sinh(s)/s, stable near s = 0 (even function of s)."""
-    small = np.abs(s) < _SMALL_S
-    safe = np.where(small, 1.0, s)
-    out = np.sinh(safe) / safe
-    s2 = s * s
-    series = 1.0 + s2 / 6.0 * (1.0 + s2 / 20.0 * (1.0 + s2 / 42.0))
-    return np.where(small, series, out)
+def _step_matrices(c1: np.ndarray, c2: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
+    """exp(Omega) for one Magnus step, as its entries (a, b, c, d).
 
-
-def _step_matrices(c1: np.ndarray, c2: np.ndarray, h: float) -> np.ndarray:
-    """exp(Omega) for one Magnus step, shape (L, 2, 2).
-
-    Overflow at extreme couplings produces non-finite entries here; the
-    sweep detects them and raises IntegrationError, so warnings are
-    suppressed rather than surfaced.
+    Each entry has the shape of ``c1``.  cosh(s) and sinh(s)/s come from
+    real functions of Re s and Im s.  Overflow at extreme couplings
+    produces non-finite entries here; the sweep detects them and raises
+    IntegrationError, so warnings are suppressed rather than surfaced.
     """
     cbar = 0.5 * (c1 + c2)
     d = (math.sqrt(3.0) * h * h / 12.0) * (c1 - c2)
-    s = np.sqrt((d * d + h * h * cbar).astype(complex))
-    out = np.empty(c1.shape + (2, 2), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ch = np.cosh(s)
-        shc = _sinhc(s)
-        out[..., 0, 0] = ch + shc * d
-        out[..., 0, 1] = shc * h
-        out[..., 1, 0] = shc * h * cbar
-        out[..., 1, 1] = ch - shc * d
-    return out
+    s = np.sqrt((d * d + h * h * cbar).astype(complex, copy=False))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        chx, shx = np.cosh(s.real), np.sinh(s.real)
+        cy, sy = np.cos(s.imag), np.sin(s.imag)
+        ch = chx * cy + 1j * (shx * sy)
+        shc = (shx * cy + 1j * (chx * sy)) / s
+        if not s.all():
+            shc[s == 0.0] = 1.0  # the limit; the quotient is accurate for all s != 0
+        shd, b = shc * d, shc * h
+        return ch + shd, b, b * cbar, ch - shd
 
 
 def _gauss_coefficients(
@@ -190,27 +183,53 @@ def _gauss_coefficients(
     coefficients and the eigenvalue counts use one discretization.
     """
     h = piece.length / n
-    starts = piece.x0 + h * np.arange(n)
-    x1 = (starts - piece.x0) + (0.5 - _GAUSS_OFFSET) * h
-    x2 = (starts - piece.x0) + (0.5 + _GAUSS_OFFSET) * h
-    q1 = npoly.polyval(x1, piece.q_coeffs)
-    q2 = npoly.polyval(x2, piece.q_coeffs)
-    v1 = npoly.polyval(x1, piece.v_coeffs)
-    v2 = npoly.polyval(x2, piece.v_coeffs)
-    lam = lams[:, None]
-    c1 = q1[None, :] + lam * v1[None, :]
-    c2 = q2[None, :] + lam * v2[None, :]
-    return c1, c2, h
+    offsets = (piece.x0 + h * np.arange(n)) - piece.x0
+    xs = offsets + _GAUSS_NODES * h  # (2, n): both nodes of every sub-step
+    q = npoly.polyval(xs, piece.q_coeffs)
+    v = npoly.polyval(xs, piece.v_coeffs)
+    c = lams[:, None] * v[:, None, :]
+    c += q[:, None, :]  # in place: c is the largest array of a sweep
+    return c[0], c[1], h
+
+
+def _product(later, earlier):
+    """Entries (a, b, c, d) of later @ earlier, for 2x2 matrices given by theirs."""
+    (la, lb, lc, ld), (ea, eb, ec, ed) = later, earlier
+    return la * ea + lb * ec, la * eb + lb * ed, lc * ea + ld * ec, lc * eb + ld * ed
+
+
+def _tree_product(steps):
+    """Product over axis 1 of 2x2 steps given by their entries, as a pairwise tree.
+
+    Each level multiplies neighbours, later times earlier; an odd last step
+    waits for the next level.  Axis 1 of the returned entries has length 1.
+    """
+    while steps[0].shape[1] > 1:
+        m = steps[0].shape[1] // 2 * 2
+        pairs = _product([x[:, 1:m:2] for x in steps], [x[:, 0:m:2] for x in steps])
+        if m < steps[0].shape[1]:
+            pairs = [np.hstack((p, x[:, m:])) for p, x in zip(pairs, steps)]
+        steps = pairs
+    return steps
 
 
 def _sweep(piece: _Piece, lams: np.ndarray, n: int) -> np.ndarray:
-    """Transfer matrices across one piece with n Magnus sub-steps."""
-    steps = _step_matrices(*_gauss_coefficients(piece, lams, n))  # (L, n, 2, 2)
-    M = steps[:, 0]
+    """Transfer matrices across one piece with n Magnus sub-steps.
+
+    The steps are multiplied as one pairwise tree.  Its lower levels run on
+    cache-sized blocks of a power-of-two number of steps, whose products
+    then finish the same tree, so blocking changes no rounding.
+    """
+    c1, c2, h = _gauss_coefficients(piece, lams, n)
+    width = 1 << max(6, (_BLOCK_ENTRIES // len(lams)).bit_length() - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n):
-            M = steps[:, i] @ M
-    return M
+        blocks = [
+            _tree_product(_step_matrices(c1[:, j : j + width], c2[:, j : j + width], h))
+            for j in range(0, n, width)
+        ]
+        if len(blocks) > 1:
+            blocks = [_tree_product([np.hstack(e) for e in zip(*blocks)])]
+    return np.concatenate(blocks[0], axis=1).reshape(-1, 2, 2)
 
 
 def _matrix_scale(M: np.ndarray) -> np.ndarray:

@@ -13,9 +13,10 @@ terminal phase against the right boundary mark gives the count exactly.
 On constant-coefficient pieces the phase advance is evaluated in closed
 form (trigonometric zero counting).  Varying pieces take their
 rotation-bounded Magnus sub-steps from the engine, which builds all step
-matrices of a piece in one call; the states after every sub-step are
-prefix products of those matrices, and crossings are counted as sign
-changes of u between consecutive states, all in one vectorized pass.
+matrices of a piece in one call, as four arrays of matrix entries; the
+states after every sub-step are prefix products of those matrices, built
+on the four real entry arrays, and crossings are counted as sign changes
+of u between consecutive states, all in one vectorized pass.
 
 Tent functions phi_eps(x) = sqrt(3/2) eps^{-3/2} (eps - |x|)_+ supply
 minimax witnesses: N disjointly supported tents with negative Rayleigh
@@ -155,25 +156,27 @@ def _varying_phase_fixed(alpha: float, piece: engine._Piece, lam: float, n: int)
     """Phase advance across a varying piece with n Magnus sub-steps.
 
     The state after each sub-step comes from prefix products of the
-    engine's step matrices, built by recursive doubling; every level is
-    rescaled by a positive factor, which keeps the sign of u and the
-    terminal angle and rules out overflow.  Each sign change of u between
-    consecutive sub-steps is one crossing of a multiple of pi.
+    engine's step matrices, built by recursive doubling on their four real
+    entries (arrays over the sub-steps); every level is rescaled by its
+    max-abs entry, a positive factor, which keeps the sign of u and the
+    terminal angle and rules out overflow, so the states are positive
+    multiples of the true ones.  Each sign change of u between consecutive
+    sub-steps is one crossing of a multiple of pi.
     """
     c1, c2, h = engine._gauss_coefficients(piece, np.array([lam]), n)
-    prefix = engine._step_matrices(c1[0], c2[0], h).real  # (n, 2, 2)
-    d = 1
-    while d < n:
-        prefix[d:] = prefix[d:] @ prefix[:-d]
-        prefix /= np.abs(prefix).max(axis=(1, 2), keepdims=True)
-        d *= 2
-    start = np.array([math.sin(alpha), math.cos(alpha)])
-    states = prefix @ start  # (n, 2), positive multiples of the true states
-    u = np.concatenate(([start[0]], states[:, 0]))
+    prefix = np.array([e[0].real for e in engine._step_matrices(c1, c2, h)])  # (4, n)
+    span = 1
+    while span < n:
+        prefix[:, span:] = engine._product(prefix[:, span:], prefix[:, :-span])
+        prefix /= np.abs(prefix).max(axis=0)
+        span *= 2
+    start = (math.sin(alpha), math.cos(alpha))
+    states = prefix[0::2] * start[0] + prefix[1::2] * start[1]  # (2, n): (u, u')
+    u = np.concatenate(([start[0]], states[0]))
     before, after = u[:-1], u[1:]
     crossed = (after == 0.0) | ((before != 0.0) & ((after < 0.0) != (before < 0.0)))
     k = math.floor(alpha / math.pi) + int(np.count_nonzero(crossed))
-    return _phase_from_state(float(states[-1, 0]), float(states[-1, 1]), k)
+    return _phase_from_state(float(states[0, -1]), float(states[1, -1]), k)
 
 
 def _varying_piece_phase(alpha: float, piece: engine._Piece, lam: float) -> float:

@@ -242,12 +242,15 @@ def disk_zero_count_fn(
 ) -> int:
     """Zeros of f inside |lam| <= r by trapezoidal winding of the phase.
 
-    Node count doubles until consecutive phase increments stay below pi/2
-    and the winding number is within 0.25 of an integer.
+    Node count starts at max(nodes, 64) and doubles until consecutive
+    phase increments stay below pi/2 and the winding number is within 0.25
+    of an integer.  ``nodes`` must be at least 1.
     """
     r = float(r)
     if r <= 0.0:
         raise ValueError("radius must be positive")
+    if nodes < 1:
+        raise ValueError("nodes must be >= 1")
     n = max(int(nodes), 64)
     while True:
         lams = r * np.exp(2j * np.pi * np.arange(n) / n)

@@ -128,6 +128,10 @@ def test_zeros_exit_code_on_degenerate(tmp_path, capsys):
         ["scan", "delta_pair.json", "--lambdas=1:2:0"],
         ["count", "sine_well.json", "--radius=-5"],
         ["zeros", "sine_well.json", "--interval=5:1"],
+        ["zeros", "sine_well.json", "--interval=5"],
+        ["zeros", "sine_well.json", "--grid-points", "0"],
+        ["count", "sine_well.json", "--radius", "0"],
+        ["count", "sine_well.json", "--nodes", "0"],
         ["series", "noise_bed.json", "--order", "0"],
         ["witness", "box_barrier.json", "--tents", "0"],
         ["order", "sine_well.json", "--radii", "1,2"],
@@ -139,6 +143,13 @@ def test_bad_flag_values_are_usage_errors(bundle_dir, capsys, args):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_interval_error_names_the_flag(bundle_dir, capsys):
+    code, _, err = run_cli(["zeros", str(bundle_dir / "sine_well.json"), "--interval=5"], capsys)
+    assert code == 1
+    assert "--interval expects lo:hi" in err
+    assert "'5'" in err
 
 
 def test_count_and_eigencount(bundle_dir, capsys):

@@ -12,10 +12,19 @@ from ccscatter import (
     PotentialSpec,
     apply_delta,
     build_problem,
+    catalog,
     propagate,
     transfer_matrix,
 )
-from ccscatter.engine import reference_states, transfer_matrices
+from ccscatter.engine import (
+    _gauss_coefficients,
+    _matrix_scale,
+    _pieces,
+    _step_matrices,
+    _sweep,
+    reference_states,
+    transfer_matrices,
+)
 
 PI = math.pi
 
@@ -138,6 +147,24 @@ def test_halving_step_bound_stays_within_error_estimate():
         assert 0.0 < diff <= coarse.err_estimate
 
 
+@pytest.mark.parametrize("name", ["ramp_well", "tilted_background"])
+def test_tree_product_matches_sequential_product(name):
+    """The sweep's pairwise product equals the step-by-step product."""
+    (piece,) = (p for p in _pieces(getattr(catalog, name)()) if not p.is_constant)
+    rng = np.random.default_rng(13)
+    for L in (1, 16):
+        radii = 10.0 ** rng.uniform(0.0, 4.0, L)
+        lams = radii * np.exp(2j * PI * rng.uniform(0.0, 1.0, L))
+        for n in (1, 2, 3, 5, 7, 64, 4607):
+            a, b, c, d = _step_matrices(*_gauss_coefficients(piece, lams, n))
+            steps = np.stack((a, b, c, d), axis=-1).reshape(L, n, 2, 2)
+            M = steps[:, 0]
+            for i in range(1, n):
+                M = steps[:, i] @ M
+            diff = np.abs(_sweep(piece, lams, n) - M).max(axis=(1, 2))
+            assert np.all(diff <= 1e-12 * _matrix_scale(M)), (L, n)
+
+
 def test_varying_piece_against_ivp_oracle():
     prob = build_problem(
         PotentialSpec.polynomial([2.0, 5.0]), PotentialSpec.zero(), (1.0, 0.0)
@@ -157,8 +184,6 @@ def test_varying_piece_against_ivp_oracle():
 
 def test_multisegment_propagation_matches_cellwise_product():
     """Regression: pieces at segment boundaries must use the right-hand cell."""
-    from ccscatter import catalog
-
     prob = catalog.noise_bed()
     lam = 1.0
     cells = [prob.V((i + 0.5) / 8.0) for i in range(8)]

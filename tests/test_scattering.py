@@ -201,3 +201,61 @@ def test_unimodularity_when_b_vanishes():
     a, b, _ = coefficients_batch(prob, lams.astype(complex))
     assert np.abs(b).max() <= 1e-10
     assert np.abs(np.abs(a) - 1.0).max() <= 1e-9
+
+
+def _taylor_state_at_1(p, init):
+    """(u(1), u'(1)) for u'' = p(x) u, p a polynomial, by its Taylor series.
+
+    The coefficients obey (n + 2)(n + 1) u_{n+2} = sum_k p_k u_{n-k}; the
+    sum runs until the terms have fallen far below the working precision.
+    """
+    mp = pytest.importorskip("mpmath").mp
+    c = [mp.mpc(init[0]), mp.mpc(init[1])]
+    u, up = c[0] + c[1], c[1]
+    min_terms = int(4 * math.sqrt(float(sum(abs(pk) for pk in p)))) + 40
+    n = 0
+    while True:
+        term = mp.fsum(p[k] * c[n - k] for k in range(min(len(p), n + 1)))
+        term /= (n + 2) * (n + 1)
+        c.append(term)
+        u += term
+        up += (n + 2) * term
+        n += 1
+        size = max(abs(t) for t in c[-len(p) - 1 :])
+        if n > min_terms and size * (n + 2) < mp.mpf(10) ** (-mp.dps) * (1 + abs(u)):
+            return u, up
+
+
+def test_varying_pieces_against_power_series_oracle():
+    """(a, b) on polynomial potentials agree with a 60-digit series oracle.
+
+    The error contract of criterion 1: the true error stays within the
+    reported error plus 1e-8 max(1, |a|, |b|).  The series cancels terms
+    up to about exp(sqrt(sum |p_k|)), 1e41 on ramp_well at lam = 3000, so
+    60 digits still leave about 19 there; at |lam| = 1e4 they leave none.
+    """
+    mp = pytest.importorskip("mpmath").mp
+    rng = np.random.default_rng(11)
+    lams = np.concatenate(
+        [
+            rng.uniform(-300, 300, 4) + 1j * rng.uniform(-300, 300, 4),
+            rng.uniform(-3000, 3000, 4),
+        ]
+    )
+    with mp.workdps(60):
+        for name in ("ramp_well", "tilted_background"):
+            prob = getattr(catalog, name)()
+            (_, _, q), (_, _, v) = prob.Q.segments[0], prob.V.segments[0]
+            size = max(len(q), len(v))
+            q = [mp.mpf(x) for x in q] + [mp.mpf(0)] * (size - len(q))
+            v = [mp.mpf(x) for x in v] + [mp.mpf(0)] * (size - len(v))
+            u1, u1p = _taylor_state_at_1(q, prob.ref.u0_at_0)
+            v1, v1p = _taylor_state_at_1(q, prob.ref.v0_at_0)
+            a, b, err = coefficients_batch(prob, lams)
+            for i, lam in enumerate(lams):
+                p = [qk + mp.mpc(lam) * vk for qk, vk in zip(q, v)]
+                u, up = _taylor_state_at_1(p, prob.ref.u0_at_0)
+                a_true, b_true = v1 * up - v1p * u, u1p * u - u1 * up
+                true_err = float(max(abs(a[i] - a_true), abs(b[i] - b_true)))
+                bound = err[i] + 1e-8 * max(1.0, abs(a[i]), abs(b[i]))
+                assert true_err <= bound, (name, lam)
