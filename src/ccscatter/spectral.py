@@ -163,8 +163,9 @@ def _varying_phase_fixed(alpha: float, piece: engine._Piece, lam: float, n: int)
     multiples of the true ones.  Each sign change of u between consecutive
     sub-steps is one crossing of a multiple of pi.
     """
-    c1, c2, h = engine._gauss_coefficients(piece, np.array([lam]), n)
-    prefix = np.array([e[0].real for e in engine._step_matrices(c1, c2, h)])  # (4, n)
+    q, v, h = engine._node_values(piece, n)
+    c = lam * v + q
+    prefix = np.array([e.real for e in engine._step_matrices(c[0], c[1], h)])  # (4, n)
     span = 1
     while span < n:
         prefix[:, span:] = engine._product(prefix[:, span:], prefix[:, :-span])

@@ -16,9 +16,12 @@ from ccscatter import (
     propagate,
     transfer_matrix,
 )
+from ccscatter import engine
 from ccscatter.engine import (
-    _gauss_coefficients,
+    _MAX_SUBSTEPS,
     _matrix_scale,
+    _node_values,
+    _piece_transfer,
     _pieces,
     _step_matrices,
     _sweep,
@@ -150,19 +153,83 @@ def test_halving_step_bound_stays_within_error_estimate():
 @pytest.mark.parametrize("name", ["ramp_well", "tilted_background"])
 def test_tree_product_matches_sequential_product(name):
     """The sweep's pairwise product equals the step-by-step product."""
-    (piece,) = (p for p in _pieces(getattr(catalog, name)()) if not p.is_constant)
+    piece = _varying_piece(name)
     rng = np.random.default_rng(13)
     for L in (1, 16):
         radii = 10.0 ** rng.uniform(0.0, 4.0, L)
         lams = radii * np.exp(2j * PI * rng.uniform(0.0, 1.0, L))
         for n in (1, 2, 3, 5, 7, 64, 4607):
-            a, b, c, d = _step_matrices(*_gauss_coefficients(piece, lams, n))
+            q, v, h = _node_values(piece, n)
+            coeffs = lams[:, None] * v[:, None, :] + q[:, None, :]
+            a, b, c, d = _step_matrices(coeffs[0], coeffs[1], h)
             steps = np.stack((a, b, c, d), axis=-1).reshape(L, n, 2, 2)
             M = steps[:, 0]
             for i in range(1, n):
                 M = steps[:, i] @ M
             diff = np.abs(_sweep(piece, lams, n) - M).max(axis=(1, 2))
             assert np.all(diff <= 1e-12 * _matrix_scale(M)), (L, n)
+
+
+def _varying_piece(name):
+    (piece,) = (p for p in _pieces(getattr(catalog, name)()) if not p.is_constant)
+    return piece
+
+
+def _counting_sweeps(monkeypatch):
+    """Record the sub-step count of every sweep the engine makes."""
+    counts = []
+    sweep = engine._sweep
+
+    def counting(piece, lams, n):
+        counts.append(n)
+        return sweep(piece, lams, n)
+
+    monkeypatch.setattr(engine, "_sweep", counting)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["ramp_well", "tilted_background"])
+def test_refinement_meets_rtol_and_its_error_bound(name):
+    """The accepted pair passes rtol, and its estimate bounds the step error.
+
+    The reference is a sweep of _MAX_SUBSTEPS steps.  Its own rounding
+    reaches about 3e-12 of the matrix scale at |lam| = 1e4, so the bound
+    is checked at rtol 1e-8 and 1e-10 with an allowance of 1e-11 for
+    rounding; the coarse member of the pair misses it by about 4x.
+    """
+    piece = _varying_piece(name)
+    rng = np.random.default_rng(17)
+    for L in (1, 16):
+        for rtol in (1e-8, 1e-10):
+            radii = 10.0 ** rng.uniform(0.0, 4.0, L)
+            for lams in (
+                radii * np.sign(rng.uniform(-1.0, 1.0, L)) + 0j,
+                radii * np.exp(2j * PI * rng.uniform(0.0, 1.0, L)),
+            ):
+                M, rel = _piece_transfer(piece, lams, rtol)
+                M_ref = _sweep(piece, lams, _MAX_SUBSTEPS)
+                scale = _matrix_scale(M) + 1.0
+                assert np.all(rel <= rtol), (L, rtol)
+                diff = _matrix_scale(M - M_ref)
+                assert np.all(diff <= (rel + 1e-11) * scale), (L, rtol)
+
+
+def test_predicted_step_count_needs_few_sweeps(monkeypatch):
+    """ramp_well at lam = 98: step doubling ran 9 -> 4608 in 10 sweeps."""
+    piece = _varying_piece("ramp_well")
+    counts = _counting_sweeps(monkeypatch)
+    _, rel = _piece_transfer(piece, np.array([98.0 + 0j]), 1e-12)
+    assert rel[0] <= 1e-12
+    assert len(counts) <= 4, counts
+    assert sum(counts) <= 9207, counts  # the sub-steps of doubling 9 -> 4608
+
+
+def test_unreachable_rtol_exhausts_within_the_step_cap(monkeypatch):
+    piece = _varying_piece("ramp_well")
+    counts = _counting_sweeps(monkeypatch)
+    with pytest.raises(IntegrationError, match="step refinement exhausted"):
+        _piece_transfer(piece, np.array([98.0 + 0j]), 1e-17)
+    assert max(counts) == _MAX_SUBSTEPS, counts
 
 
 def test_varying_piece_against_ivp_oracle():
