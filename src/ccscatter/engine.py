@@ -26,9 +26,10 @@ the spike at its right end.  A spike contributes the jump
 u' -> u' + lam * weight * u.  ``transfer_matrices`` walks the layout from
 0- to 1+, and every whole-interval quantity (coefficients, reflection,
 ``propagate``, ``transfer_matrix``) is a read-out of it; spectral's phase
-count walks the same layout.  ``reference_states`` steps between interior
-nodes over clipped pieces; it runs at lam = 0, where spikes are the
-identity.
+count walks the same layout.  States inside a piece come from
+``_piece_states``, the rescaled products of the first k steps for every k:
+``reference_states`` reads them at lam = 0, where spikes are the identity,
+and spectral's phase count reads the sign of u from them.
 """
 
 from __future__ import annotations
@@ -96,19 +97,13 @@ class _Piece:
         return len(self.q_coeffs) == 1 and len(self.v_coeffs) == 1
 
 
-def _shift_poly(coeffs: tuple[float, ...], delta: float) -> tuple[float, ...]:
-    """Coefficients of p(delta + xi) given those of p(xi)."""
-    if len(coeffs) == 1 or delta == 0.0:
-        return coeffs
-    poly = np.polynomial.Polynomial(coeffs)
-    shifted = poly(np.polynomial.Polynomial([delta, 1.0]))
-    return tuple(float(c) for c in shifted.coef)
-
-
 def _local_coeffs(pot: PotentialSpec, x: float) -> tuple[float, ...]:
-    # x is the left end of a piece: take the segment extending rightward
+    """Coefficients in powers of (xi - x) of the segment of pot right of x."""
     lo, _, c = pot.segment_at(x, from_right=True)
-    return _shift_poly(c, x - lo)
+    if len(c) == 1 or x == lo:
+        return c
+    shifted = np.polynomial.Polynomial(c)(np.polynomial.Polynomial([x - lo, 1.0]))
+    return tuple(float(a) for a in shifted.coef)
 
 
 @functools.lru_cache(maxsize=256)
@@ -136,23 +131,11 @@ def _pieces(problem: ScatteringProblem) -> tuple[_Piece, ...]:
     return _layout(problem.Q, problem.V)[1]
 
 
-def _clip_piece(piece: _Piece, lo: float, hi: float) -> _Piece:
-    """The part of a piece inside [lo, hi], without its spike."""
-    lo = max(lo, piece.x0)
-    hi = min(hi, piece.x1)
-    return _Piece(
-        lo,
-        hi,
-        _shift_poly(piece.q_coeffs, lo - piece.x0),
-        _shift_poly(piece.v_coeffs, lo - piece.x0),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Magnus stepping (batched over couplings)
 
 
-def _step_matrices(c1: np.ndarray, c2: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
+def _step_matrices(c1: np.ndarray, c2: np.ndarray, h: float | np.ndarray) -> tuple[np.ndarray, ...]:
     """exp(Omega) for one Magnus step, as its entries (a, b, c, d).
 
     Each entry has the shape of ``c1``.  cosh(s) and sinh(s)/s come from
@@ -179,8 +162,8 @@ def _node_values(piece: _Piece, n: int) -> tuple[np.ndarray, np.ndarray, float]:
 
     ``q`` and ``v`` have shape (2, n), one row per node; ``h`` is the
     sub-step length.  The sweep forms c = Q + lam*V from them block by
-    block, and spectral's phase count once, so the coefficients and the
-    eigenvalue counts use one discretization.
+    block, and ``_piece_states`` once, so the coefficients, the states and
+    the eigenvalue counts use one discretization.
     """
     h = piece.length / n
     offsets = (piece.x0 + h * np.arange(n)) - piece.x0
@@ -228,6 +211,29 @@ def _sweep(piece: _Piece, lams: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate(blocks[0], axis=1).reshape(-1, 2, 2)
 
 
+def _piece_states(piece: _Piece, lams: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Products of the first k steps of a piece, k = 1..n, at real couplings.
+
+    Returns entries (4, L, n) and log scales (L, n): the product of the first
+    k steps is exp(log scale) times the entries at index k - 1.  Recursive
+    doubling builds them; each level is divided by its max-abs entry, a
+    positive factor, which keeps every sign and rules out overflow.
+    """
+    q, v, h = _node_values(piece, n)
+    c = lams[:, None] * v[:, None, :] + q[:, None, :]
+    prefix = np.array([e.real for e in _step_matrices(c[0], c[1], h)])
+    log_scale = np.zeros(prefix.shape[1:])
+    span = 1
+    while span < n:
+        prefix[..., span:] = _product(prefix[..., span:], prefix[..., :-span])
+        log_scale[:, span:] += log_scale[:, :-span]
+        peak = np.abs(prefix).max(axis=0)
+        prefix /= peak
+        log_scale += np.log(peak)
+        span *= 2
+    return prefix, log_scale
+
+
 def _matrix_scale(M: np.ndarray) -> np.ndarray:
     return np.abs(M).max(axis=(-2, -1))
 
@@ -242,8 +248,8 @@ def _initial_substeps(piece: _Piece, lams: np.ndarray) -> int:
 
 def _piece_transfer(
     piece: _Piece, lams: np.ndarray, rtol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Adaptive transfer over a piece; returns (matrices, relative errors).
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Adaptive transfer over a piece: (matrices, relative errors, step count).
 
     Varying pieces are swept with a pair (n, 2n) of step counts.  A pair is
     accepted when the relative difference of its members, over 4, is at
@@ -253,20 +259,19 @@ def _piece_transfer(
     the finer member is reused) and at most the largest pair allowed.
     """
     if piece.is_constant:
-        return _sweep(piece, lams, 1), np.zeros(lams.shape)
+        return _sweep(piece, lams, 1), np.zeros(lams.shape), 1
 
     n = _initial_substeps(piece, lams)
     M = _sweep(piece, lams, n)
     while True:
         M2 = _sweep(piece, lams, 2 * n)
-        diff = _matrix_scale(M2 - M)
         scale = _matrix_scale(M2) + 1.0
-        # Richardson for 4th order would divide by 15; keep a safety margin
-        rel = diff / (4.0 * scale)
         if not np.all(np.isfinite(scale)):
             raise IntegrationError("propagation overflowed", piece.x0)
+        # Richardson for 4th order would divide by 15; keep a safety margin
+        rel = _matrix_scale(M2 - M) / (4.0 * scale)
         if np.all(rel <= rtol):
-            return M2, rel
+            return M2, rel, 2 * n
         if 2 * n >= _MAX_SUBSTEPS:
             raise IntegrationError("step refinement exhausted", piece.x0)
         # fourth order: pair differences fall as n**-4; aim 10 % past rtol
@@ -312,7 +317,7 @@ def transfer_matrices(
     if jump0:
         M = _spike_matrices(lams, jump0) @ M
     for piece in pieces:
-        Mp, rel = _piece_transfer(piece, lams, tol)
+        Mp, rel, _ = _piece_transfer(piece, lams, tol)
         M = Mp @ M
         err = err + rel
         if piece.jump:
@@ -351,8 +356,10 @@ def reference_states(
     """Values (u0, u0', v0, v0') of the reference solutions at sorted xs.
 
     Reference solutions solve the zero-coupling equation, where spikes are
-    the identity, so the walk steps over the clipped pieces alone.  ``xs``
-    must lie in [0, 1] and be nondecreasing.
+    the identity.  Each piece is swept once, at the step count its
+    refinement accepts, and a node is reached from the sub-step state at or
+    before it by one partial Magnus step.  ``xs`` must lie in [0, 1] and be
+    nondecreasing.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
@@ -361,27 +368,22 @@ def reference_states(
         raise ValueError("xs must lie in [0, 1]")
     if np.any(np.diff(xs) < 0):
         raise ValueError("xs must be nondecreasing")
-    u0 = np.empty(len(xs), dtype=complex)
-    u0p = np.empty(len(xs), dtype=complex)
-    v0 = np.empty(len(xs), dtype=complex)
-    v0p = np.empty(len(xs), dtype=complex)
-    zero = np.array([0.0 + 0.0j])
-    tol = problem.tolerances.ode_rtol
+    xs = np.clip(xs, 0.0, 1.0)
+    zero = np.zeros(1)
     pieces = _pieces(problem)
-    M = np.eye(2, dtype=complex)
-    x_prev = 0.0
-    for i, x in enumerate(xs):
-        x = min(max(float(x), 0.0), 1.0)
-        if x > x_prev:
-            step = np.eye(2, dtype=complex)[None]
-            for piece in pieces:
-                if x_prev < piece.x1 and piece.x0 < x:
-                    part = _clip_piece(piece, x_prev, x)
-                    step = _piece_transfer(part, zero, tol)[0] @ step
-            M = step[0] @ M
-            x_prev = x
-        ru = M @ np.array(problem.ref.u0_at_0)
-        rv = M @ np.array(problem.ref.v0_at_0)
-        u0[i], u0p[i] = ru
-        v0[i], v0p[i] = rv
-    return u0, u0p, v0, v0p
+    # nodes of piece i: xs[edges[i]:edges[i + 1]], a cut going to the right
+    edges = [0, *np.searchsorted(xs, [p.x0 for p in pieces[1:]]), len(xs)]
+    M = np.array([problem.ref.u0_at_0, problem.ref.v0_at_0]).T  # columns: u0, v0
+    out = np.empty((len(xs), 2, 2), dtype=complex)
+    for piece, lo, hi in zip(pieces, edges[:-1], edges[1:]):
+        Mp, _, n = _piece_transfer(piece, zero, problem.tolerances.ode_rtol)
+        prefix, log_scale = _piece_states(piece, zero, n)
+        states = np.hstack(([[1.0], [0.0], [0.0], [1.0]], prefix[:, 0] * np.exp(log_scale)))
+        h = piece.length / n
+        k = np.clip(np.floor((xs[lo:hi] - piece.x0) / h), 0, n).astype(int)
+        part = xs[lo:hi] - piece.x0 - k * h  # from the state after k sub-steps
+        c = npoly.polyval(k * h + _GAUSS_NODES * part, piece.q_coeffs)
+        step = _product(_step_matrices(c[0], c[1], part), states[:, k])
+        out[lo:hi] = np.stack(step, axis=-1).reshape(-1, 2, 2) @ M
+        M = Mp[0] @ M
+    return out[:, 0, 0], out[:, 1, 0], out[:, 0, 1], out[:, 1, 1]

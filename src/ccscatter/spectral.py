@@ -11,12 +11,11 @@ energy zero: the phase can cross multiples of pi only upward, so the
 terminal phase against the right boundary mark gives the count exactly.
 
 On constant-coefficient pieces the phase advance is evaluated in closed
-form (trigonometric zero counting).  Varying pieces take their
-rotation-bounded Magnus sub-steps from the engine, which builds all step
-matrices of a piece in one call, as four arrays of matrix entries; the
-states after every sub-step are prefix products of those matrices, built
-on the four real entry arrays, and crossings are counted as sign changes
-of u between consecutive states, all in one vectorized pass.
+form (trigonometric zero counting).  Varying pieces take rotation-bounded
+Magnus sub-steps: the engine's ``_piece_states`` returns the states after
+every sub-step as rescaled prefix products of its step matrices, and
+crossings are counted as sign changes of u between consecutive states,
+all in one vectorized pass.
 
 Tent functions phi_eps(x) = sqrt(3/2) eps^{-3/2} (eps - |x|)_+ supply
 minimax witnesses: N disjointly supported tents with negative Rayleigh
@@ -25,6 +24,7 @@ quotients force at least N negative eigenvalues.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -155,22 +155,12 @@ def _constant_piece_phase(alpha: float, c: float, h: float) -> float:
 def _varying_phase_fixed(alpha: float, piece: engine._Piece, lam: float, n: int) -> float:
     """Phase advance across a varying piece with n Magnus sub-steps.
 
-    The state after each sub-step comes from prefix products of the
-    engine's step matrices, built by recursive doubling on their four real
-    entries (arrays over the sub-steps); every level is rescaled by its
-    max-abs entry, a positive factor, which keeps the sign of u and the
-    terminal angle and rules out overflow, so the states are positive
-    multiples of the true ones.  Each sign change of u between consecutive
-    sub-steps is one crossing of a multiple of pi.
+    The state after each sub-step comes from the engine's prefix products,
+    which are positive multiples of the true ones, so their scales are not
+    needed: the sign of u and the terminal angle are kept.  Each sign change
+    of u between consecutive sub-steps is one crossing of a multiple of pi.
     """
-    q, v, h = engine._node_values(piece, n)
-    c = lam * v + q
-    prefix = np.array([e.real for e in engine._step_matrices(c[0], c[1], h)])  # (4, n)
-    span = 1
-    while span < n:
-        prefix[:, span:] = engine._product(prefix[:, span:], prefix[:, :-span])
-        prefix /= np.abs(prefix).max(axis=0)
-        span *= 2
+    prefix = engine._piece_states(piece, np.array([lam]), n)[0][:, 0]  # (4, n)
     start = (math.sin(alpha), math.cos(alpha))
     states = prefix[0::2] * start[0] + prefix[1::2] * start[1]  # (2, n): (u, u')
     u = np.concatenate(([start[0]], states[0]))
@@ -274,6 +264,14 @@ def tent_gradient_energy(eps: float) -> float:
     return 3.0 / (eps * eps)
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], shared and read-only."""
+    xg, wg = npleg.leggauss(order)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
+
+
 def _tent_weighted_integral(
     pot: PotentialSpec, center: float, eps: float
 ) -> float:
@@ -282,8 +280,7 @@ def _tent_weighted_integral(
     cuts = {lo, center, hi}
     cuts.update(b for b in pot.breakpoints if lo < b < hi)
     cuts = sorted(cuts)
-    order = max(6, (pot.max_degree + 3) // 2 + 1)
-    xg, wg = npleg.leggauss(order)
+    xg, wg = _gauss_legendre(max(6, (pot.max_degree + 3) // 2 + 1))
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         half = 0.5 * (b - a)

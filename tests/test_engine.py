@@ -2,10 +2,12 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.special import airy
 
 from ccscatter import (
     IntegrationError,
@@ -13,6 +15,7 @@ from ccscatter import (
     apply_delta,
     build_problem,
     catalog,
+    coefficients,
     propagate,
     transfer_matrix,
 )
@@ -21,6 +24,7 @@ from ccscatter.engine import (
     _MAX_SUBSTEPS,
     _matrix_scale,
     _node_values,
+    _piece_states,
     _piece_transfer,
     _pieces,
     _step_matrices,
@@ -152,22 +156,43 @@ def test_halving_step_bound_stays_within_error_estimate():
 
 @pytest.mark.parametrize("name", ["ramp_well", "tilted_background"])
 def test_tree_product_matches_sequential_product(name):
-    """The sweep's pairwise product equals the step-by-step product."""
+    """The sweep's pairwise product equals the step-by-step product.
+
+    At real couplings the prefix states of _piece_states, times their
+    scales, also equal the running step-by-step product after every step.
+    """
     piece = _varying_piece(name)
     rng = np.random.default_rng(13)
     for L in (1, 16):
         radii = 10.0 ** rng.uniform(0.0, 4.0, L)
-        lams = radii * np.exp(2j * PI * rng.uniform(0.0, 1.0, L))
+        complex_lams = radii * np.exp(2j * PI * rng.uniform(0.0, 1.0, L))
         for n in (1, 2, 3, 5, 7, 64, 4607):
-            q, v, h = _node_values(piece, n)
-            coeffs = lams[:, None] * v[:, None, :] + q[:, None, :]
-            a, b, c, d = _step_matrices(coeffs[0], coeffs[1], h)
-            steps = np.stack((a, b, c, d), axis=-1).reshape(L, n, 2, 2)
-            M = steps[:, 0]
-            for i in range(1, n):
-                M = steps[:, i] @ M
-            diff = np.abs(_sweep(piece, lams, n) - M).max(axis=(1, 2))
-            assert np.all(diff <= 1e-12 * _matrix_scale(M)), (L, n)
+            for lams in (complex_lams, complex_lams.real):
+                q, v, h = _node_values(piece, n)
+                coeffs = lams[:, None] * v[:, None, :] + q[:, None, :]
+                a, b, c, d = _step_matrices(coeffs[0], coeffs[1], h)
+                steps = np.stack((a, b, c, d), axis=-1).reshape(L, n, 2, 2)
+                running = np.empty_like(steps)
+                running[:, 0] = M = steps[:, 0]
+                for i in range(1, n):
+                    running[:, i] = M = steps[:, i] @ M
+                diff = np.abs(_sweep(piece, lams, n) - M).max(axis=(1, 2))
+                assert np.all(diff <= 1e-12 * _matrix_scale(M)), (L, n)
+                if np.iscomplexobj(lams):
+                    continue
+                prefix, log_scale = _piece_states(piece, lams, n)
+                states = np.moveaxis(prefix * np.exp(log_scale), 0, -1).reshape(L, n, 2, 2)
+                diff = np.abs(states - running).max(axis=(2, 3))
+                assert np.all(diff <= 1e-12 * _matrix_scale(running)), (L, n)
+
+
+def test_piece_states_stay_finite_past_float_range():
+    """ramp_well at lam = -3e6: u grows by about e^1178, past float range."""
+    piece = _varying_piece("ramp_well")
+    prefix, log_scale = _piece_states(piece, np.array([-3e6]), 6005)
+    assert np.all(np.isfinite(prefix)) and np.all(np.isfinite(log_scale))
+    assert np.abs(prefix).max() <= 1.0
+    assert log_scale.max() > math.log(np.finfo(float).max)
 
 
 def _varying_piece(name):
@@ -206,7 +231,7 @@ def test_refinement_meets_rtol_and_its_error_bound(name):
                 radii * np.sign(rng.uniform(-1.0, 1.0, L)) + 0j,
                 radii * np.exp(2j * PI * rng.uniform(0.0, 1.0, L)),
             ):
-                M, rel = _piece_transfer(piece, lams, rtol)
+                M, rel, _ = _piece_transfer(piece, lams, rtol)
                 M_ref = _sweep(piece, lams, _MAX_SUBSTEPS)
                 scale = _matrix_scale(M) + 1.0
                 assert np.all(rel <= rtol), (L, rtol)
@@ -218,7 +243,7 @@ def test_predicted_step_count_needs_few_sweeps(monkeypatch):
     """ramp_well at lam = 98: step doubling ran 9 -> 4608 in 10 sweeps."""
     piece = _varying_piece("ramp_well")
     counts = _counting_sweeps(monkeypatch)
-    _, rel = _piece_transfer(piece, np.array([98.0 + 0j]), 1e-12)
+    _, rel, _ = _piece_transfer(piece, np.array([98.0 + 0j]), 1e-12)
     assert rel[0] <= 1e-12
     assert len(counts) <= 4, counts
     assert sum(counts) <= 9207, counts  # the sub-steps of doubling 9 -> 4608
@@ -272,12 +297,64 @@ def test_integration_overflow_raises(box_barrier):
     assert 0.0 <= err.value.abscissa <= 1.0
 
 
+def test_overflow_on_a_varying_piece_raises_without_a_warning():
+    """The sweep is checked for overflow before a pair difference is formed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="propagation overflowed"):
+            coefficients(catalog.ramp_well(), -3e6)
+
+
 def test_reference_states_closed_form(sine_well):
     xs = np.linspace(0.0, 1.0, 7)
     u0, u0p, v0, v0p = reference_states(sine_well, xs)
     assert u0 == pytest.approx(np.sin(PI * xs), abs=1e-12)
     assert u0p == pytest.approx(PI * np.cos(PI * xs), abs=1e-12)
     assert v0 == pytest.approx(np.cos(PI * xs) / PI, abs=1e-12)
+
+
+def test_reference_states_on_a_varying_piece_against_airy():
+    """tilted_background at lam = 0: u'' = (1 - 2x) u, Airy in z = (1 - 2x) / 4^(1/3).
+
+    Nodes: the 513-point grid, the sub-step grid of the accepted sweep and
+    its midpoints, repeated nodes, and both ends.
+    """
+    prob = catalog.tilted_background()
+    (piece,) = _pieces(prob)
+    _, _, n = _piece_transfer(piece, np.zeros(1), prob.tolerances.ode_rtol)
+    grid = np.arange(n + 1) / n
+    xs = np.sort(np.concatenate((
+        np.linspace(0.0, 1.0, 513), grid, grid[:-1] + 0.5 / n,
+        [0.0, 0.0, 1.0 / 3.0, 1.0 / 3.0, 0.5, 1.0, 1.0],
+    )))
+    k = 4.0 ** (-1.0 / 3.0)
+
+    def airy_basis(x):  # (Ai, Bi) and their x-derivatives as columns
+        ai, aip, bi, bip = airy(k * (1.0 - 2.0 * x))
+        return np.moveaxis(np.array([[ai, bi], [-2.0 * k * aip, -2.0 * k * bip]]), -1, 0)
+
+    init = np.array([prob.ref.u0_at_0, prob.ref.v0_at_0]).T
+    want = airy_basis(xs) @ np.linalg.solve(airy_basis(np.array([0.0]))[0], init)
+    u0, u0p, v0, v0p = reference_states(prob, xs)
+    assert np.abs(u0 - want[:, 0, 0]).max() <= 1e-11
+    assert np.abs(u0p - want[:, 1, 0]).max() <= 1e-11
+    assert np.abs(v0 - want[:, 0, 1]).max() <= 1e-11
+    assert np.abs(v0p - want[:, 1, 1]).max() <= 1e-11
+
+
+def test_reference_states_sweep_each_piece_once(corpus, monkeypatch):
+    calls = []
+    piece_transfer = engine._piece_transfer
+
+    def counting(piece, lams, rtol):
+        calls.append(piece)
+        return piece_transfer(piece, lams, rtol)
+
+    monkeypatch.setattr(engine, "_piece_transfer", counting)
+    for name, prob in corpus:
+        calls.clear()
+        reference_states(prob, np.linspace(0.0, 1.0, 513))
+        assert calls == list(_pieces(prob)), name
 
 
 def test_interior_spike_jump():
