@@ -68,7 +68,34 @@ def _emit(rows: list[dict], fmt: str, output: str | None) -> None:
 _SHORT_GRID = "coupling grids need at least 2 points"
 
 
-def _resolve_lambdas(flag: str | None, block: dict) -> list[float]:
+def _read(run: cfg.RunConfig, cmd: str, key: str, default, convert):
+    """command.<cmd>.<key> through convert (a rejected value is a ConfigError), or default."""
+    block = run.command.get(cmd, {})
+    if key not in block:
+        return default
+    try:
+        return convert(block[key])
+    except (TypeError, ValueError, KeyError) as exc:
+        where = f"command.{cmd}.{key}"
+        raise ConfigError(f"malformed value {block[key]!r}: {exc}", where) from None
+
+
+def _numbers(value, size: int | None = None) -> list[float]:
+    if not isinstance(value, list) or size not in (None, len(value)):
+        raise TypeError("expected a list of " + (f"{size} " if size else "") + "numbers")
+    return [float(v) for v in value]
+
+
+def _grid(spec) -> list[float]:
+    if not isinstance(spec, dict):
+        return _numbers(spec)
+    count = int(spec.get("count", 0))
+    if count < 2:
+        raise ValueError(_SHORT_GRID)
+    return list(np.linspace(float(spec["start"]), float(spec["stop"]), count))
+
+
+def _resolve_lambdas(flag: str | None, run: cfg.RunConfig, cmd: str) -> list[float]:
     if flag:
         try:
             if ":" not in flag:
@@ -82,15 +109,7 @@ def _resolve_lambdas(flag: str | None, block: dict) -> list[float]:
         if count < 2:
             raise ValueError(_SHORT_GRID)
         return list(np.linspace(lo, hi, count))
-    spec = block.get("lambdas")
-    if isinstance(spec, dict):
-        count = int(spec.get("count", 0))
-        if count < 2:
-            raise ConfigError(_SHORT_GRID, "command")
-        return list(np.linspace(float(spec["start"]), float(spec["stop"]), count))
-    if isinstance(spec, list):
-        return [float(v) for v in spec]
-    return list(np.linspace(-5.0, 5.0, 21))
+    return _read(run, cmd, "lambdas", list(np.linspace(-5.0, 5.0, 21)), _grid)
 
 
 def _real_problem(run: cfg.RunConfig):
@@ -109,7 +128,7 @@ def _real_problem(run: cfg.RunConfig):
 
 
 def _cmd_scan(run: cfg.RunConfig, args) -> list[dict]:
-    lams = _resolve_lambdas(args.lambdas, run.command.get("scan", {}))
+    lams = _resolve_lambdas(args.lambdas, run, "scan")
     a, b, err = coefficients_batch(run.problem, np.asarray(lams, dtype=complex))
     return [
         {
@@ -127,7 +146,7 @@ def _cmd_scan(run: cfg.RunConfig, args) -> list[dict]:
 
 
 def _cmd_reflect(run: cfg.RunConfig, args) -> list[dict]:
-    lams = _resolve_lambdas(args.lambdas, run.command.get("reflect", {}))
+    lams = _resolve_lambdas(args.lambdas, run, "reflect")
     rows = []
     for lam in lams:
         res = reflection(run.problem, lam)
@@ -147,9 +166,8 @@ def _cmd_reflect(run: cfg.RunConfig, args) -> list[dict]:
 
 
 def _cmd_series(run: cfg.RunConfig, args) -> list[dict]:
-    block = run.command.get("series", {})
-    order = args.order if args.order is not None else int(block.get("N", 16))
-    lams = _resolve_lambdas(args.lambdas, block)
+    order = args.order if args.order is not None else _read(run, "series", "N", 16, int)
+    lams = _resolve_lambdas(args.lambdas, run, "series")
     expansion = series.series_coefficients(run.problem, order)
     rows = []
     for lam in lams:
@@ -171,20 +189,17 @@ def _cmd_series(run: cfg.RunConfig, args) -> list[dict]:
 
 
 def _cmd_zeros(run: cfg.RunConfig, args) -> list[dict]:
-    block = run.command.get("zeros", {})
-    interval = block.get("interval", [-50.0, 50.0])
     if args.interval is not None:
         try:
             lo, hi = (float(tok) for tok in args.interval.split(":"))
         except ValueError:
             raise ValueError(f"--interval expects lo:hi, not {args.interval!r}") from None
-        interval = [lo, hi]
+    else:
+        lo, hi = _read(run, "zeros", "interval", (-50.0, 50.0), lambda v: _numbers(v, 2))
     grid_points = args.grid_points
     if grid_points is None:
-        grid_points = int(block.get("grid_points", 400))
-    report = zeros.real_zero_scan(
-        _real_problem(run), (interval[0], interval[1]), grid_points
-    )
+        grid_points = _read(run, "zeros", "grid_points", 400, int)
+    report = zeros.real_zero_scan(_real_problem(run), (lo, hi), grid_points)
     if report.identically_zero:
         raise DegenerateFunctionError("b identically zero")
     return [
@@ -200,13 +215,13 @@ def _cmd_zeros(run: cfg.RunConfig, args) -> list[dict]:
 
 
 def _cmd_count(run: cfg.RunConfig, args) -> list[dict]:
-    block = run.command.get("count", {})
     if args.radius is not None:
         radii = [float(args.radius)]
     else:
-        raw = block.get("radius", 50.0)
-        radii = [float(r) for r in raw] if isinstance(raw, list) else [float(raw)]
-    nodes = args.nodes if args.nodes is not None else int(block.get("nodes", 64))
+        radii = _read(
+            run, "count", "radius", [50.0], lambda r: _numbers(r if isinstance(r, list) else [r])
+        )
+    nodes = args.nodes if args.nodes is not None else _read(run, "count", "nodes", 64, int)
     return [
         {
             "radius": r,
@@ -218,11 +233,10 @@ def _cmd_count(run: cfg.RunConfig, args) -> list[dict]:
 
 
 def _cmd_order(run: cfg.RunConfig, args) -> list[dict]:
-    block = run.command.get("order", {})
     radii = (
         [float(tok) for tok in args.radii.split(",")]
         if args.radii
-        else [float(r) for r in block.get("radii", [1e2, 1e3, 1e4, 1e5])]
+        else _read(run, "order", "radii", [1e2, 1e3, 1e4, 1e5], _numbers)
     )
     fit = zeros.order_fit(run.problem, radii)
     return [
@@ -240,7 +254,7 @@ def _cmd_order(run: cfg.RunConfig, args) -> list[dict]:
 
 
 def _cmd_eigencount(run: cfg.RunConfig, args) -> list[dict]:
-    lams = _resolve_lambdas(args.lambdas, run.command.get("eigencount", {}))
+    lams = _resolve_lambdas(args.lambdas, run, "eigencount")
     problem = _real_problem(run)
     angles = spectral.boundary_angles(problem)
     rows = []
@@ -258,11 +272,10 @@ def _cmd_eigencount(run: cfg.RunConfig, args) -> list[dict]:
 
 
 def _cmd_witness(run: cfg.RunConfig, args) -> list[dict]:
-    block = run.command.get("witness", {})
-    lam = args.coupling if args.coupling is not None else float(
-        block.get("lambda", -1e4)
-    )
-    tents = args.tents if args.tents is not None else int(block.get("tents", 5))
+    lam = args.coupling
+    if lam is None:
+        lam = _read(run, "witness", "lambda", -1e4, float)
+    tents = args.tents if args.tents is not None else _read(run, "witness", "tents", 5, int)
     problem = _real_problem(run)
     try:
         witness = spectral.tent_witness(problem, lam, tents)

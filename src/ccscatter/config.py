@@ -164,6 +164,6 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("config needs a top-level 'problem' block", str(path))
     problem = problem_from_dict(payload["problem"])
     command = payload.get("command", {})
-    if not isinstance(command, dict):
-        raise ConfigError("'command' block must be an object", str(path))
+    if not isinstance(command, dict) or not all(isinstance(b, dict) for b in command.values()):
+        raise ConfigError("'command' block must be an object of objects", str(path))
     return RunConfig(problem=problem, command=command, source=str(path))

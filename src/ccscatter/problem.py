@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import InvalidProblemError, UnsupportedBackgroundError
@@ -174,13 +173,6 @@ class PotentialSpec:
         """Density value at x (spikes do not contribute)."""
         lo, _, c = self.segment_at(float(x))
         return float(npoly.polyval(float(x) - lo, c))
-
-    def values(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        out = np.empty_like(xs)
-        for i, x in np.ndenumerate(xs):
-            out[i] = self(float(x))
-        return out
 
 
 @dataclass(frozen=True)

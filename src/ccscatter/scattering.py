@@ -27,6 +27,7 @@ from .errors import RealificationRequiredError, TravelingBasisError
 from .problem import ScatteringProblem, build_problem, wronskian
 
 _REAL_BASIS_THRESHOLD = 1e-12
+_USABLE_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,9 @@ class Coefficients:
     method: str
     err: float
 
-    def is_usable(self, threshold: float = 1e-3) -> bool:
-        """Whether the attached error is small against the values."""
-        return self.err <= threshold * max(1.0, abs(self.a), abs(self.b))
+    def is_usable(self) -> bool:
+        """Whether the attached error is at most 1e-3 of the values."""
+        return self.err <= _USABLE_RTOL * max(1.0, abs(self.a), abs(self.b))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
+from numpy.polynomial import polynomial as npoly
 
 from . import engine
 from .errors import MeasureUnsupportedError, QuadraturePrecisionError
@@ -34,6 +35,7 @@ from .problem import ScatteringProblem
 from .scattering import Coefficients
 
 _EPS = np.finfo(float).eps
+_SUP_GRID = 513  # points of the grid that certifies M
 
 
 def _factorial_term(lead: float, base: float, n: int) -> float:
@@ -85,7 +87,7 @@ class _Grid:
     def __init__(self, problem: ScatteringProblem, spec: QuadratureSpec):
         g = spec.nodes_per_panel
         ref_x, ref_w, ref_cum = _reference_rule(g)
-        nodes, weights, panels = [], [], []
+        nodes, weights, panels, v = [], [], [], []
         pos = 0
         for piece in engine._pieces(problem):
             n_panels = max(1, int(np.ceil(piece.length * spec.panels_per_unit)))
@@ -95,15 +97,14 @@ class _Grid:
                 nodes.append(a + half * (ref_x + 1.0))
                 weights.append(half * ref_w)
                 panels.append((slice(pos, pos + g), half))
+                v.append(npoly.polyval(nodes[-1] - piece.x0, piece.v_coeffs))
                 pos += g
         self.nodes = np.concatenate(nodes)
         self.weights = np.concatenate(weights)
         self.panels = panels
         self._ref_cum = ref_cum
-        u0, u0p, v0, v0p = engine.reference_states(problem, self.nodes)
-        self.u0 = u0
-        self.v0 = v0
-        self.V = problem.V.values(self.nodes)
+        self.u0, _, self.v0, _ = engine.reference_states(problem, self.nodes)
+        self.V = np.concatenate(v)
 
     def total(self, f: np.ndarray) -> complex:
         return complex(np.dot(self.weights, f))
@@ -181,19 +182,19 @@ def kernel(problem: ScatteringProblem, x: float, t: float) -> complex:
     return complex((u0[1] * v0[0] - v0[1] * u0[0]) * problem.V(t))
 
 
-def M_constant(problem: ScatteringProblem, grid_points: int = 513) -> float:
+def M_constant(problem: ScatteringProblem) -> float:
     """Grid-certified constant for the coefficient bounds.
 
-    Smallest M on a dense grid with |u0| <= M and
+    Smallest M on a 513-point grid with |u0| <= M and
     |u0(s) v0(t) - v0(s) u0(t)| <= M |s - t|, inflated by the documented
     safety factor 1.01.
     """
-    M, _ = _sup_constants(problem, grid_points)
+    M, _ = _sup_constants(problem)
     return M
 
 
-def _sup_constants(problem: ScatteringProblem, grid_points: int = 513) -> tuple[float, float]:
-    xs = np.linspace(0.0, 1.0, grid_points)
+def _sup_constants(problem: ScatteringProblem) -> tuple[float, float]:
+    xs = np.linspace(0.0, 1.0, _SUP_GRID)
     u0, _, v0, _ = engine.reference_states(problem, xs)
     sup_u = float(np.abs(u0).max())
     sup_v = float(np.abs(v0).max())

@@ -19,7 +19,9 @@ all in one vectorized pass.
 
 Tent functions phi_eps(x) = sqrt(3/2) eps^{-3/2} (eps - |x|)_+ supply
 minimax witnesses: N disjointly supported tents with negative Rayleigh
-quotients force at least N negative eigenvalues.
+quotients force at least N negative eigenvalues.  The integrals of Q phi^2
+and V phi^2 run over the same layout pieces, with each piece's local
+coefficients, for a whole array of candidate centres at once.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from numpy.polynomial import polynomial as npoly
 
 from . import engine
 from .errors import WitnessNotFoundError
-from .problem import PotentialSpec, ScatteringProblem
+from .problem import ScatteringProblem
 from .scattering import require_real_reference
 
 _PHASE_TOL = 1e-6
@@ -272,33 +274,31 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return xg, wg
 
 
-def _tent_weighted_integral(
-    pot: PotentialSpec, center: float, eps: float
-) -> float:
-    """int p(x) phi_eps(x - center)^2 dx for the density part of pot."""
-    lo, hi = center - eps, center + eps
-    cuts = {lo, center, hi}
-    cuts.update(b for b in pot.breakpoints if lo < b < hi)
-    cuts = sorted(cuts)
-    xg, wg = _gauss_legendre(max(6, (pot.max_degree + 3) // 2 + 1))
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        half = 0.5 * (b - a)
-        xs = a + half * (xg + 1.0)
-        phi2 = tent_value(xs - center, eps) ** 2
-        total += half * float(np.dot(wg, pot.values(xs) * phi2))
-    return total
+def _tent_integrals(
+    problem: ScatteringProblem, centers: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(int Q phi^2, int V phi^2 + spike terms) for tents at increasing centers.
 
-
-def _rayleigh_value(
-    problem: ScatteringProblem, lam: float, center: float, eps: float
-) -> float:
-    val = tent_gradient_energy(eps)
-    val += _tent_weighted_integral(problem.Q, center, eps)
-    val += lam * _tent_weighted_integral(problem.V, center, eps)
-    for pos, w in problem.V.spikes:
-        val += lam * w * float(tent_value(pos - center, eps)) ** 2
-    return val
+    Each tent half is clipped to each layout piece it meets and integrated
+    with the piece's local coefficients, by a Gauss rule exact there.
+    """
+    jump0, pieces = engine._layout(problem.Q, problem.V)
+    deg = max(max(len(p.q_coeffs), len(p.v_coeffs)) - 1 for p in pieces)
+    xg, wg = _gauss_legendre(max(6, (deg + 3) // 2 + 1))
+    iq, iv = np.zeros((2, len(centers)))
+    for piece in pieces:
+        i, j = np.searchsorted(centers, (piece.x0 - eps, piece.x1 + eps))
+        c = centers[i:j]
+        for a, b in ((c - eps, c), (c, c + eps)):
+            lo = np.maximum(a, piece.x0)
+            half = 0.5 * np.maximum(np.minimum(b, piece.x1) - lo, 0.0)
+            xs = lo[:, None] + half[:, None] * (xg + 1.0)
+            phi2 = tent_value(xs - c[:, None], eps) ** 2
+            iq[i:j] += half * ((npoly.polyval(xs - piece.x0, piece.q_coeffs) * phi2) @ wg)
+            iv[i:j] += half * ((npoly.polyval(xs - piece.x0, piece.v_coeffs) * phi2) @ wg)
+    for x, w in [(0.0, jump0)] + [(p.x1, p.jump) for p in pieces]:  # w = 0: no spike
+        iv += w * tent_value(x - centers, eps) ** 2
+    return iq, iv
 
 
 def tent_witness(
@@ -308,10 +308,12 @@ def tent_witness(
 
     The schedule halves eps from 1/4 down to 2^-20; for each eps the
     candidate centers (a grid of pitch eps/2, capped at 1024 points) are
+    scored all at once by ``_tent_integrals`` over the layout pieces,
     ranked greedily by the coupling term lam * int V phi^2 (most negative
     first) and picked subject to disjointness.  The returned witness is
-    sound by construction: each recorded Rayleigh value was evaluated and
-    found negative.
+    sound by construction: each recorded Rayleigh value
+    3/eps^2 + int Q phi^2 + lam int V phi^2 was evaluated and found
+    negative.
 
     Raises
     ------
@@ -328,34 +330,30 @@ def tent_witness(
         candidates = np.arange(eps + margin, 1.0 - eps + step, step)
         candidates = candidates[candidates <= 1.0 - eps - margin]
         if len(candidates) >= N:
-            scored = []
-            for c in candidates:
-                coupling = lam * _tent_weighted_integral(problem.V, float(c), eps)
-                for pos, w in problem.V.spikes:
-                    coupling += lam * w * float(tent_value(pos - c, eps)) ** 2
-                scored.append((coupling, float(c)))
+            iq, iv = _tent_integrals(problem, candidates, eps)
+            scores = lam * iv
             # quantize scores so fp-noise ties break by position: for equal
             # scores left-to-right packing is the densest greedy order
-            scale = max(1.0, max(abs(s) for s, _ in scored))
+            scale = max(1.0, float(np.abs(scores).max()))
             orders = [
-                sorted((round(s / scale, 9), c) for s, c in scored),
-                sorted((0.0, c) for s, c in scored if s <= 0.0),
+                np.argsort(np.round(scores / scale, 9), kind="stable"),
+                np.flatnonzero(scores <= 0.0),
             ]
+            centers = candidates.tolist()
             for order in orders:
-                picked: list[float] = []
-                for _, c in order:
-                    if all(abs(c - p) >= 2.0 * eps + margin for p in picked):
-                        picked.append(c)
+                picked: list[int] = []
+                for i in order.tolist():
+                    if all(abs(centers[i] - centers[p]) >= 2.0 * eps + margin for p in picked):
+                        picked.append(i)
                         if len(picked) == N:
                             break
                 if len(picked) < N:
                     continue
                 picked.sort()
-                values = tuple(
-                    _rayleigh_value(problem, lam, c, eps) for c in picked
-                )
-                if all(v < 0.0 for v in values):
-                    return TentWitness(tuple(picked), eps, values)
+                values = tent_gradient_energy(eps) + iq[picked] + lam * iv[picked]
+                if np.all(values < 0.0):
+                    picked_centers = tuple(centers[p] for p in picked)
+                    return TentWitness(picked_centers, eps, tuple(values.tolist()))
         eps /= 2.0
     raise WitnessNotFoundError(
         f"no {N}-tent witness found at coupling {lam:g} "

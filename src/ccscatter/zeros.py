@@ -30,6 +30,9 @@ _DEGENERACY_REAL_GRID = 64
 _DEGENERACY_COMPLEX_POINTS = 16
 _MAX_CONTOUR_NODES = 1 << 17
 _MULTIPLICITY_CAP = 4
+_ZERO_THRESHOLD = 1e-9  # relative max|b| on the control grid of a degenerate b
+_FIT_NODES = 256  # contour nodes of the max-modulus sample per radius
+_SCAN_LABEL = "[{:g}, {:g}] grid={}"
 
 
 @dataclass(frozen=True)
@@ -74,11 +77,11 @@ def _batch_evaluator(
     return f
 
 
-def is_identically_zero(problem: ScatteringProblem, threshold: float = 1e-9) -> bool:
+def is_identically_zero(problem: ScatteringProblem) -> bool:
     """Control-grid test of the degenerate dichotomy.
 
     True when max|b| over 64 real points on [-10, 10] plus 16 complex
-    points stays below ``threshold * (1 + max|a|)``.
+    points stays below ``1e-9 * (1 + max|a|)``.
     """
     lams = np.concatenate(
         [
@@ -94,7 +97,7 @@ def is_identically_zero(problem: ScatteringProblem, threshold: float = 1e-9) -> 
         ]
     )
     a, b, _ = coefficients_batch(problem, lams)
-    return float(np.abs(b).max()) <= threshold * (1.0 + float(np.abs(a).max()))
+    return float(np.abs(b).max()) <= _ZERO_THRESHOLD * (1.0 + float(np.abs(a).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +138,6 @@ def real_zero_scan_fn(
     grid_points: int,
     *,
     structural_zero_at_origin: bool = False,
-    scan_label: str = "",
 ) -> ZeroReport:
     """Scan a real-valued function on a grid and refine its zeros."""
     lo, hi = float(interval[0]), float(interval[1])
@@ -203,8 +205,7 @@ def real_zero_scan_fn(
         mult = _multiplicity(f_scalar, lam, scale)
         zeros.append((complex(lam), mult, float(residual)))
     zeros.sort(key=lambda z: (abs(z[0]), z[0].real))
-    label = scan_label or f"[{lo:g}, {hi:g}] grid={grid_points}"
-    return ZeroReport(tuple(zeros), False, label)
+    return ZeroReport(tuple(zeros), False, _SCAN_LABEL.format(lo, hi, grid_points))
 
 
 def real_zero_scan(
@@ -220,16 +221,14 @@ def real_zero_scan(
     structural and always reported when 0 lies in the interval.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    label = f"[{lo:g}, {hi:g}] grid={grid_points}"
     if is_identically_zero(problem):
-        return ZeroReport((), True, label)
+        return ZeroReport((), True, _SCAN_LABEL.format(lo, hi, grid_points))
     require_real_reference(problem)
     return real_zero_scan_fn(
         _batch_evaluator(problem),
         (lo, hi),
         grid_points,
         structural_zero_at_origin=True,
-        scan_label=label,
     )
 
 
@@ -301,12 +300,7 @@ def disk_zero_count(problem: ScatteringProblem, r: float, nodes: int = 64) -> in
 # growth order
 
 
-def order_fit_fn(
-    f_batch: Callable[[np.ndarray], np.ndarray],
-    radii,
-    *,
-    max_nodes: int = 256,
-) -> GrowthFit:
+def order_fit_fn(f_batch: Callable[[np.ndarray], np.ndarray], radii) -> GrowthFit:
     radii = [float(r) for r in radii]
     if len(radii) < 4:
         raise ValueError("order fitting needs at least 4 radii")
@@ -317,7 +311,7 @@ def order_fit_fn(
     counts = []
     log_max = []
     for r in radii:
-        thetas = 2j * np.pi * np.arange(max_nodes) / max_nodes
+        thetas = 2j * np.pi * np.arange(_FIT_NODES) / _FIT_NODES
         vals = f_batch(r * np.exp(thetas))
         log_max.append(float(np.log(np.abs(vals).max())))
         counts.append(disk_zero_count_fn(f_batch, r))

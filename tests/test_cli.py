@@ -222,6 +222,28 @@ def test_config_error_diagnostics(tmp_path, capsys):
     assert "problem" in err
 
 
+@pytest.mark.parametrize(
+    "cmd, block",
+    [
+        ("scan", {"lambdas": {"stop": 1.0, "count": 3}}),
+        ("zeros", {"interval": 5.0}),
+        ("count", {"radius": {"value": 50.0}}),
+        ("order", {"radii": 100.0}),
+        ("witness", {"lambda": [-1e4, 1e4]}),
+        ("eigencount", {"lambdas": "0:1:3"}),
+    ],
+)
+def test_malformed_command_blocks_are_config_errors(tmp_path, capsys, cmd, block):
+    path = tmp_path / "bad_block.json"
+    path.write_text(config_to_text(catalog.sine_well(), {cmd: block}))
+    code, out, err = run_cli([cmd, str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error:")
+    assert f"command.{cmd}." in err
+    assert "Traceback" not in err
+
+
 def test_order_subcommand(bundle_dir, capsys):
     code, out, _ = run_cli(
         [

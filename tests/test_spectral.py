@@ -197,3 +197,28 @@ def test_witness_spike_form():
     w = tent_witness(prob, -1e4, 1)
     # the only negative-energy budget is the spike at 0.5
     assert abs(w.centers[0] - 0.5) <= 2 * w.epsilon
+
+
+def test_witness_rayleigh_values_against_quad_oracle():
+    """Rayleigh values on breaks of Q and V that differ, with spikes under tents."""
+    Q = PotentialSpec(((0.0, 0.37, (0.5, -1.0)), (0.37, 1.0, (-0.2, 0.3, 1.0))))
+    V = PotentialSpec(
+        ((0.0, 0.61, (1.0, 2.0, -3.0)), (0.61, 1.0, (-0.5,))), ((0.2, 0.4), (0.8, -0.3))
+    )
+    prob = build_problem(Q, V, (1.0, 0.0))
+    for lam, n in ((-1e4, 5), (1e4, 3)):
+        w = tent_witness(prob, lam, n)
+        assert len(w.centers) == n
+        eps = w.epsilon
+        assert any(abs(c - p) < eps for c in w.centers for p, _ in V.spikes)
+        for c, value in zip(w.centers, w.rayleigh_values):
+            lo, hi = c - eps, c + eps
+            breaks = [x for x in (0.37, 0.61) if lo < x < hi] + [c]
+            density = quad(
+                lambda x: (Q(x) + lam * V(x)) * tent_value(x - c, eps) ** 2,
+                lo, hi, points=breaks, epsabs=0.0, epsrel=1e-13,
+            )[0]
+            spikes = sum(lam * wt * tent_value(p - c, eps) ** 2 for p, wt in V.spikes)
+            oracle = tent_gradient_energy(eps) + density + spikes
+            assert value < 0.0
+            assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
