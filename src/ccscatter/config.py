@@ -22,6 +22,7 @@ byte-stable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,6 +55,22 @@ def _complex_in(value, where: str) -> complex:
         return complex(float(value[0]), float(value[1]))
     except (TypeError, ValueError):
         raise ConfigError("complex components must be numbers", where)
+
+
+def _number_in(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"expected a number, got {value!r}", where) from None
+
+
+def _tolerance_in(block: dict, key: str, where: str) -> float:
+    if key not in block:
+        return getattr(Tolerances, key)
+    tol = _number_in(block[key], f"{where}.{key}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"tolerance must be finite and positive, got {tol!r}", f"{where}.{key}")
+    return tol
 
 
 def potential_to_dict(pot: PotentialSpec) -> dict:
@@ -127,16 +144,14 @@ def problem_from_dict(d, where: str = "problem") -> ScatteringProblem:
     if not isinstance(tol_block, dict):
         raise ConfigError("tolerances must be an object", f"{where}.tolerances")
     tol = Tolerances(
-        ode_rtol=float(tol_block.get("ode_rtol", Tolerances.ode_rtol)),
-        wronskian_tol=float(
-            tol_block.get("wronskian_tol", Tolerances.wronskian_tol)
-        ),
+        ode_rtol=_tolerance_in(tol_block, "ode_rtol", f"{where}.tolerances"),
+        wronskian_tol=_tolerance_in(tol_block, "wronskian_tol", f"{where}.tolerances"),
     )
     k = d.get("k")
+    if k is not None:
+        k = _number_in(k, f"{where}.k")
     try:
-        return build_problem(
-            q, v, u0, k_tag=None if k is None else float(k), tolerances=tol
-        )
+        return build_problem(q, v, u0, k_tag=k, tolerances=tol)
     except ScatterError as exc:
         raise ConfigError(str(exc), where)
 

@@ -2,18 +2,20 @@
 
 The interval is split at every polynomial breakpoint and spike position.
 On each piece the coefficient c(x) = Q(x) + lam*V(x) is a single
-polynomial and the first-order system (u, u') is advanced with a two-point
-Gauss Magnus step,
+polynomial and the first-order system (u, u') is advanced with the
+three-point Gauss Magnus step of order six (Blanes, Casas and Ros, BIT
+2000).  With A = [[0, 1], [c, 0]] at the nodes 1/2 -/+ sqrt(15)/10 and
+1/2, its nested commutators are closed-form in c, so
 
-    Omega = (h/2)(A1 + A2) + (sqrt(3) h^2 / 12) [A2, A1],
-    exp(Omega) = cosh(s) I + sinh(s)/s * Omega,   s^2 = det-free invariant,
+    Omega = [[p, q], [r, -p]],
+    exp(Omega) = cosh(s) I + sinh(s)/s * Omega,   s^2 = p^2 + q r,
 
-which is fourth-order accurate, exact on constant-coefficient pieces, and
-has unit determinant by construction, so the Wronskian of solution pairs
-is preserved to rounding no matter how coarse the subdivision is.  Pieces
-with genuinely varying coefficients are swept with step pairs (n, 2n) until
-the Richardson error estimate meets the problem tolerance; a failed pair
-predicts the next n from the step's fourth order.
+is traceless and the step has unit determinant by construction: the
+Wronskian of solution pairs is preserved to rounding no matter how coarse
+the subdivision is.  The step is exact on constant-coefficient pieces.
+Pieces with genuinely varying coefficients are swept with step pairs
+(n, 2n) until the Richardson error estimate meets the problem tolerance; a
+failed pair predicts the next n from the step's sixth order.
 
 Everything is vectorized over a batch of coupling values: the same
 subdivision is applied to every lam in the batch.  The steps of a piece are
@@ -44,9 +46,10 @@ from numpy.polynomial import polynomial as npoly
 from .errors import IntegrationError
 from .problem import Pair, PotentialSpec, ScatteringProblem
 
-# Gauss-Legendre 2-point nodes of a unit step, as a column: 1/2 -/+ sqrt(3)/6
-_GAUSS_NODES = 0.5 + np.array([[-1.0], [1.0]]) * (math.sqrt(3.0) / 6.0)
+# Gauss-Legendre 3-point nodes of a unit step, as a column: 1/2 + (-1, 0, 1) sqrt(15)/10
+_GAUSS_NODES = 0.5 + np.array([[-1.0], [0.0], [1.0]]) * (math.sqrt(15.0) / 10.0)
 _MAX_SUBSTEPS = 1 << 15
+_EPS = float(np.finfo(float).eps)
 _BLOCK_ENTRIES = 1 << 13  # steps x couplings per block of the sweep's product
 
 
@@ -135,40 +138,105 @@ def _pieces(problem: ScatteringProblem) -> tuple[_Piece, ...]:
 # Magnus stepping (batched over couplings)
 
 
-def _step_matrices(c1: np.ndarray, c2: np.ndarray, h: float | np.ndarray) -> tuple[np.ndarray, ...]:
-    """exp(Omega) for one Magnus step, as its entries (a, b, c, d).
+def _cosh_sinhc(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cosh(s) and sinh(s)/s, from real functions of Re s and Im s."""
+    ch = np.empty_like(s)
+    shc = np.empty_like(s)
+    chx, shx = np.cosh(s.real), np.sinh(s.real)
+    cy, sy = np.cos(s.imag), np.sin(s.imag)
+    np.multiply(chx, cy, out=ch.real)
+    np.multiply(shx, sy, out=ch.imag)
+    np.multiply(shx, cy, out=shc.real)
+    np.multiply(chx, sy, out=shc.imag)
+    del chx, shx, cy, sy
+    shc /= s
+    if not s.all():
+        shc[s == 0.0] = 1.0  # the limit; the quotient is accurate for all s != 0
+    return ch, shc
 
-    Each entry has the shape of ``c1``.  cosh(s) and sinh(s)/s come from
-    real functions of Re s and Im s.  Overflow at extreme couplings
-    produces non-finite entries here; the sweep detects them and raises
-    IntegrationError, so warnings are suppressed rather than surfaced.
+
+def _step_matrices(c: np.ndarray, h) -> tuple[np.ndarray, ...]:
+    """exp(Omega) for one sixth-order Magnus step, as its entries (a, b, c, d).
+
+    ``c`` holds c = Q + lam*V at the step's Gauss nodes, one row per node:
+    three rows c1, c2, c3 on a varying piece, one row on a constant piece.
+    Each entry has the shape of a row; ``h`` is the step length, a float or
+    an array of that shape.  The entries are complex, at the precision of
+    ``c``.  With a = (sqrt(15)/3) h (c3 - c1) and b = (10/3) h (c3 - 2 c2 +
+    c1), the Magnus exponent is Omega = [[p, q], [r, -p]] where
+
+        p = a (h^3 c2/180 + h^2 b/7200 - h/12)
+        q = h - h^2 b/180 + h^3 a^2/3600
+        r = h c2 + b (1/12 + h^2 c2/180 + h b/3600) + h a^2 (h^2 c2/3600 - 1/120).
+
+    On a constant piece a = b = 0, so Omega = h [[0, 1], [c, 0]] exactly,
+    and those terms are not formed.  Intermediates are freed as soon as
+    they are used and p, q, r are scaled in place.  Overflow at extreme
+    couplings produces non-finite entries here; the sweep detects them and
+    raises IntegrationError, so warnings are suppressed rather than
+    surfaced.
     """
-    cbar = 0.5 * (c1 + c2)
-    d = (math.sqrt(3.0) * h * h / 12.0) * (c1 - c2)
-    s = np.sqrt((d * d + h * h * cbar).astype(complex, copy=False))
+    hh = h * h
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        chx, shx = np.cosh(s.real), np.sinh(s.real)
-        cy, sy = np.cos(s.imag), np.sin(s.imag)
-        ch = chx * cy + 1j * (shx * sy)
-        shc = (shx * cy + 1j * (chx * sy)) / s
-        if not s.all():
-            shc[s == 0.0] = 1.0  # the limit; the quotient is accurate for all s != 0
-        shd, b = shc * d, shc * h
-        return ch + shd, b, b * cbar, ch - shd
+        if len(c) == 1:
+            ch, shc = _cosh_sinhc(np.sqrt(np.multiply(c[0], hh, dtype=np.result_type(c, 1j))))
+            shc *= h
+            return ch, shc, shc * c[0], ch.copy()
+        c1, c2, c3 = c
+        a = np.multiply(c3 - c1, (math.sqrt(15.0) / 3.0) * h, dtype=np.result_type(c, 1j))
+        b = c3 + c1
+        b -= 2.0 * c2
+        b *= (10.0 / 3.0) * h
+        a2 = a * a
+        q = a2 * (hh * h / 3600.0)
+        q -= (hh / 180.0) * b
+        q += h
+        r = (hh * h / 3600.0) * c2
+        r -= h / 120.0
+        r = a2 * r
+        del a2
+        t = (hh / 180.0) * c2
+        t += (h / 3600.0) * b
+        t += 1.0 / 12.0
+        t *= b
+        r += t
+        r += h * c2
+        t = (hh * h / 180.0) * c2
+        t += (hh / 7200.0) * b
+        t -= h / 12.0
+        p = a * t
+        del a, b, t
+        s = p * p
+        s += q * r
+        ch, shc = _cosh_sinhc(np.sqrt(s, out=s))
+        del s
+        p *= shc
+        q *= shc
+        r *= shc
+        del shc
+        d = ch - p
+        ch += p
+        return ch, q, r, d
 
 
 def _node_values(piece: _Piece, n: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Q and V at the Gauss nodes of n equal sub-steps: (q, v, h).
 
-    ``q`` and ``v`` have shape (2, n), one row per node; ``h`` is the
-    sub-step length.  The sweep forms c = Q + lam*V from them block by
-    block, and ``_piece_states`` once, so the coefficients, the states and
-    the eigenvalue counts use one discretization.
+    ``q`` and ``v`` have one row per node, shape (3, n) on a varying piece
+    and (1, n) on a constant one, where c is the same at every node; ``h``
+    is the sub-step length.  The sweep forms c = Q + lam*V from them block
+    by block, and ``_piece_states`` once, so the coefficients, the states
+    and the eigenvalue counts use one discretization.
     """
     h = piece.length / n
     offsets = (piece.x0 + h * np.arange(n)) - piece.x0
-    xs = offsets + _GAUSS_NODES * h  # (2, n): both nodes of every sub-step
+    xs = offsets + _nodes(piece) * h  # one row per node of every sub-step
     return npoly.polyval(xs, piece.q_coeffs), npoly.polyval(xs, piece.v_coeffs), h
+
+
+def _nodes(piece: _Piece) -> np.ndarray:
+    """Gauss nodes of a unit step on this piece: the midpoint alone if it is constant."""
+    return _GAUSS_NODES[1:2] if piece.is_constant else _GAUSS_NODES
 
 
 def _product(later, earlier):
@@ -205,7 +273,7 @@ def _sweep(piece: _Piece, lams: np.ndarray, n: int) -> np.ndarray:
         blocks = []
         for j in range(0, n, width):
             c = lams[:, None] * v[:, None, j : j + width] + q[:, None, j : j + width]
-            blocks.append(_tree_product(_step_matrices(c[0], c[1], h)))
+            blocks.append(_tree_product(_step_matrices(c, h)))
         if len(blocks) > 1:
             blocks = [_tree_product([np.hstack(e) for e in zip(*blocks)])]
     return np.concatenate(blocks[0], axis=1).reshape(-1, 2, 2)
@@ -221,7 +289,7 @@ def _piece_states(piece: _Piece, lams: np.ndarray, n: int) -> tuple[np.ndarray, 
     """
     q, v, h = _node_values(piece, n)
     c = lams[:, None] * v[:, None, :] + q[:, None, :]
-    prefix = np.array([e.real for e in _step_matrices(c[0], c[1], h)])
+    prefix = np.array([e.real for e in _step_matrices(c, h)])
     log_scale = np.zeros(prefix.shape[1:])
     span = 1
     while span < n:
@@ -254,30 +322,40 @@ def _piece_transfer(
     Varying pieces are swept with a pair (n, 2n) of step counts.  A pair is
     accepted when the relative difference of its members, over 4, is at
     most rtol for every coupling; the finer member is returned.  The
-    difference falls as n**-4, so a failed pair with worst difference e
-    predicts the next n as about 1.1 n (e/rtol)**(1/4), at least 2n (then
+    difference falls as n**-6, so a failed pair with worst difference e
+    predicts the next n as about 1.1 n (e/rtol)**(1/6), at least 2n (then
     the finer member is reused) and at most the largest pair allowed.
+    Rounding sets a floor under the difference that more steps do not
+    lower.  When rtol is below double rounding, or a failed pair's worst
+    difference fell by less than 1/64 of what the order predicts (one
+    doubling's worth), the next pair is the largest one, and its failure
+    raises.
     """
     if piece.is_constant:
         return _sweep(piece, lams, 1), np.zeros(lams.shape), 1
 
     n = _initial_substeps(piece, lams)
     M = _sweep(piece, lams, n)
+    expected = math.inf  # worst difference the order predicts for this pair
     while True:
         M2 = _sweep(piece, lams, 2 * n)
         scale = _matrix_scale(M2) + 1.0
         if not np.all(np.isfinite(scale)):
             raise IntegrationError("propagation overflowed", piece.x0)
-        # Richardson for 4th order would divide by 15; keep a safety margin
+        # Richardson for 6th order would divide by 63; keep a safety margin
         rel = _matrix_scale(M2 - M) / (4.0 * scale)
         if np.all(rel <= rtol):
             return M2, rel, 2 * n
         if 2 * n >= _MAX_SUBSTEPS:
             raise IntegrationError("step refinement exhausted", piece.x0)
-        # fourth order: pair differences fall as n**-4; aim 10 % past rtol
-        with np.errstate(divide="ignore", invalid="ignore"):
-            want = 1.1 * n * (rel.max() / rtol) ** 0.25
+        worst = rel.max()
+        if rtol < _EPS or worst > 64.0 * expected:
+            want = _MAX_SUBSTEPS  # rounding dominates: only the largest pair is left
+        else:
+            # sixth order: pair differences fall as n**-6; aim 10 % past rtol
+            want = 1.1 * n * (worst / rtol) ** (1 / 6)
         m = math.ceil(min(np.fmax(want, 2 * n), _MAX_SUBSTEPS // 2))
+        expected = worst * (n / m) ** 6
         M = M2 if m == 2 * n else _sweep(piece, lams, m)
         n = m
 
@@ -382,8 +460,8 @@ def reference_states(
         h = piece.length / n
         k = np.clip(np.floor((xs[lo:hi] - piece.x0) / h), 0, n).astype(int)
         part = xs[lo:hi] - piece.x0 - k * h  # from the state after k sub-steps
-        c = npoly.polyval(k * h + _GAUSS_NODES * part, piece.q_coeffs)
-        step = _product(_step_matrices(c[0], c[1], part), states[:, k])
+        c = npoly.polyval(k * h + _nodes(piece) * part, piece.q_coeffs)
+        step = _product(_step_matrices(c, part), states[:, k])
         out[lo:hi] = np.stack(step, axis=-1).reshape(-1, 2, 2) @ M
         M = Mp[0] @ M
     return out[:, 0, 0], out[:, 1, 0], out[:, 0, 1], out[:, 1, 1]

@@ -177,7 +177,7 @@ def _varying_piece_phase(alpha: float, piece: engine._Piece, lam: float) -> floa
 
     The initial step count keeps each sub-step shorter than the zero
     spacing pi/sqrt(|c|), so sign changes detect crossings one at a time;
-    doubling then drives the fourth-order phase error well below the
+    doubling then drives the sixth-order phase error well below the
     documented resolution.
     """
     xs = np.linspace(0.0, piece.length, 9)

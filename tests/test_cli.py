@@ -244,6 +244,36 @@ def test_malformed_command_blocks_are_config_errors(tmp_path, capsys, cmd, block
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("k", [1.0]),
+        ("ode_rtol", [1e-10]),
+        ("wronskian_tol", {}),
+        ("ode_rtol", "abc"),
+        ("ode_rtol", 0.0),
+        ("ode_rtol", -1e-10),
+        ("ode_rtol", math.nan),
+        ("wronskian_tol", math.inf),
+    ],
+)
+def test_bad_numbers_in_the_problem_block_are_config_errors(
+    bundle_dir, tmp_path, capsys, key, value
+):
+    payload = json.loads((bundle_dir / "sine_well.json").read_text())
+    problem = payload["problem"]
+    where = "problem.k" if key == "k" else f"problem.tolerances.{key}"
+    (problem if key == "k" else problem.setdefault("tolerances", {}))[key] = value
+    path = tmp_path / "bad_number.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["scan", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error:")
+    assert f"({where})" in err
+    assert "Traceback" not in err
+
+
 def test_order_subcommand(bundle_dir, capsys):
     code, out, _ = run_cli(
         [

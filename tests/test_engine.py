@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 from scipy.special import airy
 
 from ccscatter import (
@@ -16,6 +17,7 @@ from ccscatter import (
     build_problem,
     catalog,
     coefficients,
+    coefficients_batch,
     propagate,
     transfer_matrix,
 )
@@ -29,6 +31,7 @@ from ccscatter.engine import (
     _pieces,
     _step_matrices,
     _sweep,
+    _tree_product,
     reference_states,
     transfer_matrices,
 )
@@ -154,12 +157,46 @@ def test_halving_step_bound_stays_within_error_estimate():
         assert 0.0 < diff <= coarse.err_estimate
 
 
+def test_step_is_the_sixth_order_magnus_exponential():
+    """The closed-form step equals expm of the three-node Magnus Omega.
+
+    With one node row (a constant piece) it equals expm(h A).  Omega is built from 2x2 matrices and their commutators as Blanes, Casas
+    and Ros (BIT 2000) write it, with alpha_1 = h A2,
+    alpha_2 = (sqrt(15) h / 3)(A3 - A1), alpha_3 = (10 h / 3)(A3 - 2 A2 + A1).
+    """
+    def comm(x, y):
+        return x @ y - y @ x
+
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        h = rng.uniform(0.01, 0.5)
+        c = rng.normal(0.0, 30.0, 3) + 1j * rng.normal(0.0, 10.0, 3)
+        A1, A2, A3 = (np.array([[0.0, 1.0], [ci, 0.0]]) for ci in c)
+        a1 = h * A2
+        a2 = (math.sqrt(15.0) * h / 3.0) * (A3 - A1)
+        a3 = (10.0 * h / 3.0) * (A3 - 2.0 * A2 + A1)
+        c1 = comm(a1, a2)
+        c2 = -comm(a1, 2.0 * a3 + c1) / 60.0
+        omega = a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+        want = expm(omega)
+        got = np.array(_step_matrices(c[:, None], h)).reshape(2, 2)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # one row: a constant coefficient, whose step is expm(h A) exactly
+        want = expm(h * A2)
+        got = np.array(_step_matrices(c[1:2, None], h)).reshape(2, 2)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("name", ["ramp_well", "tilted_background"])
 def test_tree_product_matches_sequential_product(name):
     """The sweep's pairwise product equals the step-by-step product.
 
     At real couplings the prefix states of _piece_states, times their
     scales, also equal the running step-by-step product after every step.
+    At n <= 3 and |lam| ~ 1e4 one sixth-order step overflows (Omega grows
+    like h^3 |c|^2), so the step-by-step product is itself non-finite
+    there; the sweep must be non-finite at the same couplings, and both
+    are compared where the step-by-step product is finite.
     """
     piece = _varying_piece(name)
     rng = np.random.default_rng(13)
@@ -170,20 +207,26 @@ def test_tree_product_matches_sequential_product(name):
             for lams in (complex_lams, complex_lams.real):
                 q, v, h = _node_values(piece, n)
                 coeffs = lams[:, None] * v[:, None, :] + q[:, None, :]
-                a, b, c, d = _step_matrices(coeffs[0], coeffs[1], h)
+                a, b, c, d = _step_matrices(coeffs, h)
                 steps = np.stack((a, b, c, d), axis=-1).reshape(L, n, 2, 2)
                 running = np.empty_like(steps)
                 running[:, 0] = M = steps[:, 0]
-                for i in range(1, n):
-                    running[:, i] = M = steps[:, i] @ M
-                diff = np.abs(_sweep(piece, lams, n) - M).max(axis=(1, 2))
-                assert np.all(diff <= 1e-12 * _matrix_scale(M)), (L, n)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for i in range(1, n):
+                        running[:, i] = M = steps[:, i] @ M
+                finite = np.isfinite(M).all(axis=(1, 2))
+                swept = _sweep(piece, lams, n)
+                assert np.array_equal(np.isfinite(swept).all(axis=(1, 2)), finite), (L, n)
+                diff = np.abs(swept[finite] - M[finite]).max(axis=(1, 2))
+                assert np.all(diff <= 1e-12 * _matrix_scale(M[finite])), (L, n)
                 if np.iscomplexobj(lams):
                     continue
-                prefix, log_scale = _piece_states(piece, lams, n)
-                states = np.moveaxis(prefix * np.exp(log_scale), 0, -1).reshape(L, n, 2, 2)
-                diff = np.abs(states - running).max(axis=(2, 3))
-                assert np.all(diff <= 1e-12 * _matrix_scale(running)), (L, n)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    prefix, log_scale = _piece_states(piece, lams, n)
+                    states = np.moveaxis(prefix * np.exp(log_scale), 0, -1).reshape(L, n, 2, 2)
+                finite = np.isfinite(running).all(axis=(2, 3))
+                diff = np.abs(states - running).max(axis=(2, 3))[finite]
+                assert np.all(diff <= 1e-12 * _matrix_scale(running)[finite]), (L, n)
 
 
 def test_piece_states_stay_finite_past_float_range():
@@ -218,7 +261,7 @@ def test_refinement_meets_rtol_and_its_error_bound(name):
     """The accepted pair passes rtol, and its estimate bounds the step error.
 
     The reference is a sweep of _MAX_SUBSTEPS steps.  Its own rounding
-    reaches about 3e-12 of the matrix scale at |lam| = 1e4, so the bound
+    reaches about 2e-12 of the matrix scale at |lam| = 1e4, so the bound
     is checked at rtol 1e-8 and 1e-10 with an allowance of 1e-11 for
     rounding; the coarse member of the pair misses it by about 4x.
     """
@@ -240,21 +283,65 @@ def test_refinement_meets_rtol_and_its_error_bound(name):
 
 
 def test_predicted_step_count_needs_few_sweeps(monkeypatch):
-    """ramp_well at lam = 98: step doubling ran 9 -> 4608 in 10 sweeps."""
+    """ramp_well at lam = 98: sweeps 9, 18, 174, 348 (the fourth-order step
+    needed 9, 18, 2101, 4202, and step doubling 9 -> 4608 in 10 sweeps)."""
     piece = _varying_piece("ramp_well")
     counts = _counting_sweeps(monkeypatch)
     _, rel, _ = _piece_transfer(piece, np.array([98.0 + 0j]), 1e-12)
     assert rel[0] <= 1e-12
     assert len(counts) <= 4, counts
-    assert sum(counts) <= 9207, counts  # the sub-steps of doubling 9 -> 4608
+    assert sum(counts) <= 1000, counts
 
 
 def test_unreachable_rtol_exhausts_within_the_step_cap(monkeypatch):
+    """A tolerance below rounding goes to the largest pair without creeping up."""
     piece = _varying_piece("ramp_well")
     counts = _counting_sweeps(monkeypatch)
     with pytest.raises(IntegrationError, match="step refinement exhausted"):
         _piece_transfer(piece, np.array([98.0 + 0j]), 1e-17)
     assert max(counts) == _MAX_SUBSTEPS, counts
+    assert sum(counts) <= 49179, counts  # 9, 18, then the pair (16384, 32768)
+
+
+@pytest.mark.parametrize("lam", [300.0, 1e3 * cmath.exp(0.7j)])
+def test_pair_differences_fall_at_sixth_order(lam):
+    """Each doubling of the step count divides the pair difference by ~64.
+
+    A fourth-order step falls by about 16; dropping the commutator term
+    -a h/12 from p or b/12 from r also fails the bound.
+    """
+    piece = _varying_piece("ramp_well")
+    lams = np.array([complex(lam)])
+    coarse, mid, fine = (_sweep(piece, lams, n) for n in (128, 256, 512))
+    ratio = _matrix_scale(mid - coarse)[0] / _matrix_scale(fine - mid)[0]
+    assert ratio >= 50.0, ratio
+
+
+@pytest.mark.parametrize("name", ["ramp_well", "tilted_background"])
+def test_coefficients_at_coupling_1e5(name):
+    """|lam| = 1e5 at the corpus tolerance, against a 2**16-step reference.
+
+    The reference is formed in long double: in double, the rounding of
+    2**16 near-identity steps reaches about 2e-12 of the scale.
+    """
+    prob = getattr(catalog, name)()
+    (piece,) = _pieces(prob)
+    lams = np.array([1e5, -1e5, 1e5j])
+    q, v, h = _node_values(piece, 1 << 16)
+    c = lams.astype(np.clongdouble)[:, None] * v[:, None, :] + q.astype(np.longdouble)[:, None, :]
+    M = [e[:, 0].astype(complex) for e in _tree_product(_step_matrices(c, h))]
+    (u0, u0p), (u1, u1p), (v1, v1p) = prob.ref.u0_at_0, prob.ref.u0_at_1, prob.ref.v0_at_1
+    u, up = M[0] * u0 + M[1] * u0p, M[2] * u0 + M[3] * u0p
+    want_a, want_b = v1 * up - v1p * u, u1p * u - u1 * up
+    for lam, a, b in zip(lams, want_a, want_b):
+        got = coefficients(prob, lam)
+        scale = max(1.0, abs(a), abs(b))
+        assert max(abs(got.a - a), abs(got.b - b)) <= got.err + 1e-12 * scale, lam
+
+
+def test_batch_with_a_large_coupling_returns():
+    _, b, _ = coefficients_batch(catalog.ramp_well(), [1.0, 1e5])
+    assert np.all(np.isfinite(b))
 
 
 def test_varying_piece_against_ivp_oracle():
