@@ -5,11 +5,14 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import ccscatter
 from ccscatter import PotentialSpec, build_problem, catalog, load_config
 from ccscatter.cli import main
 from ccscatter.config import config_to_text, problem_from_dict, problem_to_dict
@@ -339,3 +342,23 @@ def test_console_entry_point(bundle_dir):
     )
     assert proc.returncode == 0
     assert "7" in proc.stdout
+
+
+def test_library_imports_only_numpy():
+    # scipy is a test dependency only: importing it adds about half a second
+    # and 40 MB of resident memory to each start of the library or the CLI
+    src = pathlib.Path(ccscatter.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, ccscatter, ccscatter.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

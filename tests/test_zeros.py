@@ -12,11 +12,14 @@ from ccscatter import (
     catalog,
     disk_zero_count,
     disk_zero_count_fn,
+    engine,
     is_identically_zero,
     order_fit,
     order_fit_fn,
     real_zero_scan,
     real_zero_scan_fn,
+    realify,
+    zeros,
 )
 
 PI = math.pi
@@ -89,6 +92,86 @@ def test_scan_seam_detects_even_multiplicity():
     assert zs == {0.0: 2, 1.0: 1}
 
 
+class Counting:
+    """A callable that records the size of each batch it is asked for."""
+
+    def __init__(self, f):
+        self.f = f
+        self.sizes = []
+
+    def __call__(self, lams):
+        self.sizes.append(int(np.size(lams)))
+        return self.f(lams)
+
+
+@pytest.fixture
+def engine_sizes(monkeypatch):
+    """Sizes of the engine's coefficient calls made inside the test."""
+    sizes = []
+    inner = engine.transfer_matrices
+
+    def counted(problem, lams, *args, **kwargs):
+        sizes.append(int(np.size(lams)))
+        return inner(problem, lams, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "transfer_matrices", counted)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "interval, points",
+    [((-300.0, 5.0), 57), ((-1000.0, 500.0), 301)],
+    ids=["within_a_cell", "zero_on_the_grid"],
+)
+def test_scan_zeros_sharing_a_grid_cell(interval, points):
+    # 0 and tan(1) lie in one grid cell, where b does not change sign; on
+    # the second grid 0 is itself a grid point
+    report = real_zero_scan(realify(catalog.delta_pair()), interval, points)
+    found = sorted(z.real for z, _, _ in report.zeros)
+    assert len(found) == 2
+    assert abs(found[0]) <= 1e-12
+    assert abs(found[1] - math.tan(1.0)) <= 1e-12
+
+
+# synthetic scans on (-2, 2): zeros by location (6 digits) and order, and
+# the most calls the scan may make
+SYNTHETIC_SCANS = {
+    "close_pair": (
+        lambda x: (x - 0.30) * (x - 0.31) * (x + 1.7), 101,
+        {0.3: 1, 0.31: 1, -1.7: 1}, 44,
+    ),
+    "double": (lambda x: (x - 0.31) ** 2 * (x + 1.0), 101, {0.31: 2, -1.0: 1}, 43),
+    "quartic": (lambda x: (x - 0.37) ** 4 * (x + 1.5), 41, {0.37: 2, -1.5: 1}, 49),
+    "seam": (lambda x: x**2 * (x - 1.0), 101, {0.0: 2, 1.0: 1}, 45),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYNTHETIC_SCANS))
+def test_scan_seam_zeros_and_call_counts(case):
+    g, points, expected, max_calls = SYNTHETIC_SCANS[case]
+    f = Counting(lambda lams: g(np.real(lams)))
+    report = real_zero_scan_fn(f, (-2.0, 2.0), points)
+    assert {round(z.real, 6): m for z, m, _ in report.zeros} == expected
+    assert len(f.sizes) <= max_calls
+
+
+def test_dip_search_takes_parabolic_steps():
+    # |f| is a parabola at a double zero, where parabolic steps converge in a
+    # few rounds; golden-section steps alone make the scan take 36 calls
+    g, points, _, _ = SYNTHETIC_SCANS["double"]
+    f = Counting(lambda lams: g(np.real(lams)))
+    real_zero_scan_fn(f, (-2.0, 2.0), points)
+    assert len(f.sizes) <= 15
+
+
+def test_scan_refines_all_brackets_in_few_engine_calls(engine_sizes):
+    problem = catalog.ramp_well()
+    engine_sizes.clear()  # building the problem evaluates lam = 0
+    report = real_zero_scan(problem, (-5.0, 2000.0), 400)
+    assert len(report.zeros) == 10
+    assert len(engine_sizes) <= 12
+
+
 def test_disk_count_sine_well(sine_well):
     for r in (50.0, 500.0, 5000.0):
         assert disk_zero_count(sine_well, r) == len(sine_well_zeros(r))
@@ -144,6 +227,43 @@ def test_order_fit_polynomial_seam_flattens():
     fit = order_fit_fn(lambda lams: lams * (lams - 1.0), [1e2, 1e3, 1e4, 1e5])
     assert fit.counts == (2, 2, 2, 2)
     assert abs(fit.count_exponent) <= 1e-6
+
+
+def test_contour_doubling_keeps_the_old_nodes_bit_for_bit():
+    for r in (1.0, 3e2, 1e5):
+        n = 64
+        while n < (1 << 17):
+            assert np.array_equal(zeros._contour(r, 2 * n)[::2], zeros._contour(r, n))
+            n *= 2
+    assert np.array_equal(zeros._contour(2.5, 200)[::2], zeros._contour(2.5, 100))
+
+
+def test_disk_count_evaluates_only_its_final_nodes():
+    # l^20 settles on 128 nodes and l^60 from 100 nodes on 400: each
+    # doubling evaluates only the new odd nodes
+    f = Counting(lambda lams: lams**20)
+    assert disk_zero_count_fn(f, 2.0) == 20
+    assert f.sizes == [64, 64]
+    f = Counting(lambda lams: lams**60)
+    assert disk_zero_count_fn(f, 1.0, nodes=100) == 60
+    assert f.sizes == [100, 100, 200]
+
+
+def test_order_fit_counts_from_its_own_nodes():
+    # counts that settle within 256 nodes cost nothing beyond the fit grid
+    for g, counts in ((lambda l: l * (l - 1.0), (2,) * 4), (lambda l: l**40, (40,) * 4)):
+        f = Counting(g)
+        fit = order_fit_fn(f, [1.5, 2.0, 3.0, 4.0])
+        assert fit.counts == counts
+        assert f.sizes == [256] * 4
+
+
+def test_order_fit_evaluation_budget(engine_sizes):
+    problem = catalog.ramp_well()
+    engine_sizes.clear()
+    fit = order_fit(problem, (1e2, 3e2, 1e3, 3e3))
+    assert fit.counts == (3, 4, 7, 12)
+    assert sum(engine_sizes) <= 1104
 
 
 def test_order_fit_validates_radii(sine_well, free_problem):
