@@ -96,20 +96,25 @@ def _grid(spec) -> list[float]:
 
 
 def _resolve_lambdas(flag: str | None, run: cfg.RunConfig, cmd: str) -> list[float]:
-    if flag:
-        try:
-            if ":" not in flag:
-                return [float(tok) for tok in flag.split(",") if tok]
+    if not flag:
+        return _read(run, cmd, "lambdas", list(np.linspace(-5.0, 5.0, 21)), _grid)
+    try:
+        if ":" not in flag:
+            lams = [float(tok) for tok in flag.split(",") if tok]
+        else:
             lo, hi, count = flag.split(":")
             lo, hi, count = float(lo), float(hi), int(count)
-        except ValueError:
-            raise ValueError(
-                f"--lambdas takes lo:hi:count or a comma list, not {flag!r}"
-            ) from None
+    except ValueError:
+        raise ValueError(
+            f"--lambdas takes lo:hi:count or a comma list, not {flag!r}"
+        ) from None
+    if ":" in flag:
         if count < 2:
             raise ValueError(_SHORT_GRID)
-        return list(np.linspace(lo, hi, count))
-    return _read(run, cmd, "lambdas", list(np.linspace(-5.0, 5.0, 21)), _grid)
+        lams = list(np.linspace(lo, hi, count))
+    if not lams or not np.all(np.isfinite(lams)):
+        raise ValueError(f"--lambdas needs finite couplings, not {flag!r}")
+    return lams
 
 
 def _real_problem(run: cfg.RunConfig):

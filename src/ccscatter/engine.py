@@ -27,11 +27,11 @@ the weight of the spike at 0 and the pieces, each carrying the weight of
 the spike at its right end.  A spike contributes the jump
 u' -> u' + lam * weight * u.  ``transfer_matrices`` walks the layout from
 0- to 1+, and every whole-interval quantity (coefficients, reflection,
-``propagate``, ``transfer_matrix``) is a read-out of it; spectral's phase
-count walks the same layout.  States inside a piece come from
-``_piece_states``, the rescaled products of the first k steps for every k:
-``reference_states`` reads them at lam = 0, where spikes are the identity,
-and spectral's phase count reads the sign of u from them.
+``propagate``, ``transfer_matrix``) and its error bound is a read-out of
+it; spectral's phase count walks the same layout.  States inside a piece
+come from ``_piece_states``, the rescaled products of the first k steps for
+every k: ``reference_states`` reads them at lam = 0, where spikes are the
+identity, and spectral's phase count reads the sign of u from them.
 """
 
 from __future__ import annotations
@@ -44,13 +44,14 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import IntegrationError
-from .problem import Pair, PotentialSpec, ScatteringProblem
+from .problem import Pair, PotentialSpec, ScatteringProblem, _segment_abs_integral
 
 # Gauss-Legendre 3-point nodes of a unit step, as a column: 1/2 + (-1, 0, 1) sqrt(15)/10
 _GAUSS_NODES = 0.5 + np.array([[-1.0], [0.0], [1.0]]) * (math.sqrt(15.0) / 10.0)
 _MAX_SUBSTEPS = 1 << 15
 _EPS = float(np.finfo(float).eps)
 _BLOCK_ENTRIES = 1 << 13  # steps x couplings per block of the sweep's product
+_ROUNDING = 4.0  # the error bound's rounding, in units of eps (see _rounding_bound)
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,8 @@ class TransferMatrix:
     """2x2 complex matrix propagating (u, u') across [0, 1] at one coupling.
 
     ``entries`` maps left data to right data *after* any spike at x = 1 has
-    been applied.  The determinant equals 1 up to rounding.
+    been applied.  The determinant equals 1 up to rounding.  ``err_estimate``
+    is the largest entry of the error bound of ``transfer_matrices``.
     """
 
     entries: tuple[tuple[complex, complex], tuple[complex, complex]]
@@ -98,6 +100,10 @@ class _Piece:
     @property
     def is_constant(self) -> bool:
         return len(self.q_coeffs) == 1 and len(self.v_coeffs) == 1
+
+    @functools.cached_property
+    def l1_norms(self) -> tuple[float, ...]:  # exact integrals of |Q| and |V| over the piece
+        return tuple(_segment_abs_integral(self.length, c) for c in (self.q_coeffs, self.v_coeffs))
 
 
 def _local_coeffs(pot: PotentialSpec, x: float) -> tuple[float, ...]:
@@ -360,6 +366,38 @@ def _piece_transfer(
         n = m
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2x2 matrices stored axes first, (2, 2, ...): faster than matmul."""
+    return a[:, :1] * b[None, 0] + a[:, 1:] * b[None, 1]
+
+
+def _rounding_bound(lams, scales, walk, before) -> np.ndarray:
+    """Entrywise bound (L, 2, 2) on the rounding of the walk's product.
+
+    The k-th matrix E_k of the walk, between the products B_k before it
+    (``before`` holds B_1 .. B_K-1) and A_k after it, adds 4 eps |A_k| W_k
+    |E_k| |B_k|.  W_k = (n_k + 1) I + [[0, h], [int |Q| + |lam| int |V|, 0]]
+    over the piece (W = I at a spike).  n_k + 1 counts the sub-step products
+    and the step entries; the off-diagonal part bounds the Magnus exponent,
+    whose rounding moves cosh and sinh, even in entries that pass zero.
+    """
+    n1, h, q_l1, v_l1 = (_ROUNDING * _EPS) * np.array(scales, dtype=float).T[..., None]
+    walk = np.ascontiguousarray(np.transpose(walk, (2, 3, 0, 1)))  # (2, 2, K, L)
+    x = np.abs(walk)
+    if before:
+        before_abs = np.abs(np.ascontiguousarray(np.transpose(before, (2, 3, 0, 1))))
+        x[:, :, 1:] = _mul(x[:, :, 1:], before_abs)
+    y = n1 * x
+    y[0] += h * x[1]
+    y[1] += (q_l1 + np.abs(lams) * v_l1) * x[0]
+    if before:
+        after = [walk[:, :, -1]]  # A_K-2 .. A_0
+        for k in range(len(scales) - 2, 0, -1):
+            after.append(_mul(after[-1], walk[:, :, k]))
+        y[:, :, :-1] = _mul(np.abs(np.stack(after[::-1], axis=2)), y[:, :, :-1])
+    return y.sum(axis=2).transpose(2, 0, 1)
+
+
 def _spike_matrices(lams: np.ndarray, weight: float) -> np.ndarray:
     out = np.zeros(lams.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = 1.0
@@ -384,25 +422,35 @@ def transfer_matrices(
     """Transfer matrices from 0- to 1+ for a batch of couplings.
 
     Walks the layout: the spike at 0, then each piece followed by the spike
-    at its right end.  Returns (matrices of shape (L, 2, 2), error
-    estimates of shape (L,)).
+    at its right end.  Returns (matrices, error bounds), both (L, 2, 2): the
+    library's one error model, which the read-outs only pass on.  It bounds
+    each entry's distance from the exact product of the layout's matrices:
+    truncation (the pieces' summed Richardson estimates times max-abs entry
+    + 1) plus rounding (``_rounding_bound``).  Against 60-digit oracles on the
+    corpus up to |lam| = 1e5 the true error stayed under a third of it.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     tol = problem.tolerances.ode_rtol if rtol is None else rtol
     jump0, pieces = _layout(problem.Q, problem.V)
-    M = np.broadcast_to(np.eye(2, dtype=complex), lams.shape + (2, 2)).copy()
-    err = np.zeros(lams.shape)
-    if jump0:
-        M = _spike_matrices(lams, jump0) @ M
+    spike = (1, 0.0, 0.0, 0.0)  # rounding scales: n + 1, h, int |Q|, int |V|
+    walk, scales = ([_spike_matrices(lams, jump0)], [spike]) if jump0 else ([], [])
+    rel_sum = np.zeros(lams.shape)
     for piece in pieces:
-        Mp, rel, _ = _piece_transfer(piece, lams, tol)
-        M = Mp @ M
-        err = err + rel
+        Mp, rel, n = _piece_transfer(piece, lams, tol)
+        walk.append(Mp)
+        scales.append((n + 1, piece.length, *piece.l1_norms))
+        rel_sum = rel_sum + rel
         if piece.jump:
-            M = _spike_matrices(lams, piece.jump) @ M
+            walk.append(_spike_matrices(lams, piece.jump))
+            scales.append(spike)
+    before = [walk[0] @ np.eye(2, dtype=complex)]  # a product, for the signs of its zeros
+    for E in walk[1:]:
+        before.append(E @ before[-1])
+    M = before.pop()
     if not np.all(np.isfinite(M.view(float))):
         raise IntegrationError("propagation produced non-finite values", 1.0)
-    return M, err * (_matrix_scale(M) + 1.0)
+    rounding = _rounding_bound(lams, scales, walk, before)
+    return M, (rel_sum * (_matrix_scale(M) + 1.0))[:, None, None] + rounding
 
 
 def propagate(problem: ScatteringProblem, lam: complex, init: Pair) -> Pair:
@@ -415,16 +463,15 @@ def propagate(problem: ScatteringProblem, lam: complex, init: Pair) -> Pair:
 
 def transfer_matrix(problem: ScatteringProblem, lam: complex) -> TransferMatrix:
     """Transfer matrix over [0, 1] at a single coupling value."""
-    M, err = transfer_matrices(problem, [lam])
+    M, bound = transfer_matrices(problem, [lam])
     m = M[0]
-    floor = 5e-16 * float(_matrix_scale(m)) * (len(_pieces(problem)) + 1)
     return TransferMatrix(
         entries=(
             (complex(m[0, 0]), complex(m[0, 1])),
             (complex(m[1, 0]), complex(m[1, 1])),
         ),
         lam=complex(lam),
-        err_estimate=float(err[0]) + floor,
+        err_estimate=float(bound[0].max()),
     )
 
 

@@ -35,7 +35,9 @@ class Coefficients:
     """The pair (a, b) at one coupling value.
 
     ``method`` records which route produced the values ("ode" or "series"),
-    ``err`` is the attached error estimate (certified for the series route).
+    ``err`` bounds the error of both values: on the ode route it is the
+    transfer matrices' entrywise bound carried through the Wronskians (see
+    ``coefficients_batch``), on the series route the series certificate.
     """
 
     a: complex
@@ -62,9 +64,15 @@ class ReflectionResult:
 def coefficients_batch(
     problem: ScatteringProblem, lams, *, rtol: float | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (a, b, err) over a batch of couplings."""
+    """Vectorized (a, b, err) over a batch of couplings.
+
+    ``err`` bounds the errors of a and b: the engine's entrywise bound on
+    the transfer matrices, carried through the maps to (u, u') and (a, b).
+    """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    M, err = engine.transfer_matrices(problem, lams, rtol=rtol)
+    if not len(lams):
+        return lams.copy(), lams.copy(), np.zeros(0)
+    M, bound = engine.transfer_matrices(problem, lams, rtol=rtol)
     ref = problem.ref
     u0, u0p = ref.u0_at_0
     u = M[:, 0, 0] * u0 + M[:, 0, 1] * u0p
@@ -73,10 +81,9 @@ def coefficients_batch(
     v1, v1p = ref.v0_at_1
     b = u1p * u - u1 * up
     a = v1 * up - v1p * u
-    scale = np.maximum(1.0, np.abs(u) + np.abs(up))
-    ref_scale = max(abs(u1), abs(u1p)) + max(abs(v1), abs(v1p))
-    err_out = (err + 5e-16 * scale) * ref_scale + 1e-16
-    return a, b, err_out
+    du = bound @ np.abs(ref.u0_at_0)  # bounds on the errors of (u, u')
+    err = np.maximum(du @ np.abs((u1p, u1)), du @ np.abs((v1p, v1)))
+    return a, b, err
 
 
 def coefficients(

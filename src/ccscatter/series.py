@@ -68,7 +68,7 @@ class QuadratureSpec:
 
 @functools.lru_cache(maxsize=16)
 def _reference_rule(g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes, weights and cumulative matrix on [-1, 1].
+    """Nodes, weights and cumulative matrix on [-1, 1], shared and read-only.
 
     The cumulative matrix C maps values at the g Gauss nodes to the
     integrals from -1 to each node of the degree-(g-1) interpolant.
@@ -78,31 +78,31 @@ def _reference_rule(g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     anti = npleg.legint(np.eye(g), axis=0)
     partial = npleg.legval(x, anti) - npleg.legval(-1.0, anti)[:, None]
     cum = partial.T @ np.linalg.inv(vand)
+    for a in (x, w, cum):
+        a.flags.writeable = False
     return x, w, cum
 
 
 class _Grid:
-    """Composite quadrature grid aligned with the potential breakpoints."""
+    """Composite quadrature grid aligned with the potential breakpoints.
+
+    Every panel holds the g nodes of the reference rule, so values on the
+    grid reshape to one row per panel.
+    """
 
     def __init__(self, problem: ScatteringProblem, spec: QuadratureSpec):
-        g = spec.nodes_per_panel
-        ref_x, ref_w, ref_cum = _reference_rule(g)
-        nodes, weights, panels, v = [], [], [], []
-        pos = 0
+        ref_x, self._ref_w, self._ref_cum = _reference_rule(spec.nodes_per_panel)
+        nodes, halves, v = [], [], []
         for piece in engine._pieces(problem):
             n_panels = max(1, int(np.ceil(piece.length * spec.panels_per_unit)))
             edges = np.linspace(piece.x0, piece.x1, n_panels + 1)
             for a, b in zip(edges[:-1], edges[1:]):
-                half = 0.5 * (b - a)
-                nodes.append(a + half * (ref_x + 1.0))
-                weights.append(half * ref_w)
-                panels.append((slice(pos, pos + g), half))
+                halves.append(0.5 * (b - a))
+                nodes.append(a + halves[-1] * (ref_x + 1.0))
                 v.append(npoly.polyval(nodes[-1] - piece.x0, piece.v_coeffs))
-                pos += g
+        self.half = np.array(halves)
         self.nodes = np.concatenate(nodes)
-        self.weights = np.concatenate(weights)
-        self.panels = panels
-        self._ref_cum = ref_cum
+        self.weights = (self.half[:, None] * self._ref_w).ravel()
         self.u0, _, self.v0, _ = engine.reference_states(problem, self.nodes)
         self.V = np.concatenate(v)
 
@@ -111,12 +111,10 @@ class _Grid:
 
     def cumulative(self, f: np.ndarray) -> np.ndarray:
         """int_0^{node} of the panel-wise interpolant of f."""
-        out = np.empty_like(f)
-        acc = 0.0 + 0.0j
-        for sl, half in self.panels:
-            out[sl] = acc + half * (self._ref_cum @ f[sl])
-            acc = acc + np.dot(self.weights[sl], f[sl])
-        return out
+        panels = f.reshape(len(self.half), -1)
+        totals = np.cumsum(self.half * (panels @ self._ref_w))
+        start = np.concatenate(([0.0], totals[:-1]))
+        return (start[:, None] + self.half[:, None] * (panels @ self._ref_cum.T)).ravel()
 
 
 @dataclass(frozen=True)

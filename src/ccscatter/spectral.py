@@ -26,18 +26,17 @@ coefficients, for a whole array of candidate centres at once.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
 from numpy.polynomial import polynomial as npoly
 
 from . import engine
 from .errors import WitnessNotFoundError
 from .problem import ScatteringProblem
 from .scattering import require_real_reference
+from .series import _reference_rule
 
 _PHASE_TOL = 1e-6
 
@@ -236,6 +235,8 @@ def negative_eigenvalue_count(
     eigenvalue); the strict count is still returned.
     """
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError(f"coupling must be finite, not {lam}")
     alpha1 = _terminal_phase(problem, lam, angles.theta0)
     t = (alpha1 + angles.theta1) / math.pi
     nearest = round(t)
@@ -266,14 +267,6 @@ def tent_gradient_energy(eps: float) -> float:
     return 3.0 / (eps * eps)
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], shared and read-only."""
-    xg, wg = npleg.leggauss(order)
-    xg.flags.writeable = wg.flags.writeable = False
-    return xg, wg
-
-
 def _tent_integrals(
     problem: ScatteringProblem, centers: np.ndarray, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -284,7 +277,7 @@ def _tent_integrals(
     """
     jump0, pieces = engine._layout(problem.Q, problem.V)
     deg = max(max(len(p.q_coeffs), len(p.v_coeffs)) - 1 for p in pieces)
-    xg, wg = _gauss_legendre(max(6, (deg + 3) // 2 + 1))
+    xg, wg, _ = _reference_rule(max(6, (deg + 3) // 2 + 1))
     iq, iv = np.zeros((2, len(centers)))
     for piece in pieces:
         i, j = np.searchsorted(centers, (piece.x0 - eps, piece.x1 + eps))
@@ -321,6 +314,8 @@ def tent_witness(
         Schedule exhausted.  Not a disproof; reported as inconclusive.
     """
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError(f"coupling must be finite, not {lam}")
     if N < 1:
         raise ValueError("witness size N must be >= 1")
     eps = 0.25

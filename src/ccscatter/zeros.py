@@ -517,8 +517,8 @@ def disk_zero_count_fn(
     node of the final contour.
     """
     r = float(r)
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"radius must be positive and finite, not {r}")
     if nodes < 1:
         raise ValueError("nodes must be >= 1")
     n = max(int(nodes), 64)

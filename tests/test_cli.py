@@ -138,6 +138,15 @@ def test_zeros_exit_code_on_degenerate(tmp_path, capsys):
         ["series", "noise_bed.json", "--order", "0"],
         ["witness", "box_barrier.json", "--tents", "0"],
         ["order", "sine_well.json", "--radii", "1,2"],
+        ["scan", "sine_well.json", "--lambdas=,"],
+        ["scan", "sine_well.json", "--lambdas=nan"],
+        ["scan", "sine_well.json", "--lambdas=0:nan:3"],
+        ["reflect", "traveling_barrier.json", "--lambdas=inf"],
+        ["series", "sine_well.json", "--lambdas=nan"],
+        ["eigencount", "sine_well.json", "--lambdas=nan"],
+        ["witness", "sine_well.json", "--coupling", "nan"],
+        ["count", "sine_well.json", "--radius", "nan"],
+        ["count", "sine_well.json", "--radius", "inf"],
     ],
 )
 def test_bad_flag_values_are_usage_errors(bundle_dir, capsys, args):

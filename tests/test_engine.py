@@ -322,7 +322,9 @@ def test_coefficients_at_coupling_1e5(name):
     """|lam| = 1e5 at the corpus tolerance, against a 2**16-step reference.
 
     The reference is formed in long double: in double, the rounding of
-    2**16 near-identity steps reaches about 2e-12 of the scale.
+    2**16 near-identity steps reaches about 2e-12 of the scale.  The
+    reported error bounds the difference with no slack, and stays within
+    3e-11 of the scale.
     """
     prob = getattr(catalog, name)()
     (piece,) = _pieces(prob)
@@ -336,7 +338,7 @@ def test_coefficients_at_coupling_1e5(name):
     for lam, a, b in zip(lams, want_a, want_b):
         got = coefficients(prob, lam)
         scale = max(1.0, abs(a), abs(b))
-        assert max(abs(got.a - a), abs(got.b - b)) <= got.err + 1e-12 * scale, lam
+        assert max(abs(got.a - a), abs(got.b - b)) <= got.err <= 3e-11 * scale, lam
 
 
 def test_batch_with_a_large_coupling_returns():

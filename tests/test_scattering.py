@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from ccscatter import (
     PotentialSpec,
@@ -15,8 +16,11 @@ from ccscatter import (
     coefficients_batch,
     realify,
     reflection,
+    spectral,
     v0_from_u0,
+    zeros,
 )
+from ccscatter.engine import _layout, transfer_matrices
 
 PI = math.pi
 
@@ -209,7 +213,6 @@ def _taylor_state_at_1(p, init):
     The coefficients obey (n + 2)(n + 1) u_{n+2} = sum_k p_k u_{n-k}; the
     sum runs until the terms have fallen far below the working precision.
     """
-    mp = pytest.importorskip("mpmath").mp
     c = [mp.mpc(init[0]), mp.mpc(init[1])]
     u, up = c[0] + c[1], c[1]
     min_terms = int(4 * math.sqrt(float(sum(abs(pk) for pk in p)))) + 40
@@ -226,15 +229,34 @@ def _taylor_state_at_1(p, init):
             return u, up
 
 
-def test_varying_pieces_against_power_series_oracle():
-    """(a, b) on polynomial potentials agree with a 60-digit series oracle.
+def _check_error_bounds(prob, lams, exact):
+    """Reported err against exact (a, b), in one batch and one coupling at a time.
 
-    The error contract of criterion 1: the true error stays within the
-    reported error plus 1e-8 max(1, |a|, |b|).  The series cancels terms
-    up to about exp(sqrt(sum |p_k|)), 1e41 on ramp_well at lam = 3000, so
-    60 digits still leave about 19 there; at |lam| = 1e4 they leave none.
+    The true error must stay within err with no slack, and err within
+    3e-11 of max(1, |a|, |b|).
     """
-    mp = pytest.importorskip("mpmath").mp
+    batch = coefficients_batch(prob, lams)
+    single = [np.concatenate(v) for v in zip(*(coefficients_batch(prob, [lam]) for lam in lams))]
+    for a, b, err in (batch, single):
+        for i, lam in enumerate(lams):
+            a_true, b_true = exact(lam)
+            true_err = float(max(abs(a[i] - a_true), abs(b[i] - b_true)))
+            assert true_err <= err[i] <= 3e-11 * max(1.0, abs(a[i]), abs(b[i])), lam
+
+
+def _readout(u, up, u0_at_1, v0_at_1):
+    """(a, b) from (u, u') at 1+ and the reference data there, in mpmath."""
+    (u1, u1p), (v1, v1p) = (map(mp.mpc, pair) for pair in (u0_at_1, v0_at_1))
+    return v1 * up - v1p * u, u1p * u - u1 * up
+
+
+def test_varying_pieces_against_power_series_oracle():
+    """(a, b) on polynomial potentials against a 60-digit series oracle.
+
+    The series cancels terms up to about exp(sqrt(sum |p_k|)), 1e41 on
+    ramp_well at lam = 3000, so 60 digits still leave about 19 there; at
+    |lam| = 1e4 they leave none.
+    """
     rng = np.random.default_rng(11)
     lams = np.concatenate(
         [
@@ -249,13 +271,70 @@ def test_varying_pieces_against_power_series_oracle():
             size = max(len(q), len(v))
             q = [mp.mpf(x) for x in q] + [mp.mpf(0)] * (size - len(q))
             v = [mp.mpf(x) for x in v] + [mp.mpf(0)] * (size - len(v))
-            u1, u1p = _taylor_state_at_1(q, prob.ref.u0_at_0)
-            v1, v1p = _taylor_state_at_1(q, prob.ref.v0_at_0)
-            a, b, err = coefficients_batch(prob, lams)
-            for i, lam in enumerate(lams):
+            at_1 = [_taylor_state_at_1(q, init) for init in (prob.ref.u0_at_0, prob.ref.v0_at_0)]
+
+            def exact(lam):
                 p = [qk + mp.mpc(lam) * vk for qk, vk in zip(q, v)]
-                u, up = _taylor_state_at_1(p, prob.ref.u0_at_0)
-                a_true, b_true = v1 * up - v1p * u, u1p * u - u1 * up
-                true_err = float(max(abs(a[i] - a_true), abs(b[i] - b_true)))
-                bound = err[i] + 1e-8 * max(1.0, abs(a[i]), abs(b[i]))
-                assert true_err <= bound, (name, lam)
+                return _readout(*_taylor_state_at_1(p, prob.ref.u0_at_0), *at_1)
+
+            _check_error_bounds(prob, lams, exact)
+
+
+def _exact_transfer(prob, lam):
+    """Product of the layout's exact piece and spike matrices at lam, in mpmath."""
+    lam = mp.mpc(lam)
+    jump0, pieces = _layout(prob.Q, prob.V)
+    M = mp.matrix([[1, 0], [lam * jump0, 1]])
+    for piece in pieces:
+        h = mp.mpf(piece.x1) - mp.mpf(piece.x0)
+        c = piece.q_coeffs[0] + lam * piece.v_coeffs[0]
+        k = mp.sqrt(c)
+        ch, shc = mp.cosh(h * k), (mp.sinh(h * k) / k if c else h)
+        M = mp.matrix([[1, 0], [lam * piece.jump, 1]]) * mp.matrix([[ch, shc], [c * shc, ch]]) * M
+    return M
+
+
+def test_constant_pieces_against_exact_matrices(corpus):
+    """The engine's entrywise bound and err hold on the constant-piece corpus.
+
+    The oracle is the 60-digit product of the exact cosh/sinh matrices of
+    the layout's pieces and of its spikes.  On each circle |lam| = 1 .. 1e5
+    12 couplings at random angles and 24 real ones in [-r, r]: the real ones
+    meet the cancellations between growing and oscillating pieces.
+    """
+    rng = np.random.default_rng(2026)
+    constant = [(n, p) for n, p in corpus if all(pc.is_constant for pc in _layout(p.Q, p.V)[1])]
+    assert len(constant) == 7
+    with mp.workdps(60):
+        for name, prob in constant:
+            u0, u0p = (mp.mpc(x) for x in prob.ref.u0_at_0)
+            M0 = _exact_transfer(prob, 0.0)
+            at_1 = [(M0[0, 0] * a + M0[0, 1] * b, M0[1, 0] * a + M0[1, 1] * b)
+                    for a, b in (prob.ref.u0_at_0, prob.ref.v0_at_0)]
+            for r in (1.0, 10.0, 1e2, 1e3, 1e4, 1e5):
+                lams = np.concatenate(
+                    [r * np.exp(2j * math.pi * rng.uniform(size=12)), rng.uniform(-r, r, 24) + 0j]
+                )
+                exact = [_exact_transfer(prob, lam) for lam in lams]
+                M, bound = transfer_matrices(prob, lams)
+                for m, b, e in zip(M, bound, exact):
+                    for i, j in np.ndindex(2, 2):
+                        assert abs(m[i, j] - e[i, j]) <= b[i, j], (name, i, j)
+                readout = {
+                    lam: _readout(e[0, 0] * u0 + e[0, 1] * u0p, e[1, 0] * u0 + e[1, 1] * u0p, *at_1)
+                    for lam, e in zip(lams, exact)
+                }
+                _check_error_bounds(prob, lams, readout.__getitem__)
+
+
+def test_empty_and_non_finite_couplings(sine_well):
+    a, b, err = coefficients_batch(sine_well, [])
+    assert a.shape == b.shape == err.shape == (0,)
+    angles = spectral.boundary_angles(sine_well)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            spectral.negative_eigenvalue_count(sine_well, bad, angles)
+        with pytest.raises(ValueError, match="finite"):
+            spectral.tent_witness(sine_well, bad, 1)
+        with pytest.raises(ValueError, match="finite"):
+            zeros.disk_zero_count(sine_well, bad)
