@@ -96,7 +96,7 @@ def _grid(spec) -> list[float]:
 
 
 def _resolve_lambdas(flag: str | None, run: cfg.RunConfig, cmd: str) -> list[float]:
-    if not flag:
+    if flag is None:
         return _read(run, cmd, "lambdas", list(np.linspace(-5.0, 5.0, 21)), _grid)
     try:
         if ":" not in flag:

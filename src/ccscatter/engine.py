@@ -18,9 +18,9 @@ Pieces with genuinely varying coefficients are swept with step pairs
 failed pair predicts the next n from the step's sixth order.
 
 Everything is vectorized over a batch of coupling values: the same
-subdivision is applied to every lam in the batch.  The steps of a piece are
-held as four component arrays, one per matrix entry, and multiplied by a
-pairwise reduction in log2(n) vectorized levels.
+subdivision is applied to every lam in the batch.  Every 2x2 matrix is held
+axes first, as a (2, 2, ...) array, and ``_mul`` is the one product; the
+steps of a piece are multiplied by a pairwise reduction in log2(n) levels.
 
 ``_layout`` is the one place that decides how [0, 1] is walked: it returns
 the weight of the spike at 0 and the pieces, each carrying the weight of
@@ -52,6 +52,7 @@ _MAX_SUBSTEPS = 1 << 15
 _EPS = float(np.finfo(float).eps)
 _BLOCK_ENTRIES = 1 << 13  # steps x couplings per block of the sweep's product
 _ROUNDING = 4.0  # the error bound's rounding, in units of eps (see _rounding_bound)
+_IDENTITY = np.eye(2)[:, :, None]  # broadcasts over a batch
 
 
 @dataclass(frozen=True)
@@ -161,15 +162,16 @@ def _cosh_sinhc(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ch, shc
 
 
-def _step_matrices(c: np.ndarray, h) -> tuple[np.ndarray, ...]:
-    """exp(Omega) for one sixth-order Magnus step, as its entries (a, b, c, d).
+def _step_matrices(c: np.ndarray, h, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(Omega) for one sixth-order Magnus step, as a (2, 2, ...) array.
 
     ``c`` holds c = Q + lam*V at the step's Gauss nodes, one row per node:
     three rows c1, c2, c3 on a varying piece, one row on a constant piece.
-    Each entry has the shape of a row; ``h`` is the step length, a float or
-    an array of that shape.  The entries are complex, at the precision of
-    ``c``.  With a = (sqrt(15)/3) h (c3 - c1) and b = (10/3) h (c3 - 2 c2 +
-    c1), the Magnus exponent is Omega = [[p, q], [r, -p]] where
+    The result's trailing axes are a row's; ``h`` is the step length, a
+    float or an array that broadcasts against a row.  The entries are
+    complex, at the precision of ``c``, written into ``out`` if given.  With
+    a = (sqrt(15)/3) h (c3 - c1) and b = (10/3) h (c3 - 2 c2 + c1), the
+    Magnus exponent is Omega = [[p, q], [r, -p]] where
 
         p = a (h^3 c2/180 + h^2 b/7200 - h/12)
         q = h - h^2 b/180 + h^3 a^2/3600
@@ -178,18 +180,23 @@ def _step_matrices(c: np.ndarray, h) -> tuple[np.ndarray, ...]:
     On a constant piece a = b = 0, so Omega = h [[0, 1], [c, 0]] exactly,
     and those terms are not formed.  Intermediates are freed as soon as
     they are used and p, q, r are scaled in place.  Overflow at extreme
-    couplings produces non-finite entries here; the sweep detects them and
-    raises IntegrationError, so warnings are suppressed rather than
+    couplings produces non-finite entries here; the callers detect them and
+    raise IntegrationError, so warnings are suppressed rather than
     surfaced.
     """
     hh = h * h
+    dtype = np.result_type(c, 1j)
+    out = np.empty((2, 2) + c.shape[1:], dtype=dtype) if out is None else out
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if len(c) == 1:
-            ch, shc = _cosh_sinhc(np.sqrt(np.multiply(c[0], hh, dtype=np.result_type(c, 1j))))
+            ch, shc = _cosh_sinhc(np.sqrt(np.multiply(c[0], hh, dtype=dtype)))
             shc *= h
-            return ch, shc, shc * c[0], ch.copy()
+            out[0, 0] = out[1, 1] = ch
+            out[0, 1] = shc
+            np.multiply(shc, c[0], out=out[1, 0])
+            return out
         c1, c2, c3 = c
-        a = np.multiply(c3 - c1, (math.sqrt(15.0) / 3.0) * h, dtype=np.result_type(c, 1j))
+        a = np.multiply(c3 - c1, (math.sqrt(15.0) / 3.0) * h, dtype=dtype)
         b = c3 + c1
         b -= 2.0 * c2
         b *= (10.0 / 3.0) * h
@@ -217,12 +224,12 @@ def _step_matrices(c: np.ndarray, h) -> tuple[np.ndarray, ...]:
         ch, shc = _cosh_sinhc(np.sqrt(s, out=s))
         del s
         p *= shc
-        q *= shc
-        r *= shc
-        del shc
-        d = ch - p
-        ch += p
-        return ch, q, r, d
+        np.multiply(q, shc, out=out[0, 1])
+        np.multiply(r, shc, out=out[1, 0])
+        del q, r, shc
+        np.add(ch, p, out=out[0, 0])
+        np.subtract(ch, p, out=out[1, 1])
+        return out
 
 
 def _node_values(piece: _Piece, n: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -245,63 +252,63 @@ def _nodes(piece: _Piece) -> np.ndarray:
     return _GAUSS_NODES[1:2] if piece.is_constant else _GAUSS_NODES
 
 
-def _product(later, earlier):
-    """Entries (a, b, c, d) of later @ earlier, for 2x2 matrices given by theirs."""
-    (la, lb, lc, ld), (ea, eb, ec, ed) = later, earlier
-    return la * ea + lb * ec, la * eb + lb * ed, lc * ea + ld * ec, lc * eb + ld * ed
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2x2 matrices stored axes first, (2, 2, ...): faster than matmul."""
+    out = a[:, :1] * b[None, 0]
+    out += a[:, 1:] * b[None, 1]
+    return out
 
 
-def _tree_product(steps):
-    """Product over axis 1 of 2x2 steps given by their entries, as a pairwise tree.
+def _tree_product(steps: np.ndarray) -> np.ndarray:
+    """Product over the last axis of (2, 2, ..., n) steps, as a pairwise tree.
 
     Each level multiplies neighbours, later times earlier; an odd last step
-    waits for the next level.  Axis 1 of the returned entries has length 1.
+    waits for the next level.  The result has the last axis removed.
     """
-    while steps[0].shape[1] > 1:
-        m = steps[0].shape[1] // 2 * 2
-        pairs = _product([x[:, 1:m:2] for x in steps], [x[:, 0:m:2] for x in steps])
-        if m < steps[0].shape[1]:
-            pairs = [np.hstack((p, x[:, m:])) for p, x in zip(pairs, steps)]
-        steps = pairs
-    return steps
+    while steps.shape[-1] > 1:
+        m = steps.shape[-1] // 2 * 2
+        pairs = _mul(steps[..., 1:m:2], steps[..., 0:m:2])
+        steps = np.concatenate((pairs, steps[..., m:]), axis=-1) if m < steps.shape[-1] else pairs
+    return steps[..., 0]
 
 
 def _sweep(piece: _Piece, lams: np.ndarray, n: int) -> np.ndarray:
-    """Transfer matrices across one piece with n Magnus sub-steps.
+    """Transfer matrices (2, 2, L) across one piece with n Magnus sub-steps.
 
     The steps are multiplied as one pairwise tree.  Its lower levels run on
     cache-sized blocks of a power-of-two number of steps, whose products
-    then finish the same tree, so blocking changes no rounding.
+    then finish the same tree, so blocking changes no rounding.  All blocks
+    write their steps into one buffer, each as a contiguous view of it.
     """
     q, v, h = _node_values(piece, n)
-    width = 1 << max(6, (_BLOCK_ENTRIES // len(lams)).bit_length() - 1)
+    width = 1 << max(6, (_BLOCK_ENTRIES // max(1, len(lams))).bit_length() - 1)
+    buffer = np.empty(4 * len(lams) * min(n, width), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = []
         for j in range(0, n, width):
             c = lams[:, None] * v[:, None, j : j + width] + q[:, None, j : j + width]
-            blocks.append(_tree_product(_step_matrices(c, h)))
-        if len(blocks) > 1:
-            blocks = [_tree_product([np.hstack(e) for e in zip(*blocks)])]
-    return np.concatenate(blocks[0], axis=1).reshape(-1, 2, 2)
+            steps = buffer[: 4 * c[0].size].reshape((2, 2) + c.shape[1:])
+            blocks.append(_tree_product(_step_matrices(c, h, steps)))
+        return _tree_product(np.stack(blocks, axis=-1))
 
 
 def _piece_states(piece: _Piece, lams: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Products of the first k steps of a piece, k = 1..n, at real couplings.
 
-    Returns entries (4, L, n) and log scales (L, n): the product of the first
-    k steps is exp(log scale) times the entries at index k - 1.  Recursive
-    doubling builds them; each level is divided by its max-abs entry, a
-    positive factor, which keeps every sign and rules out overflow.
+    Returns real matrices (2, 2, L, n) and log scales (L, n): the product of
+    the first k steps is exp(log scale) times the matrix at index k - 1.
+    Recursive doubling builds them; each level is divided by its max-abs
+    entry, a positive factor, which keeps every sign and rules out overflow.
     """
     q, v, h = _node_values(piece, n)
     c = lams[:, None] * v[:, None, :] + q[:, None, :]
-    prefix = np.array([e.real for e in _step_matrices(c, h)])
-    log_scale = np.zeros(prefix.shape[1:])
+    prefix = _step_matrices(c, h).real.copy()
+    log_scale = np.zeros(prefix.shape[2:])
     span = 1
     while span < n:
-        prefix[..., span:] = _product(prefix[..., span:], prefix[..., :-span])
+        prefix[..., span:] = _mul(prefix[..., span:], prefix[..., :-span])
         log_scale[:, span:] += log_scale[:, :-span]
-        peak = np.abs(prefix).max(axis=0)
+        peak = _matrix_scale(prefix)
         prefix /= peak
         log_scale += np.log(peak)
         span *= 2
@@ -309,13 +316,13 @@ def _piece_states(piece: _Piece, lams: np.ndarray, n: int) -> tuple[np.ndarray, 
 
 
 def _matrix_scale(M: np.ndarray) -> np.ndarray:
-    return np.abs(M).max(axis=(-2, -1))
+    return np.abs(M).max(axis=(0, 1))
 
 
 def _initial_substeps(piece: _Piece, lams: np.ndarray) -> int:
     qmax = max(abs(c) for c in piece.q_coeffs) * max(1.0, piece.length)
     vmax = max(abs(c) for c in piece.v_coeffs) * max(1.0, piece.length)
-    cmax = qmax + float(np.abs(lams).max()) * vmax
+    cmax = qmax + float(np.abs(lams).max(initial=0.0)) * vmax
     n = max(4, int(piece.length * math.sqrt(cmax) / 2.0) + 1)
     return min(n, _MAX_SUBSTEPS)
 
@@ -366,44 +373,28 @@ def _piece_transfer(
         n = m
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2x2 matrices stored axes first, (2, 2, ...): faster than matmul."""
-    return a[:, :1] * b[None, 0] + a[:, 1:] * b[None, 1]
+def _rounding_bound(lams, scales, walk, prods) -> np.ndarray:
+    """Entrywise bound (2, 2, L) on the rounding of the walk's product.
 
-
-def _rounding_bound(lams, scales, walk, before) -> np.ndarray:
-    """Entrywise bound (L, 2, 2) on the rounding of the walk's product.
-
-    The k-th matrix E_k of the walk, between the products B_k before it
-    (``before`` holds B_1 .. B_K-1) and A_k after it, adds 4 eps |A_k| W_k
-    |E_k| |B_k|.  W_k = (n_k + 1) I + [[0, h], [int |Q| + |lam| int |V|, 0]]
-    over the piece (W = I at a spike).  n_k + 1 counts the sub-step products
-    and the step entries; the off-diagonal part bounds the Magnus exponent,
-    whose rounding moves cosh and sinh, even in entries that pass zero.
+    The k-th matrix E_k of ``walk`` (2, 2, K, L), between the products B_k
+    before it (``prods`` holds E_k .. E_0) and A_k after it, adds 4 eps
+    |A_k| W_k |E_k| |B_k|.  W_k = (n_k + 1) I + [[0, h], [int |Q| + |lam|
+    int |V|, 0]] over the piece (W = I at a spike), from ``scales`` (4, K).
+    n_k + 1 counts the sub-step products and the step entries; the
+    off-diagonal part bounds the Magnus exponent, whose rounding moves cosh
+    and sinh, even in entries that pass zero.
     """
-    n1, h, q_l1, v_l1 = (_ROUNDING * _EPS) * np.array(scales, dtype=float).T[..., None]
-    walk = np.ascontiguousarray(np.transpose(walk, (2, 3, 0, 1)))  # (2, 2, K, L)
+    n1, h, q_l1, v_l1 = (_ROUNDING * _EPS) * scales[..., None]
     x = np.abs(walk)
-    if before:
-        before_abs = np.abs(np.ascontiguousarray(np.transpose(before, (2, 3, 0, 1))))
-        x[:, :, 1:] = _mul(x[:, :, 1:], before_abs)
+    x[:, :, 1:] = _mul(x[:, :, 1:], np.abs(prods[:, :, :-1]))
     y = n1 * x
     y[0] += h * x[1]
     y[1] += (q_l1 + np.abs(lams) * v_l1) * x[0]
-    if before:
-        after = [walk[:, :, -1]]  # A_K-2 .. A_0
-        for k in range(len(scales) - 2, 0, -1):
-            after.append(_mul(after[-1], walk[:, :, k]))
-        y[:, :, :-1] = _mul(np.abs(np.stack(after[::-1], axis=2)), y[:, :, :-1])
-    return y.sum(axis=2).transpose(2, 0, 1)
-
-
-def _spike_matrices(lams: np.ndarray, weight: float) -> np.ndarray:
-    out = np.zeros(lams.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = 1.0
-    out[..., 1, 1] = 1.0
-    out[..., 1, 0] = lams * weight
-    return out
+    after = walk[:, :, 1:].copy()  # A_0 .. A_K-2, from the last
+    for k in range(walk.shape[2] - 3, -1, -1):
+        after[:, :, k] = _mul(after[:, :, k + 1], walk[:, :, k + 1])
+    y[:, :, :-1] = _mul(np.abs(after), y[:, :, :-1])
+    return y.sum(axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -422,54 +413,62 @@ def transfer_matrices(
     """Transfer matrices from 0- to 1+ for a batch of couplings.
 
     Walks the layout: the spike at 0, then each piece followed by the spike
-    at its right end.  Returns (matrices, error bounds), both (L, 2, 2): the
-    library's one error model, which the read-outs only pass on.  It bounds
-    each entry's distance from the exact product of the layout's matrices:
-    truncation (the pieces' summed Richardson estimates times max-abs entry
-    + 1) plus rounding (``_rounding_bound``).  Against 60-digit oracles on the
-    corpus up to |lam| = 1e5 the true error stayed under a third of it.
+    at its right end, as one (2, 2, K, L) stack of K matrices.  All constant
+    pieces take one kernel call.  Returns (matrices, error bounds), both
+    (L, 2, 2): the library's one error model, which the read-outs only pass
+    on.  It bounds each entry's distance from the exact product of the
+    layout's matrices: truncation (the pieces' summed Richardson estimates
+    times max-abs entry + 1) plus rounding (``_rounding_bound``).  Against
+    60-digit oracles on the corpus up to |lam| = 1e5 the true error stayed
+    under a third of it.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     tol = problem.tolerances.ode_rtol if rtol is None else rtol
     jump0, pieces = _layout(problem.Q, problem.V)
-    spike = (1, 0.0, 0.0, 0.0)  # rounding scales: n + 1, h, int |Q|, int |V|
-    walk, scales = ([_spike_matrices(lams, jump0)], [spike]) if jump0 else ([], [])
-    rel_sum = np.zeros(lams.shape)
+    items = [jump0] if jump0 else []  # the walk: pieces, and spikes as their weights
     for piece in pieces:
-        Mp, rel, n = _piece_transfer(piece, lams, tol)
-        walk.append(Mp)
-        scales.append((n + 1, piece.length, *piece.l1_norms))
-        rel_sum = rel_sum + rel
-        if piece.jump:
-            walk.append(_spike_matrices(lams, piece.jump))
-            scales.append(spike)
-    before = [walk[0] @ np.eye(2, dtype=complex)]  # a product, for the signs of its zeros
-    for E in walk[1:]:
-        before.append(E @ before[-1])
-    M = before.pop()
-    if not np.all(np.isfinite(M.view(float))):
+        items += [piece, piece.jump] if piece.jump else [piece]
+    walk = np.empty((2, 2, len(items), len(lams)), dtype=complex)
+    scales = np.zeros((4, len(items)))  # rounding scales: n + 1, h, int |Q|, int |V|
+    rel_sum = np.zeros(lams.shape)
+    constant = []
+    for k, item in enumerate(items):
+        if not isinstance(item, _Piece):  # a spike's jump
+            walk[:, :, k] = _IDENTITY
+            walk[1, 0, k] = lams * item
+            scales[0, k] = 1.0
+        elif item.is_constant:
+            constant.append(k)
+            scales[:, k] = (2, item.length, *item.l1_norms)
+        else:
+            walk[:, :, k], rel, n = _piece_transfer(item, lams, tol)
+            rel_sum += rel
+            scales[:, k] = (n + 1, item.length, *item.l1_norms)
+    if constant:  # c = Q + lam*V of every constant piece, (K_c, L): one kernel call
+        v = np.array([items[k].v_coeffs for k in constant])
+        q = np.array([items[k].q_coeffs for k in constant])
+        walk[:, :, constant] = _step_matrices((lams * v + q)[None], scales[1, constant, None])
+    prods = walk.copy()  # E_k .. E_0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, len(items)):
+            prods[:, :, k] = _mul(walk[:, :, k], prods[:, :, k - 1])
+    M = prods[:, :, -1]
+    if not np.isfinite(M).all():
         raise IntegrationError("propagation produced non-finite values", 1.0)
-    rounding = _rounding_bound(lams, scales, walk, before)
-    return M, (rel_sum * (_matrix_scale(M) + 1.0))[:, None, None] + rounding
+    bound = rel_sum * (_matrix_scale(M) + 1.0) + _rounding_bound(lams, scales, walk, prods)
+    return M.transpose(2, 0, 1), bound.transpose(2, 0, 1)
 
 
 def propagate(problem: ScatteringProblem, lam: complex, init: Pair) -> Pair:
     """Propagate (u, u') from 0- to 1+ at coupling lam (spikes included)."""
-    M, _ = transfer_matrices(problem, [lam])
-    u = M[0, 0, 0] * init[0] + M[0, 0, 1] * init[1]
-    up = M[0, 1, 0] * init[0] + M[0, 1, 1] * init[1]
-    return (complex(u), complex(up))
+    return transfer_matrix(problem, lam).apply(init)
 
 
 def transfer_matrix(problem: ScatteringProblem, lam: complex) -> TransferMatrix:
     """Transfer matrix over [0, 1] at a single coupling value."""
     M, bound = transfer_matrices(problem, [lam])
-    m = M[0]
     return TransferMatrix(
-        entries=(
-            (complex(m[0, 0]), complex(m[0, 1])),
-            (complex(m[1, 0]), complex(m[1, 1])),
-        ),
+        entries=tuple(tuple(map(complex, row)) for row in M[0]),
         lam=complex(lam),
         err_estimate=float(bound[0].max()),
     )
@@ -498,17 +497,17 @@ def reference_states(
     pieces = _pieces(problem)
     # nodes of piece i: xs[edges[i]:edges[i + 1]], a cut going to the right
     edges = [0, *np.searchsorted(xs, [p.x0 for p in pieces[1:]]), len(xs)]
-    M = np.array([problem.ref.u0_at_0, problem.ref.v0_at_0]).T  # columns: u0, v0
-    out = np.empty((len(xs), 2, 2), dtype=complex)
+    (u, up), (v, vp) = problem.ref.u0_at_0, problem.ref.v0_at_0
+    M = np.array([[[u], [v]], [[up], [vp]]], dtype=complex)  # (2, 2, 1), columns: u0, v0
+    out = np.empty((2, 2, len(xs)), dtype=complex)
     for piece, lo, hi in zip(pieces, edges[:-1], edges[1:]):
         Mp, _, n = _piece_transfer(piece, zero, problem.tolerances.ode_rtol)
         prefix, log_scale = _piece_states(piece, zero, n)
-        states = np.hstack(([[1.0], [0.0], [0.0], [1.0]], prefix[:, 0] * np.exp(log_scale)))
+        states = np.concatenate((_IDENTITY, prefix[:, :, 0] * np.exp(log_scale[0])), axis=-1)
         h = piece.length / n
         k = np.clip(np.floor((xs[lo:hi] - piece.x0) / h), 0, n).astype(int)
         part = xs[lo:hi] - piece.x0 - k * h  # from the state after k sub-steps
         c = npoly.polyval(k * h + _nodes(piece) * part, piece.q_coeffs)
-        step = _product(_step_matrices(c, part), states[:, k])
-        out[lo:hi] = np.stack(step, axis=-1).reshape(-1, 2, 2) @ M
-        M = Mp[0] @ M
-    return out[:, 0, 0], out[:, 1, 0], out[:, 0, 1], out[:, 1, 1]
+        out[..., lo:hi] = _mul(_mul(_step_matrices(c, part), states[..., k]), M)
+        M = _mul(Mp, M)
+    return out[0, 0], out[1, 0], out[0, 1], out[1, 1]

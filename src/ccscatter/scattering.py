@@ -70,8 +70,6 @@ def coefficients_batch(
     the transfer matrices, carried through the maps to (u, u') and (a, b).
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    if not len(lams):
-        return lams.copy(), lams.copy(), np.zeros(0)
     M, bound = engine.transfer_matrices(problem, lams, rtol=rtol)
     ref = problem.ref
     u0, u0p = ref.u0_at_0

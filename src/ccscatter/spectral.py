@@ -161,9 +161,9 @@ def _varying_phase_fixed(alpha: float, piece: engine._Piece, lam: float, n: int)
     needed: the sign of u and the terminal angle are kept.  Each sign change
     of u between consecutive sub-steps is one crossing of a multiple of pi.
     """
-    prefix = engine._piece_states(piece, np.array([lam]), n)[0][:, 0]  # (4, n)
+    prefix = engine._piece_states(piece, np.array([lam]), n)[0][:, :, 0]  # (2, 2, n)
     start = (math.sin(alpha), math.cos(alpha))
-    states = prefix[0::2] * start[0] + prefix[1::2] * start[1]  # (2, n): (u, u')
+    states = prefix[:, 0] * start[0] + prefix[:, 1] * start[1]  # (2, n): (u, u')
     u = np.concatenate(([start[0]], states[0]))
     before, after = u[:-1], u[1:]
     crossed = (after == 0.0) | ((before != 0.0) & ((after < 0.0) != (before < 0.0)))

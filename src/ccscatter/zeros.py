@@ -357,8 +357,8 @@ def real_zero_scan_fn(
     lo, hi = float(interval[0]), float(interval[1])
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    if not lo < hi:
-        raise ValueError("interval must satisfy lo < hi")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"interval must be finite with lo < hi, not ({lo}, {hi})")
     grid = np.linspace(lo, hi, grid_points)
 
     def f(x: np.ndarray) -> np.ndarray:
@@ -540,10 +540,10 @@ def order_fit_fn(f_batch: Callable[[np.ndarray], np.ndarray], radii) -> GrowthFi
     radii = [float(r) for r in radii]
     if len(radii) < 4:
         raise ValueError("order fitting needs at least 4 radii")
-    if any(r <= 0 for r in radii) or any(
+    if not all(0 < r < math.inf for r in radii) or any(
         b <= a for a, b in zip(radii[:-1], radii[1:])
     ):
-        raise ValueError("radii must be positive and increasing")
+        raise ValueError(f"radii must be finite, positive and increasing, not {radii}")
     counts = []
     log_max = []
     for r in radii:

@@ -147,6 +147,11 @@ def test_zeros_exit_code_on_degenerate(tmp_path, capsys):
         ["witness", "sine_well.json", "--coupling", "nan"],
         ["count", "sine_well.json", "--radius", "nan"],
         ["count", "sine_well.json", "--radius", "inf"],
+        ["zeros", "sine_well.json", "--interval=0:inf"],
+        ["zeros", "sine_well.json", "--interval=-inf:0"],
+        ["order", "sine_well.json", "--radii", "100,1000,10000,inf"],
+        ["order", "sine_well.json", "--radii", "100,1000,10000,nan"],
+        ["scan", "sine_well.json", "--lambdas="],
     ],
 )
 def test_bad_flag_values_are_usage_errors(bundle_dir, capsys, args):

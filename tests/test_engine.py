@@ -207,26 +207,25 @@ def test_tree_product_matches_sequential_product(name):
             for lams in (complex_lams, complex_lams.real):
                 q, v, h = _node_values(piece, n)
                 coeffs = lams[:, None] * v[:, None, :] + q[:, None, :]
-                a, b, c, d = _step_matrices(coeffs, h)
-                steps = np.stack((a, b, c, d), axis=-1).reshape(L, n, 2, 2)
+                steps = _matrices_last(_step_matrices(coeffs, h))  # (L, n, 2, 2)
                 running = np.empty_like(steps)
                 running[:, 0] = M = steps[:, 0]
                 with np.errstate(over="ignore", invalid="ignore"):
                     for i in range(1, n):
                         running[:, i] = M = steps[:, i] @ M
                 finite = np.isfinite(M).all(axis=(1, 2))
-                swept = _sweep(piece, lams, n)
+                swept = _matrices_last(_sweep(piece, lams, n))
                 assert np.array_equal(np.isfinite(swept).all(axis=(1, 2)), finite), (L, n)
                 diff = np.abs(swept[finite] - M[finite]).max(axis=(1, 2))
-                assert np.all(diff <= 1e-12 * _matrix_scale(M[finite])), (L, n)
+                assert np.all(diff <= 1e-12 * np.abs(M[finite]).max(axis=(1, 2))), (L, n)
                 if np.iscomplexobj(lams):
                     continue
                 with np.errstate(over="ignore", invalid="ignore"):
                     prefix, log_scale = _piece_states(piece, lams, n)
-                    states = np.moveaxis(prefix * np.exp(log_scale), 0, -1).reshape(L, n, 2, 2)
+                    states = _matrices_last(prefix * np.exp(log_scale))
                 finite = np.isfinite(running).all(axis=(2, 3))
                 diff = np.abs(states - running).max(axis=(2, 3))[finite]
-                assert np.all(diff <= 1e-12 * _matrix_scale(running)[finite]), (L, n)
+                assert np.all(diff <= 1e-12 * np.abs(running).max(axis=(2, 3))[finite]), (L, n)
 
 
 def test_piece_states_stay_finite_past_float_range():
@@ -236,6 +235,11 @@ def test_piece_states_stay_finite_past_float_range():
     assert np.all(np.isfinite(prefix)) and np.all(np.isfinite(log_scale))
     assert np.abs(prefix).max() <= 1.0
     assert log_scale.max() > math.log(np.finfo(float).max)
+
+
+def _matrices_last(x):
+    """The engine's (2, 2, ...) matrices as (..., 2, 2), for matmul."""
+    return np.moveaxis(x, (0, 1), (-2, -1))
 
 
 def _varying_piece(name):
@@ -331,7 +335,7 @@ def test_coefficients_at_coupling_1e5(name):
     lams = np.array([1e5, -1e5, 1e5j])
     q, v, h = _node_values(piece, 1 << 16)
     c = lams.astype(np.clongdouble)[:, None] * v[:, None, :] + q.astype(np.longdouble)[:, None, :]
-    M = [e[:, 0].astype(complex) for e in _tree_product(_step_matrices(c, h))]
+    M = _tree_product(_step_matrices(c, h)).reshape(4, -1).astype(complex)
     (u0, u0p), (u1, u1p), (v1, v1p) = prob.ref.u0_at_0, prob.ref.u0_at_1, prob.ref.v0_at_1
     u, up = M[0] * u0 + M[1] * u0p, M[2] * u0 + M[3] * u0p
     want_a, want_b = v1 * up - v1p * u, u1p * u - u1 * up
@@ -392,6 +396,87 @@ def test_overflow_on_a_varying_piece_raises_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError, match="propagation overflowed"):
             coefficients(catalog.ramp_well(), -3e6)
+
+
+@pytest.mark.parametrize(
+    "name, lam",
+    [
+        ("sine_well", 1e6j),
+        ("sine_well", 3e6 + 3e6j),
+        ("traveling_barrier", 1e6j),
+        ("traveling_barrier", 3e6 + 3e6j),
+        ("noise_bed", 1e7),
+        ("noise_bed", -1e7),
+        ("noise_bed", 3e6 + 3e6j),
+    ],
+)
+def test_overflow_in_the_walk_raises_without_a_warning(name, lam):
+    """Non-finite steps or products raise before numpy warns about them."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="non-finite"):
+            coefficients_batch(getattr(catalog, name)(), [1.0, lam])
+
+
+def _mixed_walk_problem():
+    """Constant, varying and constant pieces, with spikes at 0, at the first cut and at 1."""
+    Q = PotentialSpec(((0.0, 0.3, (2.0,)), (0.3, 0.7, (1.0, -4.0, 5.0)), (0.7, 1.0, (-3.0,))))
+    V = PotentialSpec(
+        ((0.0, 0.3, (-1.0,)), (0.3, 0.7, (0.5, 2.0)), (0.7, 1.0, (1.5,))),
+        ((0.0, 0.4), (0.3, -0.7), (1.0, 0.25)),
+    )
+    return build_problem(Q, V, (1.0, 0.0))
+
+
+def _sequential_walk(prob, lams):
+    """Product, in walk order and by matmul, of each piece's matrix and the spike jumps."""
+    jump0, pieces = engine._layout(prob.Q, prob.V)
+
+    def jump(weight):
+        out = np.zeros((len(lams), 2, 2), dtype=complex)
+        out[:, 0, 0] = out[:, 1, 1] = 1.0
+        out[:, 1, 0] = lams * weight
+        return out
+
+    M = jump(jump0)
+    for piece in pieces:
+        Mp, _, _ = _piece_transfer(piece, lams, prob.tolerances.ode_rtol)
+        M = _matrices_last(Mp) @ M
+        M = jump(piece.jump) @ M
+    return M
+
+
+def test_walk_mixing_constant_and_varying_pieces():
+    prob = _mixed_walk_problem()
+    jump0, pieces = engine._layout(prob.Q, prob.V)
+    assert jump0 and [p.is_constant for p in pieces] == [True, False, True]
+    assert [p.jump != 0.0 for p in pieces] == [True, False, True]
+    rng = np.random.default_rng(23)
+    radii = 10.0 ** rng.uniform(0.0, 3.0, 12)
+    lams = radii * np.concatenate((np.exp(2j * PI * rng.uniform(size=6)), [1, -1] * 3))
+    M, bound = transfer_matrices(prob, lams)
+    assert M.shape == bound.shape == (len(lams), 2, 2)
+    assert np.all(np.abs(M - _sequential_walk(prob, lams)) <= bound)
+    for lam in lams:
+        M1, bound1 = transfer_matrices(prob, [lam])
+        assert np.all(np.abs(M1 - _sequential_walk(prob, np.array([lam]))) <= bound1), lam
+
+
+@pytest.mark.parametrize("name", ["noise_bed", "sine_well", "delta_pair"])
+def test_constant_pieces_take_one_kernel_call(name, monkeypatch):
+    calls = []
+    step_matrices = engine._step_matrices
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return step_matrices(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_step_matrices", counting)
+    prob = getattr(catalog, name)()
+    for lams in ([1.0], np.linspace(-50.0, 50.0, 16) + 2j):
+        calls.clear()
+        transfer_matrices(prob, lams)
+        assert len(calls) == 1, calls
 
 
 def test_reference_states_closed_form(sine_well):

@@ -327,9 +327,12 @@ def test_constant_pieces_against_exact_matrices(corpus):
                 _check_error_bounds(prob, lams, readout.__getitem__)
 
 
-def test_empty_and_non_finite_couplings(sine_well):
-    a, b, err = coefficients_batch(sine_well, [])
-    assert a.shape == b.shape == err.shape == (0,)
+def test_empty_and_non_finite_couplings(corpus, sine_well):
+    for name, prob in corpus:
+        M, bound = transfer_matrices(prob, [])
+        assert M.shape == bound.shape == (0, 2, 2), name
+        a, b, err = coefficients_batch(prob, [])
+        assert a.shape == b.shape == err.shape == (0,), name
     angles = spectral.boundary_angles(sine_well)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
