@@ -40,6 +40,7 @@ from .scattering import (
     coefficients_batch,
     realify,
     reflection,
+    reflection_batch,
 )
 from .series import (
     M_constant,
@@ -55,6 +56,7 @@ from .spectral import (
     TentWitness,
     boundary_angles,
     negative_eigenvalue_count,
+    negative_eigenvalue_counts,
     tent_gradient_energy,
     tent_value,
     tent_witness,
@@ -116,6 +118,7 @@ __all__ = [
     "kernel",
     "load_config",
     "negative_eigenvalue_count",
+    "negative_eigenvalue_counts",
     "order_fit",
     "order_fit_fn",
     "problem_from_dict",
@@ -125,6 +128,7 @@ __all__ = [
     "real_zero_scan_fn",
     "realify",
     "reflection",
+    "reflection_batch",
     "series_coefficients",
     "tent_gradient_energy",
     "tent_value",

@@ -28,7 +28,8 @@ from .errors import (
     ScatterError,
     WitnessNotFoundError,
 )
-from .scattering import coefficients_batch, realify, reflection
+# reflection is unused here, but perfbench/tracing.py wraps cli.reflection by name
+from .scattering import coefficients_batch, realify, reflection, reflection_batch  # noqa: F401
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,22 +153,19 @@ def _cmd_scan(run: cfg.RunConfig, args) -> list[dict]:
 
 def _cmd_reflect(run: cfg.RunConfig, args) -> list[dict]:
     lams = _resolve_lambdas(args.lambdas, run, "reflect")
-    rows = []
-    for lam in lams:
-        res = reflection(run.problem, lam)
-        rows.append(
-            {
-                "lambda": float(lam),
-                "alpha_re": res.alpha.real,
-                "alpha_im": res.alpha.imag,
-                "beta_re": res.beta.real,
-                "beta_im": res.beta.imag,
-                "R": res.R,
-                "flux_defect": res.flux_defect,
-                "method": "ode",
-            }
-        )
-    return rows
+    return [
+        {
+            "lambda": float(lam),
+            "alpha_re": res.alpha.real,
+            "alpha_im": res.alpha.imag,
+            "beta_re": res.beta.real,
+            "beta_im": res.beta.imag,
+            "R": res.R,
+            "flux_defect": res.flux_defect,
+            "method": "ode",
+        }
+        for lam, res in zip(lams, reflection_batch(run.problem, lams))
+    ]
 
 
 def _cmd_series(run: cfg.RunConfig, args) -> list[dict]:
@@ -261,19 +259,16 @@ def _cmd_order(run: cfg.RunConfig, args) -> list[dict]:
 def _cmd_eigencount(run: cfg.RunConfig, args) -> list[dict]:
     lams = _resolve_lambdas(args.lambdas, run, "eigencount")
     problem = _real_problem(run)
-    angles = spectral.boundary_angles(problem)
-    rows = []
-    for lam in lams:
-        count = spectral.negative_eigenvalue_count(problem, lam, angles)
-        rows.append(
-            {
-                "lambda": float(lam),
-                "count": int(count),
-                "boundary_degenerate": int(count.boundary_degenerate),
-                "method": "prufer",
-            }
-        )
-    return rows
+    counts = spectral.negative_eigenvalue_counts(problem, lams, spectral.boundary_angles(problem))
+    return [
+        {
+            "lambda": float(lam),
+            "count": int(count),
+            "boundary_degenerate": int(count.boundary_degenerate),
+            "method": "prufer",
+        }
+        for lam, count in zip(lams, counts)
+    ]
 
 
 def _cmd_witness(run: cfg.RunConfig, args) -> list[dict]:

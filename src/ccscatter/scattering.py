@@ -98,14 +98,14 @@ def coefficients(
     )
 
 
-def reflection(problem: ScatteringProblem, lam: float) -> ReflectionResult:
-    """Reflection probability R = |beta/alpha|^2 at a real coupling.
+def reflection_batch(problem: ScatteringProblem, lams) -> list[ReflectionResult]:
+    """Reflection probabilities R = |beta/alpha|^2 at real couplings.
 
     Requires a traveling-wave reference solution: W[u0, conj(u0)] must be
     nonzero.  For real-valued u0 there is no traveling basis; realify the
-    problem and use the Wronskian-coefficient machinery instead.
+    problem and use the Wronskian-coefficient machinery instead.  One
+    ``coefficients_batch`` call gives every coupling's (a, b).
     """
-    lam = float(lam)
     ref = problem.ref
     u0_0 = ref.u0_at_0
     u0bar_0 = (u0_0[0].conjugate(), u0_0[1].conjugate())
@@ -116,18 +116,22 @@ def reflection(problem: ScatteringProblem, lam: float) -> ReflectionResult:
             "reference solution is (a multiple of) a real solution; "
             "apply realify() and work with the real-solution machinery"
         )
-    a, b, _ = coefficients_batch(problem, [lam])
+    a, b, _ = coefficients_batch(problem, np.asarray(lams, dtype=float))
     u0_1 = ref.u0_at_1
     u0bar_1 = (u0_1[0].conjugate(), u0_1[1].conjugate())
     # u_lam = a u0 + b v0 past the spikes; Wronskians with u0 and conj(u0)
     # at 1 split it into the traveling pair
-    beta = b[0] / wronskian(u0_1, u0bar_1)
-    alpha = a[0] + b[0] * wronskian(u0bar_1, ref.v0_at_1) / wronskian(u0bar_1, u0_1)
-    R = abs(beta / alpha) ** 2
-    flux_defect = abs(abs(alpha) ** 2 - abs(beta) ** 2 - 1.0)
-    return ReflectionResult(
-        alpha=complex(alpha), beta=complex(beta), R=float(R), flux_defect=float(flux_defect)
-    )
+    beta = b / wronskian(u0_1, u0bar_1)
+    alpha = a + b * wronskian(u0bar_1, ref.v0_at_1) / wronskian(u0bar_1, u0_1)
+    R = np.abs(beta / alpha) ** 2
+    flux_defect = np.abs(np.abs(alpha) ** 2 - np.abs(beta) ** 2 - 1.0)
+    rows = zip(alpha.tolist(), beta.tolist(), R.tolist(), flux_defect.tolist())
+    return [ReflectionResult(*row) for row in rows]
+
+
+def reflection(problem: ScatteringProblem, lam: float) -> ReflectionResult:
+    """Reflection probability at one real coupling: ``reflection_batch`` of one."""
+    return reflection_batch(problem, [lam])[0]
 
 
 def realify(problem: ScatteringProblem) -> ScatteringProblem:

@@ -10,12 +10,10 @@ representation u = rho sin(alpha), u' = rho cos(alpha), integrated at
 energy zero: the phase can cross multiples of pi only upward, so the
 terminal phase against the right boundary mark gives the count exactly.
 
-On constant-coefficient pieces the phase advance is evaluated in closed
-form (trigonometric zero counting).  Varying pieces take rotation-bounded
-Magnus sub-steps: the engine's ``_piece_states`` returns the states after
-every sub-step as rescaled prefix products of its step matrices, and
-crossings are counted as sign changes of u between consecutive states,
-all in one vectorized pass.
+A batch of phases walks the layout together, item by item: each spike or piece
+maps (sin alpha, cos alpha) through its real state map, free of scale, and counts
+the zeros of u inside it, in closed form on constant pieces, and one coupling at a
+time from the engine's states after every Magnus sub-step on varying pieces.
 
 Tent functions phi_eps(x) = sqrt(3/2) eps^{-3/2} (eps - |x|)_+ supply
 minimax witnesses: N disjointly supported tents with negative Rayleigh
@@ -104,145 +102,128 @@ def boundary_angles(problem: ScatteringProblem) -> BoundaryAngles:
 # Pruefer phase integration at energy zero
 
 
-def _phase_from_state(u_e: float, up_e: float, strip: int) -> float:
-    """Continuous phase for terminal data known to sit in the given strip.
+def _phase_from_state(u_e: np.ndarray, up_e: np.ndarray, strip: np.ndarray) -> np.ndarray:
+    """Phases of states (u_e, u_e') known to sit in the given strips of width pi.
 
-    ``strip`` counts crossed multiples of pi.  In the strip, sin(alpha)
-    carries the sign (-1)^strip; when roundoff flips the sign of a
-    structurally vanishing u_e, the raw angle would gain or lose a whole
-    pi, so inconsistent states are snapped to the nearest mark (which one
-    is decided by the sign of u').
+    In strip k, alpha = k pi + delta with sin(delta) = (-1)^k sin(alpha) >= 0,
+    so a vanishing u_e whose sign roundoff flipped stays at a mark, not pi away.
     """
-    sigma = -1.0 if strip % 2 else 1.0
-    delta = math.atan2(sigma * u_e, sigma * up_e)
-    if 0.0 <= delta < math.pi:
-        return strip * math.pi + delta
-    if -0.5 * math.pi < delta < 0.0:  # noise just above the mark strip*pi
-        return strip * math.pi
-    return (strip + 1) * math.pi  # at/just below the next mark
+    base = strip * math.pi
+    return base + np.arctan2(np.abs(u_e), np.cos(base) * up_e)  # cos(k pi) = (-1)^k
 
 
-def _constant_piece_phase(alpha: float, c: float, h: float) -> float:
-    """Advance the phase across u'' = c u over length h, exactly."""
-    u0 = math.sin(alpha)
-    up0 = math.cos(alpha)
-    k_in = math.floor(alpha / math.pi)
-    if c < 0.0:
-        w_freq = math.sqrt(-c)
-        u_e = u0 * math.cos(w_freq * h) + up0 * math.sin(w_freq * h) / w_freq
-        up_e = -u0 * w_freq * math.sin(w_freq * h) + up0 * math.cos(w_freq * h)
-        # zeros of A sin(w x + phi) in (0, h]
-        phi = math.atan2(u0, up0 / w_freq)
-        crossings = math.floor((w_freq * h + phi) / math.pi) - math.floor(
-            phi / math.pi
-        )
-    else:
-        if c == 0.0:
-            u_e = u0 + up0 * h
-            up_e = up0
-        else:
-            mu = math.sqrt(c)
-            u_e = u0 * math.cosh(mu * h) + up0 * math.sinh(mu * h) / mu
-            up_e = u0 * mu * math.sinh(mu * h) + up0 * math.cosh(mu * h)
-        if u0 == 0.0:
-            crossings = 0
-        elif u_e == 0.0 or (u_e < 0.0) != (u0 < 0.0):
-            crossings = 1
-        else:
-            crossings = 0
-    return _phase_from_state(u_e, up_e, k_in + crossings)
+def _crossed(before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """Whether u lands on 0 or changes sign from a nonzero value between two
+    states: x (x + y) = 0 for x = sign(after), y = sign(before)."""
+    x = np.sign(after)
+    return x * (x + np.sign(before)) == 0.0
 
 
-def _varying_phase_fixed(alpha: float, piece: engine._Piece, lam: float, n: int) -> float:
-    """Phase advance across a varying piece with n Magnus sub-steps.
-
-    The state after each sub-step comes from the engine's prefix products,
-    which are positive multiples of the true ones, so their scales are not
-    needed: the sign of u and the terminal angle are kept.  Each sign change
-    of u between consecutive sub-steps is one crossing of a multiple of pi.
-    """
-    prefix = engine._piece_states(piece, np.array([lam]), n)[0][:, :, 0]  # (2, 2, n)
-    start = (math.sin(alpha), math.cos(alpha))
-    states = prefix[:, 0] * start[0] + prefix[:, 1] * start[1]  # (2, n): (u, u')
-    u = np.concatenate(([start[0]], states[0]))
-    before, after = u[:-1], u[1:]
-    crossed = (after == 0.0) | ((before != 0.0) & ((after < 0.0) != (before < 0.0)))
-    k = math.floor(alpha / math.pi) + int(np.count_nonzero(crossed))
-    return _phase_from_state(float(states[0, -1]), float(states[1, -1]), k)
-
-
-def _varying_piece_phase(alpha: float, piece: engine._Piece, lam: float) -> float:
-    """Stepped phase advance, refined until the terminal phase settles.
-
-    The initial step count keeps each sub-step shorter than the zero
-    spacing pi/sqrt(|c|), so sign changes detect crossings one at a time;
-    doubling then drives the sixth-order phase error well below the
-    documented resolution.
-    """
-    xs = np.linspace(0.0, piece.length, 9)
-    cmax = float(
-        np.abs(
-            npoly.polyval(xs, piece.q_coeffs) + lam * npoly.polyval(xs, piece.v_coeffs)
-        ).max()
-    )
-    n = max(16, int(piece.length * (math.sqrt(cmax) + 1.0) * 4.0) + 1)
-    val = _varying_phase_fixed(alpha, piece, lam, n)
-    while n <= 1 << 14:
-        n *= 2
-        refined = _varying_phase_fixed(alpha, piece, lam, n)
-        if abs(refined - val) <= 1e-9 * (1.0 + abs(refined)):
-            return refined
-        val = refined
-    return val
-
-
-def _spike_phase_jump(alpha: float, lam: float, weight: float) -> float:
-    k = math.floor(alpha / math.pi)
-    beta = alpha - k * math.pi
-    s, c = math.sin(beta), math.cos(beta)
-    if s == 0.0:
+def _spike_phase(alpha: np.ndarray, lams: np.ndarray, weight: float) -> np.ndarray:
+    """A spike maps (u, u') to (u, u' + lam weight u) and crosses no mark."""
+    if not weight:
         return alpha
-    beta_new = math.atan2(s, c + lam * weight * s)
-    return k * math.pi + beta_new
+    u = np.sin(alpha)
+    return _phase_from_state(u, np.cos(alpha) + lams * weight * u, np.floor(alpha / math.pi))
 
 
-def _terminal_phase(problem: ScatteringProblem, lam: float, theta0: float) -> float:
-    alpha = (-theta0) % math.pi
+def _oscillating_phase(alpha: np.ndarray, c: np.ndarray, h: float) -> np.ndarray:
+    """Phases across u'' = -w^2 u: the angle atan2(w u, u') shares the marks of alpha
+    and advances by exactly wh, and (u, u') is a positive multiple of (sin, w cos) of it."""
+    w = np.sqrt(-c)
+    psi = _phase_from_state(w * np.sin(alpha), np.cos(alpha), np.floor(alpha / math.pi)) + w * h
+    return _phase_from_state(np.sin(psi), w * np.cos(psi), np.floor(psi / math.pi))
+
+
+def _growing_phase(alpha: np.ndarray, c: np.ndarray, h: float) -> np.ndarray:
+    """Phases across u'' = w^2 u by the map [[1, t/w], [w t, 1]], t = tanh(wh), a
+    positive multiple of the exact one that cannot overflow; u changes sign at most
+    once.  c = 0 is read as c = 1e-300, where t/w is h to rounding."""
+    w = np.sqrt(np.maximum(c, 1e-300))
+    t = np.tanh(w * h)
+    u, up = np.sin(alpha), np.cos(alpha)
+    u_e = u + t / w * up
+    return _phase_from_state(u_e, w * t * u + up, np.floor(alpha / math.pi) + _crossed(u, u_e))
+
+
+def _constant_piece_phase(alpha: np.ndarray, piece: engine._Piece, lams: np.ndarray):
+    """Phases across a piece where u'' = c u with constant c, exactly, each
+    coupling by the map of its sign of c."""
+    c = piece.q_coeffs[0] + lams * piece.v_coeffs[0]
+    osc = c < 0.0
+    n_osc = np.count_nonzero(osc)
+    if n_osc in (0, len(c)):
+        return (_oscillating_phase if n_osc else _growing_phase)(alpha, c, piece.length)
+    out = np.empty_like(alpha)
+    for sel, advance in ((osc, _oscillating_phase), (~osc, _growing_phase)):
+        out[sel] = advance(alpha[sel], c[sel], piece.length)
+    return out
+
+
+def _stepped_phase(alpha: float, piece: engine._Piece, lam: float, n: int) -> float:
+    """Phase across a varying piece at one coupling with n Magnus sub-steps, counting each
+    sign change of u between sub-step states; its (2, 2, n) arrays die on return."""
+    prefix = engine._piece_states(piece, np.array([lam]), n)[0][:, :, 0]  # (2, 2, n)
+    u0, up0 = math.sin(alpha), math.cos(alpha)
+    states = prefix[:, 0] * u0 + prefix[:, 1] * up0  # (2, n): (u, u')
+    u = np.concatenate(([u0], states[0]))
+    strip = math.floor(alpha / math.pi) + np.count_nonzero(_crossed(u[:-1], u[1:]))
+    return float(_phase_from_state(states[0, -1], states[1, -1], strip))
+
+
+def _varying_piece_phase(alpha: np.ndarray, piece: engine._Piece, lams: np.ndarray):
+    """Phases across a varying piece, from n sub-steps doubled until they settle.
+
+    Every coupling is stepped on its own, from a first n that keeps sub-steps
+    shorter than its zero spacing pi/sqrt(|c|), so its cost and memory do not
+    depend on the rest of the batch.
+    """
+    xs = np.arange(9) * (piece.length / 8.0)  # np.linspace(0, length, 9), bit for bit
+    c = npoly.polyval(xs, piece.q_coeffs) + lams[:, None] * npoly.polyval(xs, piece.v_coeffs)
+    first = np.floor(piece.length * (np.sqrt(np.abs(c).max(axis=1)) + 1.0) * 4.0) + 1.0
+    out = np.empty_like(alpha)
+    for j, lam in enumerate(lams.tolist()):
+        n = max(16, int(first[j]))
+        val = _stepped_phase(alpha[j], piece, lam, n)
+        while n <= 1 << 14:
+            n, coarse = 2 * n, val
+            val = _stepped_phase(alpha[j], piece, lam, n)
+            if abs(val - coarse) <= 1e-9 * (1.0 + abs(val)):
+                break
+        out[j] = val
+    return out
+
+
+def negative_eigenvalue_counts(
+    problem: ScatteringProblem, lams, angles: BoundaryAngles
+) -> list[EigenvalueCount]:
+    """Numbers of negative eigenvalues of H_lam under the theta conditions.
+
+    The energy-zero phases of all couplings walk the layout together from the left
+    condition and are read against the right boundary mark: exact while phases are
+    resolved to much better than pi (the phase tolerance 1e-6).  A phase on the mark
+    within it flags ``boundary_degenerate``: zero is an eigenvalue, and is not counted.
+    """
+    lams = np.array(lams, dtype=float, ndmin=1)
+    if not np.isfinite(lams).all():
+        raise ValueError(f"coupling must be finite, not {lams[~np.isfinite(lams)][0]}")
+    alpha = np.full(len(lams), (-angles.theta0) % math.pi)
     jump0, pieces = engine._layout(problem.Q, problem.V)
-    if jump0:
-        alpha = _spike_phase_jump(alpha, lam, jump0)
+    alpha = _spike_phase(alpha, lams, jump0)
     for piece in pieces:
-        if piece.is_constant:
-            c = piece.q_coeffs[0] + lam * piece.v_coeffs[0]
-            alpha = _constant_piece_phase(alpha, c, piece.length)
-        else:
-            alpha = _varying_piece_phase(alpha, piece, lam)
-        if piece.jump:
-            alpha = _spike_phase_jump(alpha, lam, piece.jump)
-    return alpha
+        advance = _constant_piece_phase if piece.is_constant else _varying_piece_phase
+        alpha = _spike_phase(advance(alpha, piece, lams), lams, piece.jump)
+    ts = ((alpha + angles.theta1) / math.pi).tolist()  # past the right mark, in units of pi
+    on_mark = [abs(t - round(t)) * math.pi <= _PHASE_TOL for t in ts]
+    counts = [round(t) - 1 if flag else math.floor(t) for t, flag in zip(ts, on_mark)]
+    return [EigenvalueCount(max(0, k), flag) for k, flag in zip(counts, on_mark)]
 
 
 def negative_eigenvalue_count(
     problem: ScatteringProblem, lam: float, angles: BoundaryAngles
 ) -> EigenvalueCount:
-    """Number of negative eigenvalues of H_lam under the theta conditions.
-
-    The energy-zero phase is integrated from the left condition and read
-    against the right boundary mark; the result is exact while individual
-    phases are resolved to much better than pi (the documented resolution
-    bound is the phase tolerance 1e-6).  A terminal phase landing on the
-    mark within tolerance flags ``boundary_degenerate`` (zero is an
-    eigenvalue); the strict count is still returned.
-    """
-    lam = float(lam)
-    if not math.isfinite(lam):
-        raise ValueError(f"coupling must be finite, not {lam}")
-    alpha1 = _terminal_phase(problem, lam, angles.theta0)
-    t = (alpha1 + angles.theta1) / math.pi
-    nearest = round(t)
-    if abs(t - nearest) * math.pi <= _PHASE_TOL:
-        return EigenvalueCount(max(0, int(nearest) - 1), True)
-    return EigenvalueCount(max(0, math.floor(t)), False)
+    """``negative_eigenvalue_counts`` for one coupling."""
+    return negative_eigenvalue_counts(problem, [lam], angles)[0]
 
 
 def zero_eigen_check(

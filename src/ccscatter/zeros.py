@@ -346,6 +346,15 @@ def _multiplicities(v: np.ndarray, h: np.ndarray, scale: float) -> np.ndarray:
     return np.where(top <= noise, 1, significant.argmax(axis=1) + 1)
 
 
+def _scan_interval(interval: tuple[float, float], grid_points: int) -> tuple[float, float]:
+    lo, hi = float(interval[0]), float(interval[1])
+    if grid_points < 2:
+        raise ValueError("grid_points must be >= 2")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"interval must be finite with lo < hi, not ({lo}, {hi})")
+    return lo, hi
+
+
 def real_zero_scan_fn(
     f_batch: Callable[[np.ndarray], np.ndarray],
     interval: tuple[float, float],
@@ -354,11 +363,7 @@ def real_zero_scan_fn(
     structural_zero_at_origin: bool = False,
 ) -> ZeroReport:
     """Scan a real-valued function on a grid and refine its zeros."""
-    lo, hi = float(interval[0]), float(interval[1])
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"interval must be finite with lo < hi, not ({lo}, {hi})")
+    lo, hi = _scan_interval(interval, grid_points)
     grid = np.linspace(lo, hi, grid_points)
 
     def f(x: np.ndarray) -> np.ndarray:
@@ -432,12 +437,12 @@ def real_zero_scan(
 ) -> ZeroReport:
     """Real zeros of b on an interval.
 
-    Degeneracy is checked first; a degenerate problem yields an empty
-    report with ``identically_zero`` set.  Otherwise a real-valued u0 is
-    required (realify first), so b is real on the real axis; b(0) = 0 is
+    Arguments are checked first, then degeneracy: a degenerate problem yields
+    an empty report with ``identically_zero`` set.  Otherwise a real-valued u0
+    is required (realify first), so b is real on the real axis; b(0) = 0 is
     structural and always reported when 0 lies in the interval.
     """
-    lo, hi = float(interval[0]), float(interval[1])
+    lo, hi = _scan_interval(interval, grid_points)
     if is_identically_zero(problem):
         return ZeroReport((), True, _SCAN_LABEL.format(lo, hi, grid_points))
     require_real_reference(problem)
@@ -506,6 +511,15 @@ def _settled_count(
             )
 
 
+def _disk_radius(r: float, nodes: int) -> float:
+    r = float(r)
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"radius must be positive and finite, not {r}")
+    if nodes < 1:
+        raise ValueError("nodes must be >= 1")
+    return r
+
+
 def disk_zero_count_fn(
     f_batch: Callable[[np.ndarray], np.ndarray], r: float, nodes: int = 64
 ) -> int:
@@ -516,17 +530,14 @@ def disk_zero_count_fn(
     of an integer.  ``nodes`` must be at least 1.  f is evaluated once per
     node of the final contour.
     """
-    r = float(r)
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"radius must be positive and finite, not {r}")
-    if nodes < 1:
-        raise ValueError("nodes must be >= 1")
+    r = _disk_radius(r, nodes)
     n = max(int(nodes), 64)
     return _settled_count(f_batch, r, n, f_batch(_contour(r, n)))
 
 
 def disk_zero_count(problem: ScatteringProblem, r: float, nodes: int = 64) -> int:
     """Number of zeros of b in |lam| <= r, counted by multiplicity."""
+    _disk_radius(r, nodes)
     if is_identically_zero(problem):
         raise DegenerateFunctionError("b vanishes identically; no discrete zeros")
     return disk_zero_count_fn(_batch_evaluator(problem, _CONTOUR_RTOL), r, nodes)
@@ -536,14 +547,17 @@ def disk_zero_count(problem: ScatteringProblem, r: float, nodes: int = 64) -> in
 # growth order
 
 
-def order_fit_fn(f_batch: Callable[[np.ndarray], np.ndarray], radii) -> GrowthFit:
+def _fit_radii(radii) -> list[float]:
     radii = [float(r) for r in radii]
     if len(radii) < 4:
         raise ValueError("order fitting needs at least 4 radii")
-    if not all(0 < r < math.inf for r in radii) or any(
-        b <= a for a, b in zip(radii[:-1], radii[1:])
-    ):
+    if not all(0 < r < math.inf for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError(f"radii must be finite, positive and increasing, not {radii}")
+    return radii
+
+
+def order_fit_fn(f_batch: Callable[[np.ndarray], np.ndarray], radii) -> GrowthFit:
+    radii = _fit_radii(radii)
     counts = []
     log_max = []
     for r in radii:
@@ -575,6 +589,7 @@ def _slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 def order_fit(problem: ScatteringProblem, radii) -> GrowthFit:
     """Fit growth and zero-count exponents of b over increasing radii."""
+    _fit_radii(radii)
     if is_identically_zero(problem):
         raise DegenerateFunctionError("b vanishes identically; growth undefined")
     return order_fit_fn(_batch_evaluator(problem, _CONTOUR_RTOL), radii)

@@ -188,6 +188,14 @@ def test_count_and_eigencount(bundle_dir, capsys):
     assert row["count"] == "2"
 
 
+def test_eigencount_at_large_coupling(bundle_dir, capsys):
+    code, out, _ = run_cli(
+        ["eigencount", str(bundle_dir / "box_barrier.json"), "--lambdas", "1e6,-1e6"], capsys
+    )
+    assert code == 0
+    assert [row["count"] for row in parse_csv(out)] == ["0", "319"]
+
+
 def test_csv_and_json_values_agree(bundle_dir, capsys):
     args = ["scan", str(bundle_dir / "sine_well.json"), "--lambdas=-3:3:5"]
     code, out_csv, _ = run_cli(args, capsys)

@@ -16,6 +16,7 @@ from ccscatter import (
     coefficients_batch,
     realify,
     reflection,
+    reflection_batch,
     spectral,
     v0_from_u0,
     zeros,
@@ -157,6 +158,16 @@ def test_flux_identity(corpus):
 def test_reflection_requires_traveling_basis(box_barrier):
     with pytest.raises(TravelingBasisError, match="realify"):
         reflection(box_barrier, 1.0)
+    with pytest.raises(TravelingBasisError, match="realify"):
+        reflection_batch(box_barrier, [1.0, 2.0])
+
+
+def test_reflection_batch_matches_one_at_a_time():
+    prob = catalog.traveling_barrier()
+    lams = np.linspace(-2.0, 2.0, 21)
+    batch = reflection_batch(prob, lams)
+    assert batch == [reflection(prob, float(lam)) for lam in lams]  # bit for bit
+    assert reflection_batch(prob, []) == []
 
 
 def test_realify_componentwise():

@@ -1,10 +1,12 @@
 """Boundary angles, oscillation counts, zero-eigenvalue link, tents."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from ccscatter import (
     PotentialSpec,
@@ -15,6 +17,7 @@ from ccscatter import (
     catalog,
     coefficients_batch,
     negative_eigenvalue_count,
+    negative_eigenvalue_counts,
     tent_gradient_energy,
     tent_value,
     tent_witness,
@@ -24,9 +27,9 @@ from ccscatter import (
 PI = math.pi
 
 
-def sine_well_count(lam: float) -> int:
+def sine_well_count(lam: float, modes: int = 200) -> int:
     """Dirichlet spectrum n^2 pi^2 - pi^2 - lam enumerated directly."""
-    return sum(1 for n in range(1, 200) if n * n * PI * PI - PI * PI - lam < 0)
+    return sum(1 for n in range(1, modes) if n * n * PI * PI - PI * PI - lam < 0)
 
 
 def test_boundary_angles_dirichlet(sine_well):
@@ -222,3 +225,66 @@ def test_witness_rayleigh_values_against_quad_oracle():
             oracle = tent_gradient_energy(eps) + density + spikes
             assert value < 0.0
             assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+def test_batch_counts_match_one_at_a_time(real_corpus):
+    """One call over many couplings, with both signs of c on constant pieces,
+    counts and flags each coupling as a call of its own does."""
+    rng = np.random.default_rng(2024)
+    grid = [*np.linspace(-3000.0, 3000.0, 25), *rng.uniform(-2000.0, 2000.0, 15)]
+    mixed = [3e4, -3e6, 0.0, 5 * PI * PI, 3e4, -PI * PI, 0.0]  # repeats, far apart
+    for name, prob in real_corpus:
+        ang = boundary_angles(prob)
+        for lams in (grid, mixed):
+            batch = negative_eigenvalue_counts(prob, lams, ang)
+            single = [negative_eigenvalue_count(prob, lam, ang) for lam in lams]
+            assert [(int(c), c.boundary_degenerate) for c in batch] == [
+                (int(c), c.boundary_degenerate) for c in single
+            ], name
+
+
+def cosh_shelf_count(lam: float) -> int:
+    """Negative eigenvalues of -u'' + (2 - 0.8 lam) u, u'(0) = 0, u'(1) = kappa u(1).
+
+    kappa = sqrt(2) tanh(sqrt(2)).  The spectrum of -u'' under these
+    conditions is -2 (cosh(sqrt(2) x)) and k^2 for the roots of
+    k tan k = -kappa, one in each ((j - 1/2) pi, j pi).
+    """
+    kappa = math.sqrt(2.0) * math.tanh(math.sqrt(2.0))
+    shift = 0.8 * lam - 2.0  # eigenvalue E of -u'' is negative for H_lam iff E < shift
+    if shift <= -2.0:
+        return 0
+
+    def f(k):
+        return k * math.sin(k) + kappa * math.cos(k)
+
+    count, j = 1, 1
+    while (j - 0.5) * PI < math.sqrt(max(shift, 0.0)):
+        count += brentq(f, (j - 0.5) * PI, j * PI, xtol=1e-14) ** 2 < shift
+        j += 1
+    return count
+
+
+def test_counts_at_large_coupling_on_constant_pieces(sine_well, box_barrier):
+    """Closed-form pieces at |lam| up to 1e7: exp(sqrt|lam|) growth must not
+    overflow the walk, and the counts are those of the enumerated spectra."""
+    cases = [
+        (sine_well, [-1e6, -1e7, 1e6, 1e7], lambda lam: sine_well_count(lam, 2000)),
+        (box_barrier, [1e6, 1e7, -1e6, -1e7],
+         lambda lam: sum(1 for n in range(2000) if n * n * PI * PI + lam < 0)),
+        (catalog.cosh_shelf(), [3e6, -3e6], cosh_shelf_count),
+    ]
+    for prob, lams, exact in cases:
+        ang = boundary_angles(prob)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = negative_eigenvalue_counts(prob, lams, ang)
+        assert [int(c) for c in got] == [exact(lam) for lam in lams]
+        assert not any(c.boundary_degenerate for c in got)
+
+
+def test_count_batches_empty_and_non_finite(sine_well):
+    ang = boundary_angles(sine_well)
+    assert negative_eigenvalue_counts(sine_well, [], ang) == []
+    with pytest.raises(ValueError, match="coupling must be finite, not nan"):
+        negative_eigenvalue_counts(sine_well, [1.0, math.nan, 2.0], ang)

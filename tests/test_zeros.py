@@ -278,3 +278,21 @@ def test_order_fit_validates_radii(sine_well, free_problem):
 def test_disk_count_seam_exact_winding():
     assert disk_zero_count_fn(lambda l: l**3, 2.0) == 3
     assert disk_zero_count_fn(lambda l: (l - 1.0) * (l + 3.0), 2.0) == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: real_zero_scan(p, (0.0, math.inf), 10),
+        lambda p: real_zero_scan(p, (1.0, 0.0), 1),
+        lambda p: disk_zero_count(p, -1.0),
+        lambda p: disk_zero_count(p, math.nan),
+        lambda p: order_fit(p, [1.0, 2.0]),
+    ],
+    ids=["infinite-interval", "reversed-interval-one-point", "negative-radius", "nan-radius",
+         "two-radii"],
+)
+def test_arguments_are_checked_before_degeneracy(free_problem, call):
+    """b vanishes identically on the free problem; bad arguments still raise."""
+    with pytest.raises(ValueError):
+        call(free_problem)
