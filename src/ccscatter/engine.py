@@ -21,6 +21,9 @@ Everything is vectorized over a batch of coupling values: the same
 subdivision is applied to every lam in the batch.  Every 2x2 matrix is held
 axes first, as a (2, 2, ...) array, and ``_mul`` is the one product; the
 steps of a piece are multiplied by a pairwise reduction in log2(n) levels.
+Every layer follows the dtype of the couplings: a batch of real couplings
+steps in real arithmetic (``_cosh_sinhc``), and one complex coupling makes
+the whole batch complex.
 
 ``_layout`` is the one place that decides how [0, 1] is walked: it returns
 the weight of the spike at 0 and the pieces, each carrying the weight of
@@ -145,17 +148,32 @@ def _pieces(problem: ScatteringProblem) -> tuple[_Piece, ...]:
 # Magnus stepping (batched over couplings)
 
 
-def _cosh_sinhc(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cosh(s) and sinh(s)/s, from real functions of Re s and Im s."""
-    ch = np.empty_like(s)
-    shc = np.empty_like(s)
-    chx, shx = np.cosh(s.real), np.sinh(s.real)
-    cy, sy = np.cos(s.imag), np.sin(s.imag)
-    np.multiply(chx, cy, out=ch.real)
-    np.multiply(shx, sy, out=ch.imag)
-    np.multiply(shx, cy, out=shc.real)
-    np.multiply(chx, sy, out=shc.imag)
-    del chx, shx, cy, sy
+def _cosh_sinhc(s2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cosh(s) and sinh(s)/s for s = sqrt(s2), in the dtype of s2, which is overwritten.
+
+    Complex s comes from real functions of Re s and Im s.  Real s2 needs no
+    complex number: with r = sqrt|s2|, s2 < 0 gives cos r and sin(r)/r, and
+    s2 >= 0 gives cosh r and sinh(r)/r.
+    """
+    ch = np.empty_like(s2)
+    shc = np.empty_like(s2)
+    if np.iscomplexobj(s2):
+        s = np.sqrt(s2, out=s2)
+        chx, shx = np.cosh(s.real), np.sinh(s.real)
+        cy, sy = np.cos(s.imag), np.sin(s.imag)
+        np.multiply(chx, cy, out=ch.real)
+        np.multiply(shx, sy, out=ch.imag)
+        np.multiply(shx, cy, out=shc.real)
+        np.multiply(chx, sy, out=shc.imag)
+        del chx, shx, cy, sy
+    else:
+        grows = s2 >= 0.0
+        s = np.sqrt(np.abs(s2, out=s2), out=s2)  # r = sqrt|s2|
+        np.cosh(s, out=ch, where=grows)
+        np.sinh(s, out=shc, where=grows)
+        np.logical_not(grows, out=grows)
+        np.cos(s, out=ch, where=grows)
+        np.sin(s, out=shc, where=grows)
     shc /= s
     if not s.all():
         shc[s == 0.0] = 1.0  # the limit; the quotient is accurate for all s != 0
@@ -168,10 +186,11 @@ def _step_matrices(c: np.ndarray, h, out: np.ndarray | None = None) -> np.ndarra
     ``c`` holds c = Q + lam*V at the step's Gauss nodes, one row per node:
     three rows c1, c2, c3 on a varying piece, one row on a constant piece.
     The result's trailing axes are a row's; ``h`` is the step length, a
-    float or an array that broadcasts against a row.  The entries are
-    complex, at the precision of ``c``, written into ``out`` if given.  With
-    a = (sqrt(15)/3) h (c3 - c1) and b = (10/3) h (c3 - 2 c2 + c1), the
-    Magnus exponent is Omega = [[p, q], [r, -p]] where
+    float or an array that broadcasts against a row.  The entries have the
+    dtype of ``c``, real or complex, at least double, and are written into
+    ``out`` if given.  With a = (sqrt(15)/3) h (c3 - c1) and
+    b = (10/3) h (c3 - 2 c2 + c1), the Magnus exponent is
+    Omega = [[p, q], [r, -p]] where
 
         p = a (h^3 c2/180 + h^2 b/7200 - h/12)
         q = h - h^2 b/180 + h^3 a^2/3600
@@ -185,11 +204,11 @@ def _step_matrices(c: np.ndarray, h, out: np.ndarray | None = None) -> np.ndarra
     surfaced.
     """
     hh = h * h
-    dtype = np.result_type(c, 1j)
+    dtype = np.result_type(c, float)
     out = np.empty((2, 2) + c.shape[1:], dtype=dtype) if out is None else out
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if len(c) == 1:
-            ch, shc = _cosh_sinhc(np.sqrt(np.multiply(c[0], hh, dtype=dtype)))
+            ch, shc = _cosh_sinhc(np.multiply(c[0], hh, dtype=dtype))
             shc *= h
             out[0, 0] = out[1, 1] = ch
             out[0, 1] = shc
@@ -221,7 +240,7 @@ def _step_matrices(c: np.ndarray, h, out: np.ndarray | None = None) -> np.ndarra
         del a, b, t
         s = p * p
         s += q * r
-        ch, shc = _cosh_sinhc(np.sqrt(s, out=s))
+        ch, shc = _cosh_sinhc(s)
         del s
         p *= shc
         np.multiply(q, shc, out=out[0, 1])
@@ -282,7 +301,7 @@ def _sweep(piece: _Piece, lams: np.ndarray, n: int) -> np.ndarray:
     """
     q, v, h = _node_values(piece, n)
     width = 1 << max(6, (_BLOCK_ENTRIES // max(1, len(lams))).bit_length() - 1)
-    buffer = np.empty(4 * len(lams) * min(n, width), dtype=complex)
+    buffer = np.empty(4 * len(lams) * min(n, width), dtype=np.result_type(lams, float))
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = []
         for j in range(0, n, width):
@@ -293,16 +312,17 @@ def _sweep(piece: _Piece, lams: np.ndarray, n: int) -> np.ndarray:
 
 
 def _piece_states(piece: _Piece, lams: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Products of the first k steps of a piece, k = 1..n, at real couplings.
+    """Products of the first k steps of a piece, k = 1..n.
 
-    Returns real matrices (2, 2, L, n) and log scales (L, n): the product of
-    the first k steps is exp(log scale) times the matrix at index k - 1.
+    Returns matrices (2, 2, L, n) in the dtype of ``lams``, real at real
+    couplings, and log scales (L, n): the product of the first k steps is
+    exp(log scale) times the matrix at index k - 1.
     Recursive doubling builds them; each level is divided by its max-abs
     entry, a positive factor, which keeps every sign and rules out overflow.
     """
     q, v, h = _node_values(piece, n)
     c = lams[:, None] * v[:, None, :] + q[:, None, :]
-    prefix = _step_matrices(c, h).real.copy()
+    prefix = _step_matrices(c, h)
     log_scale = np.zeros(prefix.shape[2:])
     span = 1
     while span < n:
@@ -413,22 +433,27 @@ def transfer_matrices(
     """Transfer matrices from 0- to 1+ for a batch of couplings.
 
     Walks the layout: the spike at 0, then each piece followed by the spike
-    at its right end, as one (2, 2, K, L) stack of K matrices.  All constant
-    pieces take one kernel call.  Returns (matrices, error bounds), both
-    (L, 2, 2): the library's one error model, which the read-outs only pass
-    on.  It bounds each entry's distance from the exact product of the
-    layout's matrices: truncation (the pieces' summed Richardson estimates
-    times max-abs entry + 1) plus rounding (``_rounding_bound``).  Against
-    60-digit oracles on the corpus up to |lam| = 1e5 the true error stayed
-    under a third of it.
+    at its right end, as one (2, 2, K, L) stack of K matrices, real when
+    every coupling is real.  All constant pieces take one kernel call.  A
+    non-finite coupling raises ValueError.  Returns (complex matrices, error
+    bounds), both (L, 2, 2): the library's one error model, which the
+    read-outs only pass on.  It bounds each entry's distance from the exact
+    product of the layout's matrices: truncation (the pieces' summed
+    Richardson estimates times max-abs entry + 1) plus rounding
+    (``_rounding_bound``).  Against 60-digit oracles on the corpus up to
+    |lam| = 1e5 the true error stayed under a third of it.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    if not lams.imag.any():  # then every layer steps in real arithmetic
+        lams = lams.real.copy()
+    if not np.isfinite(lams).all():
+        raise ValueError(f"coupling must be finite, not {lams[~np.isfinite(lams)][0]}")
     tol = problem.tolerances.ode_rtol if rtol is None else rtol
     jump0, pieces = _layout(problem.Q, problem.V)
     items = [jump0] if jump0 else []  # the walk: pieces, and spikes as their weights
     for piece in pieces:
         items += [piece, piece.jump] if piece.jump else [piece]
-    walk = np.empty((2, 2, len(items), len(lams)), dtype=complex)
+    walk = np.empty((2, 2, len(items), len(lams)), dtype=lams.dtype)
     scales = np.zeros((4, len(items)))  # rounding scales: n + 1, h, int |Q|, int |V|
     rel_sum = np.zeros(lams.shape)
     constant = []
@@ -456,7 +481,7 @@ def transfer_matrices(
     if not np.isfinite(M).all():
         raise IntegrationError("propagation produced non-finite values", 1.0)
     bound = rel_sum * (_matrix_scale(M) + 1.0) + _rounding_bound(lams, scales, walk, prods)
-    return M.transpose(2, 0, 1), bound.transpose(2, 0, 1)
+    return M.transpose(2, 0, 1).astype(complex, copy=False), bound.transpose(2, 0, 1)
 
 
 def propagate(problem: ScatteringProblem, lam: complex, init: Pair) -> Pair:
@@ -488,7 +513,7 @@ def reference_states(
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise ValueError("xs must be one-dimensional")
-    if len(xs) and (xs[0] < -1e-12 or xs[-1] > 1.0 + 1e-12):
+    if not np.all((xs >= -1e-12) & (xs <= 1.0 + 1e-12)):
         raise ValueError("xs must lie in [0, 1]")
     if np.any(np.diff(xs) < 0):
         raise ValueError("xs must be nondecreasing")

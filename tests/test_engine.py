@@ -187,6 +187,36 @@ def test_step_is_the_sixth_order_magnus_exponential():
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def test_real_steps_match_the_complex_path():
+    """Real c steps in real arithmetic and agrees with the complex step of c + 0j.
+
+    One node row (a constant piece) and three (a varying one), each mixing
+    s^2 < 0, s^2 = 0 and s^2 > 0 in one row.  c = 0 gives the free step
+    exactly, and an overflowing step is non-finite where the complex one is.
+    """
+    rng = np.random.default_rng(29)
+    h = 0.05
+    one = np.array([[-4e4, -400.0, -1e-9, 0.0, 1e-9, 400.0, 4e4]])
+    three = np.concatenate((
+        rng.normal(0.0, 400.0, (3, 24)),  # rows whose nodes differ in sign
+        -np.abs(rng.normal(0.0, 400.0, (3, 8))),
+        np.abs(rng.normal(0.0, 400.0, (3, 8))),
+        np.zeros((3, 1)),
+    ), axis=1)
+    for c in (one, three):
+        real = _step_matrices(c, h)
+        cplx = _step_matrices(c + 0j, h)
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        scale = np.abs(cplx).max(axis=(0, 1))
+        assert np.all(np.abs(real - cplx).max(axis=(0, 1)) <= 8 * np.finfo(float).eps * scale)
+        free = _step_matrices(np.zeros((len(c), 1)), h)[..., 0]
+        assert np.array_equal(free, [[1.0, h], [0.0, 1.0]])
+        huge = np.concatenate((c, 1e9 * np.abs(c[:, :3])), axis=1)
+        real, cplx = _step_matrices(huge, 1.0), _step_matrices(huge + 0j, 1.0)
+        assert not np.isfinite(real).all()
+        assert np.array_equal(np.isfinite(real), np.isfinite(cplx))
+
+
 @pytest.mark.parametrize("name", ["ramp_well", "tilted_background"])
 def test_tree_product_matches_sequential_product(name):
     """The sweep's pairwise product equals the step-by-step product.
@@ -224,8 +254,8 @@ def test_tree_product_matches_sequential_product(name):
                     prefix, log_scale = _piece_states(piece, lams, n)
                     states = _matrices_last(prefix * np.exp(log_scale))
                 finite = np.isfinite(running).all(axis=(2, 3))
-                diff = np.abs(states - running).max(axis=(2, 3))[finite]
-                assert np.all(diff <= 1e-12 * np.abs(running).max(axis=(2, 3))[finite]), (L, n)
+                diff = np.abs(states[finite] - running[finite]).max(axis=(1, 2))
+                assert np.all(diff <= 1e-12 * np.abs(running[finite]).max(axis=(1, 2))), (L, n)
 
 
 def test_piece_states_stay_finite_past_float_range():
@@ -529,6 +559,36 @@ def test_reference_states_sweep_each_piece_once(corpus, monkeypatch):
         calls.clear()
         reference_states(prob, np.linspace(0.0, 1.0, 513))
         assert calls == list(_pieces(prob)), name
+
+
+def test_reference_states_reject_nodes_outside_the_interval():
+    prob = catalog.ramp_well()
+    for xs in ([0.25, math.nan], [math.nan, 0.5], [-0.5, 0.5], [0.5, 1.5]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"xs must lie in \[0, 1\]"):
+                reference_states(prob, xs)
+
+
+def test_real_couplings_return_complex_results(corpus):
+    """Real couplings step in real arithmetic, yet the results stay complex.
+
+    Real input and the same input + 0j give bit-identical matrices.  A
+    batch with one complex coupling steps its real members in complex
+    arithmetic, and they agree with the all-real batch within the summed
+    error bounds.
+    """
+    lams = np.array([-300.0, -1.0, 0.0, 2.5, 40.0, 1e3])
+    for name, prob in corpus:
+        M, bound = transfer_matrices(prob, lams)
+        M0, bound0 = transfer_matrices(prob, lams + 0j)
+        assert M.dtype == np.complex128, name
+        assert np.array_equal(M, M0) and np.array_equal(bound, bound0), name
+        a, b, err = coefficients_batch(prob, lams)
+        assert a.dtype == b.dtype == np.complex128, name
+        ac, bc, errc = (x[:-1] for x in coefficients_batch(prob, [*lams, 3.0 + 2.0j]))
+        assert np.all(np.abs(a - ac) <= err + errc), name
+        assert np.all(np.abs(b - bc) <= err + errc), name
 
 
 def test_interior_spike_jump():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -352,3 +353,17 @@ def test_empty_and_non_finite_couplings(corpus, sine_well):
             spectral.tent_witness(sine_well, bad, 1)
         with pytest.raises(ValueError, match="finite"):
             zeros.disk_zero_count(sine_well, bad)
+    # constant, spike and varying pieces: one clear error, before any warning
+    for name in ("sine_well", "delta_pair", "ramp_well"):
+        prob = getattr(catalog, name)()
+        for bad in (math.nan, math.inf, -math.inf, complex(1.0, math.nan)):
+            calls = (
+                lambda: coefficients(prob, bad),
+                lambda: coefficients_batch(prob, [1.0, bad]),
+                lambda: transfer_matrices(prob, [bad]),
+            )
+            for call in calls:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match="coupling must be finite, not"):
+                        call()
