@@ -7,12 +7,19 @@ configs.  Tables go to stdout (or --output) as CSV or JSON with numbers at
 
 Exit codes: 0 success, 1 usage/config error, 2 degenerate (b identically
 zero), 3 solver failure.
+
+In process, ``main(argv)`` returns the exit code: usage, config and output
+errors (an unwritable ``--output`` or ``--output-dir``) come back as codes,
+not exceptions.  It builds the parser on its first call and reuses it on
+every later one, since parsing leaves the parser unchanged; a one-shot
+``ccscatter`` process builds it once, as before.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -326,6 +333,7 @@ def _cmd_examples(args) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="ccscatter",
@@ -399,6 +407,9 @@ def main(argv=None) -> int:
             rows = _HANDLERS[args.cmd](run, args)
         _emit(rows, args.format, args.output)
         return 0
+    except OSError as exc:  # an unwritable --output or --output-dir
+        print(f"error: cannot write: {exc}", file=sys.stderr)
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, exit codes, bundled configs."""
 
+import argparse
 import cmath
 import csv
 import io
@@ -203,6 +204,11 @@ def test_csv_and_json_values_agree(bundle_dir, capsys):
     # global flags are accepted both before and after the subcommand
     code, out_json, _ = run_cli(args + ["--format", "json"], capsys)
     assert code == 0
+    code, first_json, _ = run_cli(["--format", "json"] + args, capsys)
+    assert code == 0 and first_json == out_json
+    # the parser is shared between calls: a flagless call after a JSON one is CSV again
+    code, again_csv, _ = run_cli(args, capsys)
+    assert code == 0 and again_csv == out_csv
     csv_rows = parse_csv(out_csv)
     json_rows = json.loads(out_json)
     assert len(csv_rows) == len(json_rows) == 5
@@ -232,6 +238,59 @@ def test_output_file(bundle_dir, tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert "7" in target.read_text()
+    # the next call without --output writes to stdout, and leaves the file alone
+    target.write_text("")
+    code, out, _ = run_cli(["count", str(bundle_dir / "sine_well.json")], capsys)
+    assert code == 0 and parse_csv(out)[0]["count"] == "7"
+    assert target.read_text() == ""
+
+
+@pytest.mark.parametrize("case", ["missing_dir", "onto_dir", "bundle_onto_file"])
+def test_unwritable_output_is_an_error_code(bundle_dir, tmp_path, capsys, case):
+    config = str(bundle_dir / "sine_well.json")
+    args = {
+        "missing_dir": ["--output", str(tmp_path / "missing" / "t.csv"), "count", config],
+        "onto_dir": ["--output", str(tmp_path), "count", config],
+        "bundle_onto_file": ["examples", "--output-dir", config],
+    }[case]
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write")
+    assert "Traceback" not in err
+
+
+def test_usage_errors_leave_the_parser_usable(bundle_dir, capsys):
+    config = str(bundle_dir / "sine_well.json")
+    for bad in (["count", config, "--format", "xml"], ["count", config, "--radius", "x"]):
+        code, out, err = run_cli(bad, capsys)
+        assert code == 1 and out == ""
+        assert "error: " in err
+        code, out, _ = run_cli(["count", config], capsys)
+        assert code == 0
+        assert parse_csv(out) == [{"radius": "500", "count": "7", "method": "ode"}]
+
+
+def test_main_builds_no_parser_after_its_first_call(bundle_dir, capsys, monkeypatch):
+    main(["count", str(bundle_dir / "sine_well.json")])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for args in (
+        ["scan", "noise_bed.json", "--lambdas=-5:5:16"],
+        ["count", "sine_well.json"],
+        ["eigencount", "sine_well.json", "--lambdas=0:100:8"],
+        ["reflect", "traveling_barrier.json", "--lambdas=-2:2:16"],
+    ):
+        cmd, name, *flags = args
+        assert main([cmd, str(bundle_dir / name), *flags]) == 0
+    capsys.readouterr()
+    assert built == []
 
 
 def test_config_error_diagnostics(tmp_path, capsys):
