@@ -7,13 +7,17 @@ Three views of the same entire function:
 * argument-principle counts over disks, with adaptive phase unwrapping,
 * growth fitting of both log N(r) and log log max |b| against log r.
 
-A degenerate b (identically zero) is detected first on a fixed control
-grid; every counting routine refuses to run on it.
+A degenerate b (identically zero) is detected first: for a spike-free V
+by the paper's theorem (b vanishes identically exactly when V = 0), for V
+with spikes on a fixed control grid.  Every counting routine refuses to run
+on it.
 
-Refinement is batched: every open sign-change bracket of a scan
-(Chandrupatla's iteration) and every dip of |b| (Brent's golden-section
-search with parabolic steps) takes one probe per iteration, and the probes
-of one iteration go to b in one call.  The five-point multiplicity stencils
+Refinement is batched, and one iteration (Chandrupatla's) refines every
+real zero.  A sign change of a scan is bracketed on b itself; a dip of |b|,
+where an even-order zero leaves the sign unchanged, is bracketed on the
+central difference b(x + d) - b(x - d), whose root is the extremum.  Every
+open bracket takes one probe per iteration, and the probes of one
+iteration go to b in one call.  The five-point multiplicity stencils
 of all candidate zeros then go in one more call.  Contours reuse what they
 have evaluated: doubling n nodes evaluates only the n new odd nodes (the
 even nodes of the 2n grid are the old grid, bit for bit), and a growth fit
@@ -42,13 +46,17 @@ _ZERO_THRESHOLD = 1e-9  # relative max|b| on the control grid of a degenerate b
 _FIT_NODES = 256  # contour nodes of the max-modulus sample per radius
 _SCAN_LABEL = "[{:g}, {:g}] grid={}"
 
-# refinement stopping rules: a bracket is done when narrower than
-# _XTOL + _RTOL |x|, a dip when Brent's test passes at 1e-13/3 + sqrt(eps)|x|
+# refinement stopping rules: a root's bracket is done when narrower than
+# _XTOL + _RTOL |x|, a dip's when narrower than _DIP_XTOL + sqrt(eps) |x|
 _XTOL = 1e-14
 _RTOL = 1e-15
-_DIP_XATOL = 1e-13
+_DIP_XTOL = 1e-13
 _SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_DISTINCT = 1e-6  # candidate zeros closer than _DISTINCT (1 + |x|) are one
+# a dip's central-difference step, times 1 + |x|: small enough that a pair
+# of zeros the scan tells apart leaves f(x -/+ d) of the other sign between
+# them, large enough that rounding noise in f barely moves the extremum
+_DIP_STEP = 0.1 * _DISTINCT
 _MAX_ITERATIONS = 500
 
 
@@ -95,24 +103,20 @@ def _batch_evaluator(
 
 
 def is_identically_zero(problem: ScatteringProblem) -> bool:
-    """Control-grid test of the degenerate dichotomy.
+    """Whether b vanishes for every lam.
 
-    True when max|b| over 64 real points on [-10, 10] plus 16 complex
-    points stays below ``1e-9 * (1 + max|a|)``.
+    For a perturbation V in L^1 the paper's theorem decides it: the zeros of
+    b are discrete unless V = 0.  So a spike-free V gives b = 0 exactly when
+    every segment of V is the zero polynomial, and no b is evaluated.
+    Spikes are measures, outside the theorem (``delta_pair`` at k = n pi is
+    degenerate with V != 0), so a V with spikes is tested on a control grid:
+    True when max|b| over 64 real points on [-10, 10] plus 16 complex points
+    stays below ``1e-9 * (1 + max|a|)``.
     """
-    lams = np.concatenate(
-        [
-            np.linspace(-10.0, 10.0, _DEGENERACY_REAL_GRID).astype(complex),
-            5.0
-            * np.exp(
-                2j
-                * np.pi
-                * np.arange(_DEGENERACY_COMPLEX_POINTS)
-                / _DEGENERACY_COMPLEX_POINTS
-            )
-            * (1.0 + 0.3j),
-        ]
-    )
+    if not problem.V.has_spikes:
+        return all(c == (0.0,) for _, _, c in problem.V.segments)
+    ring = _contour(5.0, _DEGENERACY_COMPLEX_POINTS) * (1.0 + 0.3j)
+    lams = np.concatenate([np.linspace(-10.0, 10.0, _DEGENERACY_REAL_GRID), ring])
     a, b, _ = coefficients_batch(problem, lams)
     return float(np.abs(b).max()) <= _ZERO_THRESHOLD * (1.0 + float(np.abs(a).max()))
 
@@ -129,10 +133,12 @@ class _Brackets:
     from inverse quadratic interpolation through the three points where that
     is safe and 1/2 otherwise (Chandrupatla, Adv. Eng. Softw. 28, 1997).  A
     bracket is done when its better end is an exact zero or the bracket is
-    narrower than 1e-14 + 1e-15 |x|; that end is its root.
+    narrower than the instance's tolerance ``xtol + rtol |x|``; that end is
+    its root.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, xtol: float, rtol: float) -> None:
+        self.xtol, self.rtol = xtol, rtol
         empty = np.empty(0)
         self.keys = np.empty(0, dtype=int)
         self.x1 = self.f1 = self.x2 = self.f2 = self.x3 = self.f3 = empty
@@ -149,25 +155,28 @@ class _Brackets:
         self.x3, self.f3 = np.concatenate([self.x3, nan]), np.concatenate([self.f3, nan])
         self._next()
 
-    def update(self, ft: np.ndarray) -> None:
-        """Take the values at the probes and choose the next probes."""
+    def update(self, ft: np.ndarray, drop=np.False_) -> None:
+        """Take the values at the probes and choose the next probes.
+
+        The brackets marked in ``drop`` leave without a root.
+        """
         same = np.sign(ft) == np.sign(self.f1)
         self.x3 = np.where(same, self.x1, self.x2)
         self.f3 = np.where(same, self.f1, self.f2)
         self.x2 = np.where(same, self.x2, self.x1)
         self.f2 = np.where(same, self.f2, self.f1)
         self.x1, self.f1 = self.probes, ft
-        self._next()
+        self._next(drop)
 
-    def _next(self) -> None:
+    def _next(self, drop=np.False_) -> None:
         first = np.abs(self.f1) < np.abs(self.f2)
         xm = np.where(first, self.x1, self.x2)
         fm = np.where(first, self.f1, self.f2)
         dx = np.abs(self.x2 - self.x1)
-        tol = _XTOL + _RTOL * np.abs(xm)
-        done = (fm == 0.0) | (dx < tol)
+        tol = self.xtol + self.rtol * np.abs(xm)
+        done = ((fm == 0.0) | (dx < tol)) & ~drop
         self.roots += zip(self.keys[done].tolist(), xm[done].tolist())
-        keep = ~done
+        keep = ~(done | drop)
         self.keys, dx, tol = self.keys[keep], dx[keep], tol[keep]
         x1, f1, x2, f2, x3, f3 = (
             v[keep] for v in (self.x1, self.f1, self.x2, self.f2, self.x3, self.f3)
@@ -186,138 +195,63 @@ class _Brackets:
         self.probes = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
 
 
-class _Dips:
-    """Local minima of |f| searched together, one probe per dip per round.
+def _refine(f, grid: np.ndarray, vals: np.ndarray, cells: np.ndarray, i: np.ndarray):
+    """Refine the sign changes of ``cells`` and the dips at grid points ``i``.
 
-    Each dip runs Brent's golden-section search with parabolic steps
-    (*Algorithms for Minimization without Derivatives*, 1973, ch. 5) on
-    (a, b), with x, w, v the best, second and third points and the stopping
-    rule |x - (a + b)/2| <= 2 tol - (b - a)/2, tol = 1e-13/3 + sqrt(eps) |x|.
-    Every point a dip has seen so far carries the sign of its grid
-    neighbours (or is a zero); a probe of the other sign splits it into two
-    sign-change brackets, from the nearest points on either side, which
-    ``update`` returns.  A simple zero on a grid point between neighbours
-    of one sign has a partner zero in the dip, which is found this way.
+    A dip at x_i is a root of the central difference g(x) = f(x + d) -
+    f(x - d), d = _DIP_STEP (1 + |x_i|): its two cells have slopes of
+    opposite sign, so f' changes sign between x_(i-1) and x_(i+1).  Its
+    bracket holds those two points, with the slopes times 2 d / h as end
+    values, so its first probe is x_i.  A probe x where f(x -/+ d) has the
+    other sign from the dip's grid neighbours splits the dip into the root
+    brackets [x_(i-1), x -/+ d] and [x -/+ d, x_(i+1)]; so a simple zero on
+    a grid point between neighbours of one sign finds its partner zero.
+    Each round is one call of ``f``, on the root probes and on x -/+ d of
+    every dip probe.
+
+    Returns the roots as (key, x), and the dips' extrema as (key, x, the
+    smaller |f(x -/+ d)| at the dip's last probe, within tolerance of x).
     """
-
-    def __init__(self, keys, a, fa, b, fb, sign) -> None:
-        self.keys = np.asarray(keys, dtype=int)
-        self.a, self.fa, self.b, self.fb = a, fa, b, fb
-        self.sign = sign  # of the dip's grid neighbours
-        self.probes = a + _GOLDEN * (b - a)
-        # before the first probe returns, a stands in for x, w and v
-        self.x = self.w = self.v = a
-        self.fx = self.fw = self.fv = fa
-        self.e = self.d = np.zeros(len(a))
-        self.fresh = True
-        self.minima: list[tuple[int, float, float]] = []
-
-    def update(self, fu: np.ndarray):
-        """Take the values at the probes; return the brackets split off."""
-        u = self.probes
-        split = np.sign(fu) * self.sign < 0.0
-        points = np.stack([self.a, self.b, self.x, self.w, self.v])[:, split]
-        values = np.stack([self.fa, self.fb, self.fx, self.fw, self.fv])[:, split]
-        us, cols = u[split], np.arange(int(split.sum()))
-        left = np.argmax(np.where(points < us, points, -np.inf), axis=0)
-        right = np.argmin(np.where(points > us, points, np.inf), axis=0)
-        keys = self.keys[split]
-        pieces = (
-            np.concatenate([keys, keys + 1]),
-            np.concatenate([points[left, cols], us]),
-            np.concatenate([values[left, cols], fu[split]]),
-            np.concatenate([us, points[right, cols]]),
-            np.concatenate([fu[split], values[right, cols]]),
-        )
-
-        keep = ~split
-        u, fu = u[keep], fu[keep]
-        self.keys, self.sign = self.keys[keep], self.sign[keep]
-        a, fa, b, fb, x, fx, w, fw, v, fv, e, d = (
-            s[keep]
-            for s in (
-                self.a, self.fa, self.b, self.fb, self.x, self.fx,
-                self.w, self.fw, self.v, self.fv, self.e, self.d,
-            )
-        )
-        if self.fresh:
-            x = w = v = u
-            fx = fw = fv = fu
-            self.fresh = False
-        else:
-            au, ax, aw, av = np.abs(fu), np.abs(fx), np.abs(fw), np.abs(fv)
-            better = au <= ax
-            # the interval end on u's side moves to x (u better) or to u
-            end, f_end = np.where(better, x, u), np.where(better, fx, fu)
-            to_a = np.where(better, u >= x, u < x)
-            a, fa = np.where(to_a, end, a), np.where(to_a, f_end, fa)
-            b, fb = np.where(to_a, b, end), np.where(to_a, fb, f_end)
-            second = ~better & ((au <= aw) | (w == x))
-            third = ~better & ~second & ((au <= av) | (v == x) | (v == w))
-            v, fv = (
-                np.where(better | second, w, np.where(third, u, v)),
-                np.where(better | second, fw, np.where(third, fu, fv)),
-            )
-            w, fw = np.where(better, x, np.where(second, u, w)), np.where(
-                better, fx, np.where(second, fu, fw)
-            )
-            x, fx = np.where(better, u, x), np.where(better, fu, fx)
-
-        # stopping rule, then the next probe: parabolic where acceptable
-        mid = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * np.abs(x) + _DIP_XATOL / 3.0
-        tol2 = 2.0 * tol1
-        done = np.abs(x - mid) <= tol2 - 0.5 * (b - a)
-        self.minima += zip(self.keys[done].tolist(), x[done].tolist(), fx[done].tolist())
-        keep = ~done
-        self.keys, self.sign = self.keys[keep], self.sign[keep]
-        a, fa, b, fb, x, fx, w, fw, v, fv, e, d, mid, tol1, tol2 = (
-            s[keep] for s in (a, fa, b, fb, x, fx, w, fw, v, fv, e, d, mid, tol1, tol2)
-        )
-        ax, aw, av = np.abs(fx), np.abs(fw), np.abs(fv)
-        r = (x - w) * (ax - av)
-        q = (x - v) * (ax - aw)
-        p = (x - v) * q - (x - w) * r
-        q = 2.0 * (q - r)
-        p = np.where(q > 0.0, -p, p)
-        q = np.abs(q)
-        parabolic = (
-            (np.abs(e) > tol1)
-            & (np.abs(p) < np.abs(0.5 * q * e))
-            & (p > q * (a - x))
-            & (p < q * (b - x))
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = p / q
-            near_end = (x + step - a < tol2) | (b - (x + step) < tol2)
-        step = np.where(near_end, tol1 * _sign(mid - x), step)
-        golden = np.where(x >= mid, a - x, b - x)
-        self.e = np.where(parabolic, d, golden)
-        self.d = np.where(parabolic, step, _GOLDEN * golden)
-        self.probes = x + _sign(self.d) * np.maximum(np.abs(self.d), tol1)
-        self.a, self.fa, self.b, self.fb = a, fa, b, fb
-        self.x, self.fx, self.w, self.fw, self.v, self.fv = x, fx, w, fw, v, fv
-        return pieces
-
-
-def _sign(x: np.ndarray) -> np.ndarray:
-    """Sign with 0 counted as +1."""
-    return np.where(x < 0.0, -1.0, 1.0)
-
-
-def _refine(f: Callable[[np.ndarray], np.ndarray], brackets: _Brackets, dips: _Dips):
-    """Advance every bracket and dip together, one call of ``f`` a round."""
+    n = len(grid)
+    roots = _Brackets(_XTOL, _RTOL)
+    roots.add(2 * cells, grid[cells], vals[cells], grid[cells + 1], vals[cells + 1])
+    slopes = _Brackets(_DIP_XTOL, _SQRT_EPS)
+    w = 4.0 * _DIP_STEP * (1.0 + np.abs(grid[i])) / (grid[i + 1] - grid[i - 1])  # 2 d / h
+    slopes.add(
+        2 * (n + i),
+        grid[i - 1], (vals[i] - vals[i - 1]) * w,
+        grid[i + 1], (vals[i + 1] - vals[i]) * w,
+    )
+    near = np.abs(vals)
     for _ in range(_MAX_ITERATIONS):
-        nb = len(brackets.probes)
-        if nb + len(dips.probes) == 0:
-            return
-        values = f(np.concatenate([brackets.probes, dips.probes]))
-        brackets.update(values[:nb])
-        if len(dips.probes):
-            brackets.add(*dips.update(values[nb:]))
-    # out of rounds: what is open reports its best point
-    brackets.roots += zip(brackets.keys.tolist(), brackets.x1.tolist())
-    dips.minima += zip(dips.keys.tolist(), dips.x.tolist(), dips.fx.tolist())
+        nr, nd = len(roots.probes), len(slopes.probes)
+        if nd == 0:
+            if nr == 0:
+                break
+            roots.update(f(roots.probes))
+            continue
+        i = slopes.keys // 2 - n
+        x, d = slopes.probes, _DIP_STEP * (1.0 + np.abs(grid[i]))
+        values = f(np.concatenate([roots.probes, x - d, x + d]))
+        roots.update(values[:nr])
+        lo, hi = values[nr : nr + nd], values[nr + nd :]
+        near[i] = np.minimum(np.abs(lo), np.abs(hi))
+        sign = np.sign(vals[i - 1] + vals[i + 1])
+        left = lo * sign < 0.0
+        split = left | (hi * sign < 0.0)
+        keys, j = slopes.keys[split], i[split]
+        xs, fs = np.where(left, x - d, x + d)[split], np.where(left, lo, hi)[split]
+        roots.add(
+            np.concatenate([keys, keys + 1]),
+            np.concatenate([grid[j - 1], xs]), np.concatenate([vals[j - 1], fs]),
+            np.concatenate([xs, grid[j + 1]]), np.concatenate([fs, vals[j + 1]]),
+        )
+        slopes.update(hi - lo, drop=split)
+    else:
+        # out of rounds: what is open reports its last probe
+        for brackets in (roots, slopes):
+            brackets.roots += zip(brackets.keys.tolist(), brackets.x1.tolist())
+    return roots.roots, [(k, x, near[k // 2 - n]) for k, x in slopes.roots]
 
 
 def _multiplicities(v: np.ndarray, h: np.ndarray, scale: float) -> np.ndarray:
@@ -395,24 +329,19 @@ def real_zero_scan_fn(
         & (absvals[i] <= absvals[i + 1])
         & (absvals[i] < 1e-3 * scale)
     )
-    i = i[dip]
 
-    brackets = _Brackets()
-    brackets.add(2 * cells, grid[cells], vals[cells], grid[cells + 1], vals[cells + 1])
-    sign = np.sign(vals[i - 1] + vals[i + 1])
-    dips = _Dips(2 * (n + i), grid[i - 1], vals[i - 1], grid[i + 1], vals[i + 1], sign)
-    _refine(f, brackets, dips)
+    roots, extrema = _refine(f, grid, vals, cells, i[dip])
 
     candidates = [(2 * int(k), float(grid[k])) for k in on_grid]
-    candidates += brackets.roots
-    candidates += [(key, lam) for key, lam, fx in dips.minima if abs(fx) <= 1e-8 * scale]
+    candidates += roots
+    candidates += [(key, lam) for key, lam, near in extrema if near <= 1e-8 * scale]
     if structural_zero_at_origin and lo <= 0.0 <= hi:
         candidates.append((4 * n, 0.0))
     candidates.sort(key=lambda c: c[0])
 
     found: list[float] = []
     for _, lam in candidates:
-        if all(abs(lam - seen) > 1e-6 * (1.0 + abs(seen)) for seen in found):
+        if all(abs(lam - seen) > _DISTINCT * (1.0 + abs(seen)) for seen in found):
             found.append(lam)
 
     zeros = []

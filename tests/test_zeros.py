@@ -8,7 +8,9 @@ import pytest
 from ccscatter import (
     ContourCollisionError,
     DegenerateFunctionError,
+    PotentialSpec,
     RealificationRequiredError,
+    build_problem,
     catalog,
     disk_zero_count,
     disk_zero_count_fn,
@@ -41,6 +43,26 @@ def test_degeneracy_dichotomy(free_problem, corpus):
     assert is_identically_zero(catalog.delta_pair(k=2 * PI))
     for name, prob in corpus:
         assert not is_identically_zero(prob), name
+
+
+def test_small_l1_perturbations_are_not_degenerate():
+    # b has discrete zeros unless V = 0, however small V is
+    constant = build_problem(PotentialSpec.zero(), PotentialSpec.constant(1e-11), (1.0, 0.0))
+    wave = build_problem(
+        PotentialSpec.zero(), PotentialSpec.polynomial([0.0, 1e-12, -1e-12]), (1.0, 1j)
+    )
+    for problem in (constant, wave):
+        assert not is_identically_zero(problem)
+        assert disk_zero_count(problem, 10.0) == 1
+    report = real_zero_scan(constant, (-5.0, 5.0), 50)
+    assert not report.identically_zero
+    assert [z for z, _, _ in report.zeros] == [0.0]
+
+
+def test_spike_free_degeneracy_evaluates_no_b(engine_sizes, spike_free):
+    for name, problem in spike_free:
+        assert not is_identically_zero(problem), name
+    assert engine_sizes == []
 
 
 def test_scan_reports_degenerate(free_problem):
@@ -143,6 +165,17 @@ SYNTHETIC_SCANS = {
     "double": (lambda x: (x - 0.31) ** 2 * (x + 1.0), 101, {0.31: 2, -1.0: 1}, 43),
     "quartic": (lambda x: (x - 0.37) ** 4 * (x + 1.5), 41, {0.37: 2, -1.5: 1}, 49),
     "seam": (lambda x: x**2 * (x - 1.0), 101, {0.0: 2, 1.0: 1}, 45),
+    "off_centre_double": (
+        lambda x: (x - 0.3333) ** 2 * (x + 1.0) * np.exp(x), 101,
+        {0.3333: 2, -1.0: 1}, 43,
+    ),
+    "two_doubles": (
+        lambda x: (x - 0.5) ** 2 * (x + 0.7) ** 2, 81, {0.5: 2, -0.7: 2}, 43,
+    ),
+    "cosine_touch": (
+        lambda x: 1.0 - np.cos(3.0 * (x - 0.2)), 101, {0.2: 2, -1.894395: 2}, 41,
+    ),
+    "dip_without_zero": (lambda x: (x - 0.3) ** 2 + 1e-6, 101, {}, 39),
 }
 
 
