@@ -21,7 +21,10 @@ iteration go to b in one call.  The five-point multiplicity stencils
 of all candidate zeros then go in one more call.  Contours reuse what they
 have evaluated: doubling n nodes evaluates only the n new odd nodes (the
 even nodes of the 2n grid are the old grid, bit for bit), and a growth fit
-counts each radius starting from its own 256 max-modulus nodes.
+counts each radius starting from its own 256 max-modulus nodes.  When u0 is
+exactly real, only the upper half of each circle is evaluated: Q, V and
+u0 are then real, so b(conj lam) = conj b(lam), and every node below the
+real axis is the exact conjugate of one above it.
 
 The ``*_fn`` variants operate on a plain callable, which is the seam used
 to validate the counting machinery against synthetic functions.
@@ -100,6 +103,11 @@ def _batch_evaluator(
         return b
 
     return f
+
+
+def _real_on_real_axis(problem: ScatteringProblem) -> bool:
+    """Whether b(conj lam) = conj b(lam): Q and V are real, so when u0 is."""
+    return all(z.imag == 0.0 for z in problem.ref.u0_at_0)
 
 
 def is_identically_zero(problem: ScatteringProblem) -> bool:
@@ -254,24 +262,16 @@ def _refine(f, grid: np.ndarray, vals: np.ndarray, cells: np.ndarray, i: np.ndar
     return roots.roots, [(k, x, near[k // 2 - n]) for k, x in slopes.roots]
 
 
-def _multiplicities(v: np.ndarray, h: np.ndarray, scale: float) -> np.ndarray:
-    """Zero orders, at most 4, from scaled central-difference Taylor terms.
+def _multiplicities(v: np.ndarray, scale: float) -> np.ndarray:
+    """Zero orders, at most 4, from the Taylor terms of the 5-point interpolant.
 
-    ``v`` holds f at lam + k h, k = -2..2, one row per zero.
+    ``v`` holds f at lam + k h, k = -2..2, one row per zero.  The interpolant
+    sum_j c_j k^j through them is exact on quartics, so c_j = f^(j) h^j / j!
+    up to the fifth Taylor term, and a zero of order m <= 4 leaves c_1 ...
+    c_(m-1) at that level.
     """
-    d1 = (v[:, 3] - v[:, 1]) / (2 * h)
-    d2 = (v[:, 3] - 2 * v[:, 2] + v[:, 1]) / h**2
-    d3 = (v[:, 4] - 2 * v[:, 3] + 2 * v[:, 1] - v[:, 0]) / (2 * h**3)
-    d4 = (v[:, 4] - 4 * v[:, 3] + 6 * v[:, 2] - 4 * v[:, 1] + v[:, 0]) / h**4
-    terms = np.stack(
-        [
-            np.abs(d1) * h,
-            np.abs(d2) * h**2 / 2.0,
-            np.abs(d3) * h**3 / 6.0,
-            np.abs(d4) * h**4 / 24.0,
-        ],
-        axis=1,
-    )
+    c = np.linalg.solve(np.vander(np.arange(-2, 3), 5, increasing=True), v.T)
+    terms = np.abs(c[1:].T)
     top = terms.max(axis=1)
     noise = 1e3 * np.finfo(float).eps * scale
     # the order is the first significant term; the largest term always is
@@ -350,7 +350,7 @@ def real_zero_scan_fn(
         h = 1e-3 * (1.0 + np.abs(lams))
         stencil = f((lams[:, None] + np.arange(-2, 3) * h[:, None]).ravel())
         stencil = stencil.reshape(len(lams), 5)
-        mults = _multiplicities(stencil, h, scale)
+        mults = _multiplicities(stencil, scale)
         for lam, v, mult in zip(found, stencil, mults.tolist()):
             residual = abs(float(v[2]))
             if residual <= 1e-8 * scale:
@@ -387,25 +387,65 @@ def real_zero_scan(
 # argument principle
 
 
+def _mirror(out: np.ndarray) -> np.ndarray:
+    """Set entry n - k of the n entries to the conjugate of entry k, 0 < k < n / 2."""
+    n = len(out)
+    out[n // 2 + 1 :] = out[(n + 1) // 2 - 1 : 0 : -1].conj()
+    return out
+
+
 def _contour(r: float, n: int) -> np.ndarray:
-    """The n nodes r exp(2 pi i k / n); the even nodes of 2n are those of n."""
-    return r * np.exp(2j * np.pi * np.arange(n) / n)
+    """The n nodes r exp(2 pi i k / n); the even nodes of 2n are those of n.
+
+    Nodes k = 0 ... n // 2 come from the formula, and node n - k is the
+    conjugate of node k bit for bit, so the nodes below the real axis are
+    exact mirrors of those above it at every radius.
+    """
+    out = np.empty(n, dtype=complex)
+    out[: n // 2 + 1] = r * np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
+    return _mirror(out)
+
+
+def _on_contour(
+    f_batch: Callable[[np.ndarray], np.ndarray],
+    r: float,
+    n: int,
+    mirrored: bool,
+    half: np.ndarray | None = None,
+) -> np.ndarray:
+    """f on the n nodes of |lam| = r.
+
+    ``half`` holds f on the n / 2 nodes of the halved circle, which are the
+    even nodes of this one; then only the odd nodes are evaluated.  When
+    ``mirrored`` (f(conj z) = conj f(z)), only the nodes k <= n / 2 are
+    evaluated, and node n - k takes the conjugate of node k.
+    """
+    lams = _contour(r, n)
+    top = n // 2 + 1 if mirrored else n
+    out = np.empty(n, dtype=complex)
+    if half is None:
+        out[:top] = f_batch(lams[:top])
+    else:
+        out[0::2], out[1:top:2] = half, f_batch(lams[1:top:2])
+    return _mirror(out) if mirrored else out
 
 
 def _settled_count(
-    f_batch: Callable[[np.ndarray], np.ndarray], r: float, n: int, vals: np.ndarray
+    f_batch: Callable[[np.ndarray], np.ndarray],
+    r: float,
+    n: int,
+    vals: np.ndarray,
+    mirrored: bool,
 ) -> int:
     """Winding count on |lam| = r from n nodes, doubling until it settles.
 
     ``vals`` holds f on the contour of ``len(vals)`` nodes, a multiple of n;
-    past that, each doubling evaluates only the new odd nodes.
+    past that, each doubling evaluates only the new odd nodes, and when
+    ``mirrored`` only those with Im lam >= 0.
     """
     while True:
-        lams = _contour(r, n)
         if n > len(vals):
-            both = np.empty(n, dtype=complex)
-            both[0::2], both[1::2] = vals, f_batch(lams[1::2])
-            vals = both
+            vals = _on_contour(f_batch, r, n, mirrored, vals)
         sub = vals[:: len(vals) // n]
         absvals = np.abs(sub)
         if float(absvals.min()) == 0.0:
@@ -420,6 +460,7 @@ def _settled_count(
             # resolution has settled; now the finite-difference Newton step
             # is a meaningful distance estimate for the nearest zero
             j = int(absvals.argmin())
+            lams = _contour(r, n)
             deriv = (sub[(j + 1) % n] - sub[j - 1]) / (lams[(j + 1) % n] - lams[j - 1])
             if abs(deriv) > 0.0 and abs(sub[j] / deriv) < 1e-6 * r:
                 raise ContourCollisionError(
@@ -450,18 +491,24 @@ def _disk_radius(r: float, nodes: int) -> float:
 
 
 def disk_zero_count_fn(
-    f_batch: Callable[[np.ndarray], np.ndarray], r: float, nodes: int = 64
+    f_batch: Callable[[np.ndarray], np.ndarray],
+    r: float,
+    nodes: int = 64,
+    *,
+    conjugate_symmetric: bool = False,
 ) -> int:
     """Zeros of f inside |lam| <= r by trapezoidal winding of the phase.
 
     Node count starts at max(nodes, 64) and doubles until consecutive
     phase increments stay below pi/2 and the winding number is within 0.25
     of an integer.  ``nodes`` must be at least 1.  f is evaluated once per
-    node of the final contour.
+    node of the final contour, or, when ``conjugate_symmetric`` declares
+    f(conj z) = conj f(z), once per node with Im lam >= 0.
     """
     r = _disk_radius(r, nodes)
     n = max(int(nodes), 64)
-    return _settled_count(f_batch, r, n, f_batch(_contour(r, n)))
+    vals = _on_contour(f_batch, r, n, conjugate_symmetric)
+    return _settled_count(f_batch, r, n, vals, conjugate_symmetric)
 
 
 def disk_zero_count(problem: ScatteringProblem, r: float, nodes: int = 64) -> int:
@@ -469,7 +516,10 @@ def disk_zero_count(problem: ScatteringProblem, r: float, nodes: int = 64) -> in
     _disk_radius(r, nodes)
     if is_identically_zero(problem):
         raise DegenerateFunctionError("b vanishes identically; no discrete zeros")
-    return disk_zero_count_fn(_batch_evaluator(problem, _CONTOUR_RTOL), r, nodes)
+    return disk_zero_count_fn(
+        _batch_evaluator(problem, _CONTOUR_RTOL), r, nodes,
+        conjugate_symmetric=_real_on_real_axis(problem),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -485,15 +535,25 @@ def _fit_radii(radii) -> list[float]:
     return radii
 
 
-def order_fit_fn(f_batch: Callable[[np.ndarray], np.ndarray], radii) -> GrowthFit:
+def order_fit_fn(
+    f_batch: Callable[[np.ndarray], np.ndarray],
+    radii,
+    *,
+    conjugate_symmetric: bool = False,
+) -> GrowthFit:
+    """Growth and zero-count exponents of f over increasing radii.
+
+    ``conjugate_symmetric`` declares f(conj z) = conj f(z), so that only the
+    contour nodes with Im lam >= 0 are evaluated.
+    """
     radii = _fit_radii(radii)
     counts = []
     log_max = []
     for r in radii:
-        vals = f_batch(_contour(r, _FIT_NODES))
+        vals = _on_contour(f_batch, r, _FIT_NODES, conjugate_symmetric)
         log_max.append(float(np.log(np.abs(vals).max())))
         # the count's 64- and 128-node contours are every 4th and 2nd node
-        counts.append(_settled_count(f_batch, r, 64, vals))
+        counts.append(_settled_count(f_batch, r, 64, vals, conjugate_symmetric))
     log_r = np.log(radii)
     count_fit, count_res = _slope(log_r, np.log(np.maximum(counts, 1)))
     # max|b| < e makes log log meaningless for order fitting; clamp so the
@@ -521,4 +581,7 @@ def order_fit(problem: ScatteringProblem, radii) -> GrowthFit:
     _fit_radii(radii)
     if is_identically_zero(problem):
         raise DegenerateFunctionError("b vanishes identically; growth undefined")
-    return order_fit_fn(_batch_evaluator(problem, _CONTOUR_RTOL), radii)
+    return order_fit_fn(
+        _batch_evaluator(problem, _CONTOUR_RTOL), radii,
+        conjugate_symmetric=_real_on_real_axis(problem),
+    )

@@ -163,7 +163,8 @@ SYNTHETIC_SCANS = {
         {0.3: 1, 0.31: 1, -1.7: 1}, 44,
     ),
     "double": (lambda x: (x - 0.31) ** 2 * (x + 1.0), 101, {0.31: 2, -1.0: 1}, 43),
-    "quartic": (lambda x: (x - 0.37) ** 4 * (x + 1.5), 41, {0.37: 2, -1.5: 1}, 49),
+    "triple": (lambda x: (x - 0.37) ** 3 * (x + 1.5), 41, {0.37: 3, -1.5: 1}, 78),
+    "quartic": (lambda x: (x - 0.37) ** 4 * (x + 1.5), 41, {0.37: 4, -1.5: 1}, 49),
     "seam": (lambda x: x**2 * (x - 1.0), 101, {0.0: 2, 1.0: 1}, 45),
     "off_centre_double": (
         lambda x: (x - 0.3333) ** 2 * (x + 1.0) * np.exp(x), 101,
@@ -271,6 +272,13 @@ def test_contour_doubling_keeps_the_old_nodes_bit_for_bit():
     assert np.array_equal(zeros._contour(2.5, 200)[::2], zeros._contour(2.5, 100))
 
 
+def test_contour_nodes_are_exact_conjugate_pairs():
+    for r in (1.0, 3e2, 1e5):
+        for n in (64, 65, 100, 1 << 17):
+            nodes, k = zeros._contour(r, n), np.arange(1, (n + 1) // 2)
+            assert np.array_equal(nodes[n - k], nodes[k].conj())
+
+
 def test_disk_count_evaluates_only_its_final_nodes():
     # l^20 settles on 128 nodes and l^60 from 100 nodes on 400: each
     # doubling evaluates only the new odd nodes
@@ -296,7 +304,44 @@ def test_order_fit_evaluation_budget(engine_sizes):
     engine_sizes.clear()
     fit = order_fit(problem, (1e2, 3e2, 1e3, 3e3))
     assert fit.counts == (3, 4, 7, 12)
-    assert sum(engine_sizes) <= 1104
+    assert sum(engine_sizes) <= 560
+
+
+def test_real_problem_evaluates_the_upper_half_of_each_circle(engine_sizes, sine_well):
+    # b(conj lam) = conj b(lam) for real u0: 33 of the 64 nodes are evaluated
+    assert disk_zero_count(sine_well, 500.0) == 7
+    assert engine_sizes == [33]
+
+
+def _count_or_error(count, *args, **kwargs):
+    try:
+        return count(*args, **kwargs)
+    except ContourCollisionError as err:
+        return str(err)
+
+
+def test_mirrored_contours_change_no_result(real_corpus):
+    for name, problem in real_corpus:
+        f = zeros._batch_evaluator(problem, zeros._CONTOUR_RTOL)
+        for r in (170.0, 1.3e3, 1.1e4):
+            unfolded = _count_or_error(disk_zero_count_fn, f, r)
+            assert _count_or_error(disk_zero_count, problem, r) == unfolded, (name, r)
+        radii = (1e2, 1e3, 1e4, 1e5)
+        unfolded = order_fit_fn(f, radii)
+        fit = order_fit(problem, radii)
+        assert fit.counts == unfolded.counts, name
+        assert np.allclose(fit.log_max_modulus, unfolded.log_max_modulus, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", ["delta_pair", "traveling_barrier"])
+def test_complex_reference_evaluates_every_node(engine_sizes, name):
+    problem = getattr(catalog, name)()
+    f = Counting(zeros._batch_evaluator(problem, zeros._CONTOUR_RTOL))
+    count = disk_zero_count_fn(f, 10.0)
+    engine_sizes.clear()
+    assert disk_zero_count(problem, 10.0) == count
+    degeneracy = [80] if problem.V.has_spikes else []
+    assert engine_sizes == degeneracy + f.sizes == degeneracy + [64]
 
 
 def test_order_fit_validates_radii(sine_well, free_problem):
