@@ -15,7 +15,13 @@ Wronskian of solution pairs is preserved to rounding no matter how coarse
 the subdivision is.  The step is exact on constant-coefficient pieces.
 Pieces with genuinely varying coefficients are swept with step pairs
 (n, 2n) until the Richardson error estimate meets the problem tolerance; a
-failed pair predicts the next n from the step's sixth order.
+failed pair predicts the next n from the step's sixth order.  The members
+of a pair step together.  Omega of a step of length 2h at c is Omega of a
+step of length h at 4c conjugated by D = diag(1, 2), so the coarse step is
+D^-1 E(h, 4c) D, and bit for bit: every product and sum in the step scales
+by a power of two.  One kernel call at the fine length h steps both
+members, which then share one pairwise tree, and each member is the
+product that a sweep of its own would give.
 
 Everything is vectorized over a batch of coupling values: the same
 subdivision is applied to every lam in the batch.  Every 2x2 matrix is held
@@ -53,7 +59,7 @@ from .problem import Pair, PotentialSpec, ScatteringProblem, _segment_abs_integr
 _GAUSS_NODES = 0.5 + np.array([[-1.0], [0.0], [1.0]]) * (math.sqrt(15.0) / 10.0)
 _MAX_SUBSTEPS = 1 << 15
 _EPS = float(np.finfo(float).eps)
-_BLOCK_ENTRIES = 1 << 13  # steps x couplings per block of the sweep's product
+_BLOCK_ENTRIES = 1 << 13  # steps x couplings per kernel block, both members of a pair counted
 _ROUNDING = 4.0  # the error bound's rounding, in units of eps (see _rounding_bound)
 _IDENTITY = np.eye(2)[:, :, None]  # broadcasts over a batch
 
@@ -256,14 +262,20 @@ def _node_values(piece: _Piece, n: int) -> tuple[np.ndarray, np.ndarray, float]:
 
     ``q`` and ``v`` have one row per node, shape (3, n) on a varying piece
     and (1, n) on a constant one, where c is the same at every node; ``h``
-    is the sub-step length.  The sweep forms c = Q + lam*V from them block
-    by block, and ``_piece_states`` once, so the coefficients, the states
-    and the eigenvalue counts use one discretization.
+    is the sub-step length.  ``_piece_states`` forms c = Q + lam*V from
+    them, and the sweep from the same nodes (``_node_xs``), so the
+    coefficients, the states and the eigenvalue counts use one
+    discretization.
     """
+    xs, h = _node_xs(piece, n)
+    return npoly.polyval(xs, piece.q_coeffs), npoly.polyval(xs, piece.v_coeffs), h
+
+
+def _node_xs(piece: _Piece, n: int) -> tuple[np.ndarray, float]:
+    """Gauss nodes of n equal sub-steps, from x0, one row per node: (xs, h)."""
     h = piece.length / n
     offsets = (piece.x0 + h * np.arange(n)) - piece.x0
-    xs = offsets + _nodes(piece) * h  # one row per node of every sub-step
-    return npoly.polyval(xs, piece.q_coeffs), npoly.polyval(xs, piece.v_coeffs), h
+    return offsets + _nodes(piece) * h, h
 
 
 def _nodes(piece: _Piece) -> np.ndarray:
@@ -271,9 +283,9 @@ def _nodes(piece: _Piece) -> np.ndarray:
     return _GAUSS_NODES[1:2] if piece.is_constant else _GAUSS_NODES
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ b for 2x2 matrices stored axes first, (2, 2, ...): faster than matmul."""
-    out = a[:, :1] * b[None, 0]
+    out = np.multiply(a[:, :1], b[None, 0], out=out)
     out += a[:, 1:] * b[None, 1]
     return out
 
@@ -291,24 +303,51 @@ def _tree_product(steps: np.ndarray) -> np.ndarray:
     return steps[..., 0]
 
 
-def _sweep(piece: _Piece, lams: np.ndarray, n: int) -> np.ndarray:
-    """Transfer matrices (2, 2, L) across one piece with n Magnus sub-steps.
+def _sweep_pair(piece: _Piece, lams: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer matrices (2, 2, L) across a varying piece: (n steps, 2n steps).
 
-    The steps are multiplied as one pairwise tree.  Its lower levels run on
-    cache-sized blocks of a power-of-two number of steps, whose products
-    then finish the same tree, so blocking changes no rounding.  All blocks
-    write their steps into one buffer, each as a contiguous view of it.
+    The nodes of both members are laid out once, per node as (fine 2i,
+    fine 2i + 1, coarse i) with 4Q and 4V in the coarse row, so one kernel
+    call at the fine length h steps a block of 2k fine and k coarse
+    sub-steps; the coarse product is rescaled by diag(1, 2) at the end (see
+    the module docstring).  After the fine tree's first level both members
+    finish one pairwise tree as a batch of 2L.  k is a power of two and
+    the block products join the tree as they come, in aligned runs (a
+    binary counter), so blocking changes no rounding and costs no memory
+    per block.  Every block reuses the same buffers.
     """
-    q, v, h = _node_values(piece, n)
-    width = 1 << max(6, (_BLOCK_ENTRIES // max(1, len(lams))).bit_length() - 1)
-    buffer = np.empty(4 * len(lams) * min(n, width), dtype=np.result_type(lams, float))
+    fine, h = _node_xs(piece, 2 * n)
+    coarse, _ = _node_xs(piece, n)
+    xs = np.concatenate((fine.reshape(3, n, 2).transpose(0, 2, 1), coarse[:, None]), axis=1)
+    q, v = npoly.polyval(xs, piece.q_coeffs), npoly.polyval(xs, piece.v_coeffs)
+    q[:, 2] *= 4.0
+    v[:, 2] *= 4.0
+    L = len(lams)
+    # k >= 2: a block's product is then never a view of the buffer the next block reuses
+    k = min(n, 1 << max(1, (_BLOCK_ENTRIES // (3 * max(1, L))).bit_length() - 1))
+    dtype = np.result_type(lams, float)
+    c_buffer = np.empty(9 * L * k, dtype=dtype)
+    step_buffer = np.empty(16 * L * k, dtype=dtype)  # even, odd, coarse, fine pairs
+    runs = []  # (length in blocks, product) of aligned runs of blocks, longest first
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = []
-        for j in range(0, n, width):
-            c = lams[:, None] * v[:, None, j : j + width] + q[:, None, j : j + width]
-            steps = buffer[: 4 * c[0].size].reshape((2, 2) + c.shape[1:])
-            blocks.append(_tree_product(_step_matrices(c, h, steps)))
-        return _tree_product(np.stack(blocks, axis=-1))
+        for j in range(0, n, k):
+            w = min(k, n - j)
+            c = c_buffer[: 9 * L * w].reshape(3, 3, L, w)
+            np.multiply(lams[:, None], v[:, :, None, j : j + w], out=c)
+            c += q[:, :, None, j : j + w]
+            steps = step_buffer[: 16 * L * w].reshape(2, 2, 4, L, w)
+            _step_matrices(c, h, steps[:, :, :3])
+            _mul(steps[:, :, 1], steps[:, :, 0], out=steps[:, :, 3])
+            M, size = _tree_product(steps[:, :, 2:]), 1
+            while runs and runs[-1][0] == size:
+                M, size = _mul(M, runs.pop()[1]), 2 * size
+            runs.append((size, M))
+        M = runs.pop()[1]
+        while runs:
+            M = _mul(M, runs.pop()[1])
+        M[0, 1, 0] *= 2.0
+        M[1, 0, 0] *= 0.5
+    return M[:, :, 0], M[:, :, 1]
 
 
 def _piece_states(piece: _Piece, lams: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -352,12 +391,17 @@ def _piece_transfer(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Adaptive transfer over a piece: (matrices, relative errors, step count).
 
-    Varying pieces are swept with a pair (n, 2n) of step counts.  A pair is
-    accepted when the relative difference of its members, over 4, is at
+    A constant piece is one exact step.  A varying piece is swept with a
+    pair (n, 2n) of step counts, both members in one ``_sweep_pair`` call:
+    the coarse step of length 2h at c is the fine-length step at 4c
+    conjugated by diag(1, 2), so one kernel call per block steps both, and
+    they share the pairwise tree after the fine tree's first level.  A pair
+    is accepted when the relative difference of its members, over 4, is at
     most rtol for every coupling; the finer member is returned.  The
     difference falls as n**-6, so a failed pair with worst difference e
     predicts the next n as about 1.1 n (e/rtol)**(1/6), at least 2n (then
-    the finer member is reused) and at most the largest pair allowed.
+    the next pair steps the old finer member again) and at most the
+    largest pair allowed.
     Rounding sets a floor under the difference that more steps do not
     lower.  When rtol is below double rounding, or a failed pair's worst
     difference fell by less than 1/64 of what the order predicts (one
@@ -365,13 +409,13 @@ def _piece_transfer(
     raises.
     """
     if piece.is_constant:
-        return _sweep(piece, lams, 1), np.zeros(lams.shape), 1
+        c = lams * piece.v_coeffs[0] + piece.q_coeffs[0]
+        return _step_matrices(c[None], piece.length), np.zeros(lams.shape), 1
 
     n = _initial_substeps(piece, lams)
-    M = _sweep(piece, lams, n)
     expected = math.inf  # worst difference the order predicts for this pair
     while True:
-        M2 = _sweep(piece, lams, 2 * n)
+        M, M2 = _sweep_pair(piece, lams, n)
         scale = _matrix_scale(M2) + 1.0
         if not np.all(np.isfinite(scale)):
             raise IntegrationError("propagation overflowed", piece.x0)
@@ -389,7 +433,6 @@ def _piece_transfer(
             want = 1.1 * n * (worst / rtol) ** (1 / 6)
         m = math.ceil(min(np.fmax(want, 2 * n), _MAX_SUBSTEPS // 2))
         expected = worst * (n / m) ** 6
-        M = M2 if m == 2 * n else _sweep(piece, lams, m)
         n = m
 
 

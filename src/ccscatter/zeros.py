@@ -353,7 +353,7 @@ def _refine(f, grid, vals, cells, i, centres, origin):
     n, cell = len(grid), grid[1] - grid[0]
     roots = _Brackets(_XTOL, _RTOL)
     seed = np.maximum(cells - 1, 0)
-    seeded = (cells > 0) & (vals[seed] * vals[cells] > 0.0)
+    seeded = (cells > 0) & (np.sign(vals[seed]) * np.sign(vals[cells]) > 0.0)
     roots.add(
         2 * cells,
         grid[cells], vals[cells], grid[cells + 1], vals[cells + 1],
@@ -501,7 +501,10 @@ def _scan(f, lo: float, hi: float, n: int, structural_zero_at_origin: bool) -> Z
     # below: grid cells first (2 i), then dips (2 (n + i), and + 1 for the
     # right half of a split dip), then the structural zero
     on_grid = np.flatnonzero(vals == 0.0)
-    cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    # signs compare as signs: a product of two values of f underflows to
+    # zero once |f| is below about 1e-154
+    signs = np.sign(vals)
+    cells = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
     sign_change = np.zeros(n, dtype=bool)
     sign_change[cells] = sign_change[cells + 1] = True
 
@@ -511,7 +514,7 @@ def _scan(f, lo: float, hi: float, n: int, structural_zero_at_origin: bool) -> Z
     absvals = np.abs(vals)
     left, mid, right = absvals[:-2], absvals[1:-1], absvals[2:]
     dip = (
-        (vals[:-2] * vals[2:] >= 0.0)
+        (signs[:-2] * signs[2:] >= 0.0)
         & ~(sign_change[:-2] | sign_change[1:-1] | sign_change[2:])
         & (mid <= left)
         & (mid <= right)

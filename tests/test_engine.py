@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,7 +31,7 @@ from ccscatter.engine import (
     _piece_transfer,
     _pieces,
     _step_matrices,
-    _sweep,
+    _sweep_pair,
     _tree_product,
     reference_states,
     transfer_matrices,
@@ -219,13 +220,13 @@ def test_real_steps_match_the_complex_path():
 
 @pytest.mark.parametrize("name", ["ramp_well", "tilted_background"])
 def test_tree_product_matches_sequential_product(name):
-    """The sweep's pairwise product equals the step-by-step product.
+    """The pairwise tree of a piece's steps equals the step-by-step product.
 
     At real couplings the prefix states of _piece_states, times their
     scales, also equal the running step-by-step product after every step.
     At n <= 3 and |lam| ~ 1e4 one sixth-order step overflows (Omega grows
     like h^3 |c|^2), so the step-by-step product is itself non-finite
-    there; the sweep must be non-finite at the same couplings, and both
+    there; the tree must be non-finite at the same couplings, and both
     are compared where the step-by-step product is finite.
     """
     piece = _varying_piece(name)
@@ -237,16 +238,17 @@ def test_tree_product_matches_sequential_product(name):
             for lams in (complex_lams, complex_lams.real):
                 q, v, h = _node_values(piece, n)
                 coeffs = lams[:, None] * v[:, None, :] + q[:, None, :]
-                steps = _matrices_last(_step_matrices(coeffs, h))  # (L, n, 2, 2)
+                raw = _step_matrices(coeffs, h)
+                steps = _matrices_last(raw)  # (L, n, 2, 2)
                 running = np.empty_like(steps)
                 running[:, 0] = M = steps[:, 0]
                 with np.errstate(over="ignore", invalid="ignore"):
                     for i in range(1, n):
                         running[:, i] = M = steps[:, i] @ M
+                    tree = _matrices_last(_tree_product(raw))
                 finite = np.isfinite(M).all(axis=(1, 2))
-                swept = _matrices_last(_sweep(piece, lams, n))
-                assert np.array_equal(np.isfinite(swept).all(axis=(1, 2)), finite), (L, n)
-                diff = np.abs(swept[finite] - M[finite]).max(axis=(1, 2))
+                assert np.array_equal(np.isfinite(tree).all(axis=(1, 2)), finite), (L, n)
+                diff = np.abs(tree[finite] - M[finite]).max(axis=(1, 2))
                 assert np.all(diff <= 1e-12 * np.abs(M[finite]).max(axis=(1, 2))), (L, n)
                 if np.iscomplexobj(lams):
                     continue
@@ -256,6 +258,53 @@ def test_tree_product_matches_sequential_product(name):
                 finite = np.isfinite(running).all(axis=(2, 3))
                 diff = np.abs(states[finite] - running[finite]).max(axis=(1, 2))
                 assert np.all(diff <= 1e-12 * np.abs(running[finite]).max(axis=(1, 2))), (L, n)
+
+
+@pytest.mark.parametrize("name", ["ramp_well", "tilted_background"])
+def test_sweep_pair_members_equal_unblocked_products_bit_for_bit(name):
+    """Both members of _sweep_pair are the unblocked trees at n and 2n.
+
+    The coarse member comes from steps at the fine length and 4c, rescaled
+    by diag(1, 2), and both members are multiplied in blocks; neither may
+    change a bit wherever the unblocked product is finite, and both are
+    non-finite where it is.  L = 129 at n = 4097 runs hundreds of blocks.
+    """
+    piece = _varying_piece(name)
+    rng = np.random.default_rng(31)
+    for L in (1, 3, 16, 129):
+        radii = 10.0 ** rng.uniform(0.0, 4.0, L)
+        complex_lams = radii * np.exp(2j * PI * rng.uniform(0.0, 1.0, L))
+        for n in (4, 5, 63, 64, 65, 269, 4097):
+            for lams in (complex_lams, complex_lams.real):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    members = _sweep_pair(piece, lams, n)
+                for got, steps in zip(members, (n, 2 * n)):
+                    want = _unblocked_product(piece, lams, steps)
+                    assert got.dtype == want.dtype, (L, n)
+                    finite = np.isfinite(want).all(axis=(0, 1))
+                    assert np.array_equal(np.isfinite(got).all(axis=(0, 1)), finite), (L, steps)
+                    assert np.array_equal(got[..., finite], want[..., finite]), (L, steps)
+
+
+def test_sweep_pair_memory_stays_within_a_few_blocks():
+    """129 complex couplings at n = 4096: the traced peak of one pair.
+
+    The unit, 16 B x 4 x _BLOCK_ENTRIES, is one block's complex step
+    matrices.  The block buffers, the kernel's temporaries and the node
+    values take about 6 units, and finished blocks are merged as they
+    come, so 8 units hold whatever n is; a stack of the 256 block products
+    of both members would alone take 8.
+    """
+    piece = _varying_piece("ramp_well")
+    lams = 1e3 * np.exp(2j * PI * (np.arange(129) + 0.5) / 129)
+    _sweep_pair(piece, lams, 64)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        _sweep_pair(piece, lams, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 16 * 4 * engine._BLOCK_ENTRIES, peak
 
 
 def test_piece_states_stay_finite_past_float_range():
@@ -277,16 +326,31 @@ def _varying_piece(name):
     return piece
 
 
+def _unblocked_product(piece, lams, n):
+    """The n-step product of a piece as one unblocked pairwise tree, (2, 2, L).
+
+    Couplings are taken 16 at a time, which keeps the arrays small and
+    changes no bit: the tree is elementwise in the coupling.
+    """
+    q, v, h = _node_values(piece, n)
+    parts = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(lams), 16):
+            c = lams[i : i + 16, None] * v[:, None, :] + q[:, None, :]
+            parts.append(_tree_product(_step_matrices(c, h)))
+    return np.concatenate(parts, axis=-1)
+
+
 def _counting_sweeps(monkeypatch):
-    """Record the sub-step count of every sweep the engine makes."""
+    """Record the sub-step counts of both members of every pair the engine sweeps."""
     counts = []
-    sweep = engine._sweep
+    sweep_pair = engine._sweep_pair
 
     def counting(piece, lams, n):
-        counts.append(n)
-        return sweep(piece, lams, n)
+        counts.extend((n, 2 * n))
+        return sweep_pair(piece, lams, n)
 
-    monkeypatch.setattr(engine, "_sweep", counting)
+    monkeypatch.setattr(engine, "_sweep_pair", counting)
     return counts
 
 
@@ -294,7 +358,7 @@ def _counting_sweeps(monkeypatch):
 def test_refinement_meets_rtol_and_its_error_bound(name):
     """The accepted pair passes rtol, and its estimate bounds the step error.
 
-    The reference is a sweep of _MAX_SUBSTEPS steps.  Its own rounding
+    The reference is the unblocked product of _MAX_SUBSTEPS steps.  Its own rounding
     reaches about 2e-12 of the matrix scale at |lam| = 1e4, so the bound
     is checked at rtol 1e-8 and 1e-10 with an allowance of 1e-11 for
     rounding; the coarse member of the pair misses it by about 4x.
@@ -309,7 +373,7 @@ def test_refinement_meets_rtol_and_its_error_bound(name):
                 radii * np.exp(2j * PI * rng.uniform(0.0, 1.0, L)),
             ):
                 M, rel, _ = _piece_transfer(piece, lams, rtol)
-                M_ref = _sweep(piece, lams, _MAX_SUBSTEPS)
+                M_ref = _unblocked_product(piece, lams, _MAX_SUBSTEPS)
                 scale = _matrix_scale(M) + 1.0
                 assert np.all(rel <= rtol), (L, rtol)
                 diff = _matrix_scale(M - M_ref)
@@ -317,12 +381,13 @@ def test_refinement_meets_rtol_and_its_error_bound(name):
 
 
 def test_predicted_step_count_needs_few_sweeps(monkeypatch):
-    """ramp_well at lam = 98: sweeps 9, 18, 174, 348 (the fourth-order step
-    needed 9, 18, 2101, 4202, and step doubling 9 -> 4608 in 10 sweeps)."""
+    """ramp_well at lam = 98: pairs (9, 18) and (174, 348) (the fourth-order
+    step needed 9, 18, 2101, 4202, and step doubling 9 -> 4608 in 10 sweeps)."""
     piece = _varying_piece("ramp_well")
     counts = _counting_sweeps(monkeypatch)
     _, rel, _ = _piece_transfer(piece, np.array([98.0 + 0j]), 1e-12)
     assert rel[0] <= 1e-12
+    assert counts, "no sweep was recorded"
     assert len(counts) <= 4, counts
     assert sum(counts) <= 1000, counts
 
@@ -333,6 +398,7 @@ def test_unreachable_rtol_exhausts_within_the_step_cap(monkeypatch):
     counts = _counting_sweeps(monkeypatch)
     with pytest.raises(IntegrationError, match="step refinement exhausted"):
         _piece_transfer(piece, np.array([98.0 + 0j]), 1e-17)
+    assert counts, "no sweep was recorded"
     assert max(counts) == _MAX_SUBSTEPS, counts
     assert sum(counts) <= 49179, counts  # 9, 18, then the pair (16384, 32768)
 
@@ -346,7 +412,7 @@ def test_pair_differences_fall_at_sixth_order(lam):
     """
     piece = _varying_piece("ramp_well")
     lams = np.array([complex(lam)])
-    coarse, mid, fine = (_sweep(piece, lams, n) for n in (128, 256, 512))
+    coarse, mid, fine = (_unblocked_product(piece, lams, n) for n in (128, 256, 512))
     ratio = _matrix_scale(mid - coarse)[0] / _matrix_scale(fine - mid)[0]
     assert ratio >= 50.0, ratio
 

@@ -221,6 +221,18 @@ def test_noisy_double_zero_is_found_once_in_few_calls(seed):
     assert len(f.sizes) <= 16
 
 
+@pytest.mark.parametrize("points", [3, 41])
+def test_tiny_function_keeps_its_sign_changes(points):
+    # at |f| ~ 1e-300 a product of two values underflows to zero, so signs
+    # are compared as signs: the cell's sign change is refined as one, with
+    # no spurious zero and no run to the round cap
+    f = Counting(lambda lams: 1e-300 * (np.real(lams) - 0.3))
+    report = real_zero_scan_fn(f, (-2.0, 2.0), points)
+    assert [m for _, m, _ in report.zeros] == [1]
+    assert abs(report.zeros[0][0] - 0.3) <= 1e-10
+    assert len(f.sizes) < 20
+
+
 def test_scan_refines_all_brackets_in_few_engine_calls(engine_sizes):
     problem = catalog.ramp_well()
     engine_sizes.clear()  # building the problem evaluates lam = 0
