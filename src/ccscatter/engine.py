@@ -37,10 +37,10 @@ the spike at its right end.  A spike contributes the jump
 u' -> u' + lam * weight * u.  ``transfer_matrices`` walks the layout from
 0- to 1+, and every whole-interval quantity (coefficients, reflection,
 ``propagate``, ``transfer_matrix``) and its error bound is a read-out of
-it; spectral's phase count walks the same layout.  States inside a piece
-come from ``_piece_states``, the rescaled products of the first k steps for
-every k: ``reference_states`` reads them at lam = 0, where spikes are the
-identity, and spectral's phase count reads the sign of u from them.
+it; spectral's phase count walks the same layout, with the same step
+kernel, node values and pairwise tree.  States inside a piece come from
+``_piece_states``, the products of the first k steps for every k, which
+``reference_states`` reads at lam = 0, where spikes are the identity.
 """
 
 from __future__ import annotations
@@ -257,24 +257,27 @@ def _step_matrices(c: np.ndarray, h, out: np.ndarray | None = None) -> np.ndarra
         return out
 
 
-def _node_values(piece: _Piece, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Q and V at the Gauss nodes of n equal sub-steps: (q, v, h).
+def _node_values(
+    piece: _Piece, n: int, lo: int = 0, hi: int | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Q and V at the Gauss nodes of sub-steps lo..hi - 1 of n equal ones: (q, v, h).
 
-    ``q`` and ``v`` have one row per node, shape (3, n) on a varying piece
-    and (1, n) on a constant one, where c is the same at every node; ``h``
-    is the sub-step length.  ``_piece_states`` forms c = Q + lam*V from
-    them, and the sweep from the same nodes (``_node_xs``), so the
-    coefficients, the states and the eigenvalue counts use one
-    discretization.
+    ``q`` and ``v`` have one row per node, shape (3, hi - lo) on a varying
+    piece and (1, hi - lo) on a constant one, where c is the same at every
+    node; ``h`` is the sub-step length, and all n sub-steps by default.
+    ``_piece_states`` and spectral's phase count (a block at a time) form
+    c = Q + lam*V from them, and the sweep from the same nodes
+    (``_node_xs``), so the coefficients, the states and the eigenvalue
+    counts use one discretization.
     """
-    xs, h = _node_xs(piece, n)
+    xs, h = _node_xs(piece, n, lo, hi)
     return npoly.polyval(xs, piece.q_coeffs), npoly.polyval(xs, piece.v_coeffs), h
 
 
-def _node_xs(piece: _Piece, n: int) -> tuple[np.ndarray, float]:
-    """Gauss nodes of n equal sub-steps, from x0, one row per node: (xs, h)."""
+def _node_xs(piece: _Piece, n: int, lo: int = 0, hi: int | None = None):
+    """Gauss nodes of sub-steps lo..hi - 1 of n equal ones, from x0, one row per node: (xs, h)."""
     h = piece.length / n
-    offsets = (piece.x0 + h * np.arange(n)) - piece.x0
+    offsets = (piece.x0 + h * np.arange(lo, n if hi is None else hi)) - piece.x0
     return offsets + _nodes(piece) * h, h
 
 
@@ -290,15 +293,17 @@ def _mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return out
 
 
-def _tree_product(steps: np.ndarray) -> np.ndarray:
-    """Product over the last axis of (2, 2, ..., n) steps, as a pairwise tree.
+def _tree_product(steps: np.ndarray, combine=_mul) -> np.ndarray:
+    """Product over the last axis of (..., n) elements, as a pairwise tree.
 
-    Each level multiplies neighbours, later times earlier; an odd last step
-    waits for the next level.  The result has the last axis removed.
+    Each level combines neighbours, ``combine(later, earlier)``; an odd last
+    element waits for the next level.  The result has the last axis removed.
+    With the default ``_mul`` the elements are (2, 2, ..., n) matrices;
+    spectral's phase count passes its product of lifted elements.
     """
     while steps.shape[-1] > 1:
         m = steps.shape[-1] // 2 * 2
-        pairs = _mul(steps[..., 1:m:2], steps[..., 0:m:2])
+        pairs = combine(steps[..., 1:m:2], steps[..., 0:m:2])
         steps = np.concatenate((pairs, steps[..., m:]), axis=-1) if m < steps.shape[-1] else pairs
     return steps[..., 0]
 
@@ -350,28 +355,20 @@ def _sweep_pair(piece: _Piece, lams: np.ndarray, n: int) -> tuple[np.ndarray, np
     return M[:, :, 0], M[:, :, 1]
 
 
-def _piece_states(piece: _Piece, lams: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Products of the first k steps of a piece, k = 1..n.
+def _piece_states(piece: _Piece, n: int) -> np.ndarray:
+    """Products (2, 2, n) of the first k steps of a piece at lam = 0, k = 1..n.
 
-    Returns matrices (2, 2, L, n) in the dtype of ``lams``, real at real
-    couplings, and log scales (L, n): the product of the first k steps is
-    exp(log scale) times the matrix at index k - 1.
-    Recursive doubling builds them; each level is divided by its max-abs
-    entry, a positive factor, which keeps every sign and rules out overflow.
+    Recursive doubling builds them.  Their only reader is
+    ``reference_states``, after ``_piece_transfer`` has accepted the same
+    n, so they are finite.
     """
-    q, v, h = _node_values(piece, n)
-    c = lams[:, None] * v[:, None, :] + q[:, None, :]
-    prefix = _step_matrices(c, h)
-    log_scale = np.zeros(prefix.shape[2:])
+    q, _, h = _node_values(piece, n)
+    prefix = _step_matrices(q, h)
     span = 1
     while span < n:
         prefix[..., span:] = _mul(prefix[..., span:], prefix[..., :-span])
-        log_scale[:, span:] += log_scale[:, :-span]
-        peak = _matrix_scale(prefix)
-        prefix /= peak
-        log_scale += np.log(peak)
         span *= 2
-    return prefix, log_scale
+    return prefix
 
 
 def _matrix_scale(M: np.ndarray) -> np.ndarray:
@@ -570,8 +567,7 @@ def reference_states(
     out = np.empty((2, 2, len(xs)), dtype=complex)
     for piece, lo, hi in zip(pieces, edges[:-1], edges[1:]):
         Mp, _, n = _piece_transfer(piece, zero, problem.tolerances.ode_rtol)
-        prefix, log_scale = _piece_states(piece, zero, n)
-        states = np.concatenate((_IDENTITY, prefix[:, :, 0] * np.exp(log_scale[0])), axis=-1)
+        states = np.concatenate((_IDENTITY, _piece_states(piece, n)), axis=-1)
         h = piece.length / n
         k = np.clip(np.floor((xs[lo:hi] - piece.x0) / h), 0, n).astype(int)
         part = xs[lo:hi] - piece.x0 - k * h  # from the state after k sub-steps

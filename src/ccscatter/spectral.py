@@ -10,10 +10,10 @@ representation u = rho sin(alpha), u' = rho cos(alpha), integrated at
 energy zero: the phase can cross multiples of pi only upward, so the
 terminal phase against the right boundary mark gives the count exactly.
 
-A batch of phases walks the layout together, item by item: each spike or piece
-maps (sin alpha, cos alpha) through its real state map, free of scale, and counts
-the zeros of u inside it, in closed form on constant pieces, and one coupling at a
-time from the engine's states after every Magnus sub-step on varying pieces.
+Each map of the walk is a lifted element: M / |M|, log scale, and the lifted
+phase it gives to alpha = 0, as in the rotation number of Johnson and Moser
+(Comm. Math. Phys. 84, 1982).  The left condition, spikes, constant pieces in
+closed form and the engine's Magnus sub-steps meet in one pairwise tree.
 
 Tent functions phi_eps(x) = sqrt(3/2) eps^{-3/2} (eps - |x|)_+ supply
 minimax witnesses: N disjointly supported tents with negative Rayleigh
@@ -102,96 +102,82 @@ def boundary_angles(problem: ScatteringProblem) -> BoundaryAngles:
 # Pruefer phase integration at energy zero
 
 
-def _phase_from_state(u_e: np.ndarray, up_e: np.ndarray, strip: np.ndarray) -> np.ndarray:
-    """Phases of states (u_e, u_e') known to sit in the given strips of width pi.
+def _lift(M: np.ndarray, log_scale=0.0, strip=0.0) -> np.ndarray:
+    """Lifted elements (3, 2, ...) of maps exp(log_scale) M of determinant 1.
 
-    In strip k, alpha = k pi + delta with sin(delta) = (-1)^k sin(alpha) >= 0,
-    so a vanishing u_e whose sign roundoff flipped stays at a mark, not pi away.
+    An element holds M / |M| (max-abs entry) in [:2], then its log scale ls and
+    the lifted phase theta that it gives to alpha = 0.  In the given strip k,
+    theta - k pi = atan2(|M01|, (-1)^k M11): a sign roundoff of M01 keeps theta
+    at a mark, not pi away.
     """
-    base = strip * math.pi
-    return base + np.arctan2(np.abs(u_e), np.cos(base) * up_e)  # cos(k pi) = (-1)^k
-
-
-def _crossed(before: np.ndarray, after: np.ndarray) -> np.ndarray:
-    """Whether u lands on 0 or changes sign from a nonzero value between two
-    states: x (x + y) = 0 for x = sign(after), y = sign(before)."""
-    x = np.sign(after)
-    return x * (x + np.sign(before)) == 0.0
-
-
-def _spike_phase(alpha: np.ndarray, lams: np.ndarray, weight: float) -> np.ndarray:
-    """A spike maps (u, u') to (u, u' + lam weight u) and crosses no mark."""
-    if not weight:
-        return alpha
-    u = np.sin(alpha)
-    return _phase_from_state(u, np.cos(alpha) + lams * weight * u, np.floor(alpha / math.pi))
-
-
-def _oscillating_phase(alpha: np.ndarray, c: np.ndarray, h: float) -> np.ndarray:
-    """Phases across u'' = -w^2 u: the angle atan2(w u, u') shares the marks of alpha
-    and advances by exactly wh, and (u, u') is a positive multiple of (sin, w cos) of it."""
-    w = np.sqrt(-c)
-    psi = _phase_from_state(w * np.sin(alpha), np.cos(alpha), np.floor(alpha / math.pi)) + w * h
-    return _phase_from_state(np.sin(psi), w * np.cos(psi), np.floor(psi / math.pi))
-
-
-def _growing_phase(alpha: np.ndarray, c: np.ndarray, h: float) -> np.ndarray:
-    """Phases across u'' = w^2 u by the map [[1, t/w], [w t, 1]], t = tanh(wh), a
-    positive multiple of the exact one that cannot overflow; u changes sign at most
-    once.  c = 0 is read as c = 1e-300, where t/w is h to rounding."""
-    w = np.sqrt(np.maximum(c, 1e-300))
-    t = np.tanh(w * h)
-    u, up = np.sin(alpha), np.cos(alpha)
-    u_e = u + t / w * up
-    return _phase_from_state(u_e, w * t * u + up, np.floor(alpha / math.pi) + _crossed(u, u_e))
-
-
-def _constant_piece_phase(alpha: np.ndarray, piece: engine._Piece, lams: np.ndarray):
-    """Phases across a piece where u'' = c u with constant c, exactly, each
-    coupling by the map of its sign of c."""
-    c = piece.q_coeffs[0] + lams * piece.v_coeffs[0]
-    osc = c < 0.0
-    n_osc = np.count_nonzero(osc)
-    if n_osc in (0, len(c)):
-        return (_oscillating_phase if n_osc else _growing_phase)(alpha, c, piece.length)
-    out = np.empty_like(alpha)
-    for sel, advance in ((osc, _oscillating_phase), (~osc, _growing_phase)):
-        out[sel] = advance(alpha[sel], c[sel], piece.length)
+    out = np.empty((3, 2) + M.shape[2:])
+    peak = engine._matrix_scale(M)
+    np.divide(M, peak, out=out[:2])
+    out[2, 0] = log_scale + np.log(peak)
+    sign = 1.0 - 2.0 * np.remainder(strip, 2.0)
+    out[2, 1] = strip * math.pi + np.arctan2(np.abs(M[0, 1]), sign * M[1, 1])
     return out
 
 
-def _stepped_phase(alpha: float, piece: engine._Piece, lam: float, n: int) -> float:
-    """Phase across a varying piece at one coupling with n Magnus sub-steps, counting each
-    sign change of u between sub-step states; its (2, 2, n) arrays die on return."""
-    prefix = engine._piece_states(piece, np.array([lam]), n)[0][:, :, 0]  # (2, 2, n)
-    u0, up0 = math.sin(alpha), math.cos(alpha)
-    states = prefix[:, 0] * u0 + prefix[:, 1] * up0  # (2, n): (u, u')
-    u = np.concatenate(([u0], states[0]))
-    strip = math.floor(alpha / math.pi) + np.count_nonzero(_crossed(u[:-1], u[1:]))
-    return float(_phase_from_state(states[0, -1], states[1, -1], strip))
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The lifted element of a after b.
+
+    With theta_b = k pi + phi, 0 <= phi < pi, and e_phi = (sin phi, cos phi), its
+    phase is k pi + theta_a + the angle from A e_0 to A e_phi, in [0, pi].  That
+    angle's sine part, det(A) sin(phi) = exp(-2 ls_a) sin(phi) >= 0, is exact, so
+    no rounding moves it by pi, even where A / |A| is nearly of rank one.
+    """
+    A = a[:2]
+    k, phi = np.divmod(b[2, 1], math.pi)
+    sin, cos = np.sin(phi), np.cos(phi)
+    dot = ((A[:, 0] * sin + A[:, 1] * cos) * A[:, 1]).sum(axis=0)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    M = engine._mul(A, b[:2], out=out[:2])
+    peak = engine._matrix_scale(M)
+    M /= peak
+    out[2, 0] = a[2, 0] + b[2, 0] + np.log(peak)
+    out[2, 1] = k * math.pi + a[2, 1] + np.arctan2(sin * np.exp(-2.0 * a[2, 0]), dot)
+    return out
 
 
-def _varying_piece_phase(alpha: np.ndarray, piece: engine._Piece, lams: np.ndarray):
-    """Phases across a varying piece, from n sub-steps doubled until they settle.
+def _constant_leaves(pieces: list[engine._Piece], lams: np.ndarray) -> np.ndarray:
+    """Lifted elements (3, 2, L, K) across pieces where u'' = c u, c constant.
 
-    Every coupling is stepped on its own, from a first n that keeps sub-steps
-    shorter than its zero spacing pi/sqrt(|c|), so its cost and memory do not
-    depend on the rest of the batch.
+    c < 0, w = sqrt(-c): the map [[cos, sin/w], [-w sin, cos]] of wh takes
+    alpha = 0 to the marks of atan2(w u, u') = wh, in strip floor(wh / pi).
+    c >= 0: cosh(wh) [[1, t/w], [w t, 1]], t = tanh(wh), which cannot overflow;
+    c = 0 is read as c = 1e-300, where t/w is h to rounding.
+    """
+    q, v, h = np.array([(p.q_coeffs[0], p.v_coeffs[0], p.length) for p in pieces]).T
+    c = q + lams[:, None] * v
+    w = np.sqrt(np.maximum(np.abs(c), 1e-300))
+    x = w * h
+    grows = c >= 0.0
+    sin = np.where(grows, np.tanh(x), np.sin(x))
+    diag = np.where(grows, 1.0, np.cos(x))
+    M = np.array([[diag, sin / w], [np.where(grows, w, -w) * sin, diag]])
+    log_cosh = x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)
+    return _lift(M, np.where(grows, log_cosh, 0.0), np.where(grows, 0.0, np.floor(x / math.pi)))
+
+
+def _varying_leaf(piece: engine._Piece, lams: np.ndarray) -> np.ndarray:
+    """Lifted element (3, 2, L) across a varying piece, from n Magnus sub-steps.
+
+    n keeps sub-steps under a quarter of the zero spacing pi/sqrt|c| at the
+    batch's largest |c|, so each turns alpha = 0 by less than pi.  Blocks of
+    ``engine._BLOCK_ENTRIES`` steps times couplings cap the memory.
     """
     xs = np.arange(9) * (piece.length / 8.0)  # np.linspace(0, length, 9), bit for bit
     c = npoly.polyval(xs, piece.q_coeffs) + lams[:, None] * npoly.polyval(xs, piece.v_coeffs)
-    first = np.floor(piece.length * (np.sqrt(np.abs(c).max(axis=1)) + 1.0) * 4.0) + 1.0
-    out = np.empty_like(alpha)
-    for j, lam in enumerate(lams.tolist()):
-        n = max(16, int(first[j]))
-        val = _stepped_phase(alpha[j], piece, lam, n)
-        while n <= 1 << 14:
-            n, coarse = 2 * n, val
-            val = _stepped_phase(alpha[j], piece, lam, n)
-            if abs(val - coarse) <= 1e-9 * (1.0 + abs(val)):
-                break
-        out[j] = val
-    return out
+    n = max(16, int(piece.length * (math.sqrt(np.abs(c).max(initial=0.0)) + 1.0) * 4.0) + 1)
+    k = max(1, engine._BLOCK_ENTRIES // max(1, len(lams)))
+    leaf = None
+    for lo in range(0, n, k):
+        q, v, h = engine._node_values(piece, n, lo, min(n, lo + k))
+        steps = engine._step_matrices(lams[:, None] * v[:, None] + q[:, None], h)
+        block = engine._tree_product(_lift(steps), _compose)
+        leaf = block if leaf is None else _compose(block, leaf)
+    return leaf
 
 
 def negative_eigenvalue_counts(
@@ -207,12 +193,25 @@ def negative_eigenvalue_counts(
     lams = np.array(lams, dtype=float, ndmin=1)
     if not np.isfinite(lams).all():
         raise ValueError(f"coupling must be finite, not {lams[~np.isfinite(lams)][0]}")
-    alpha = np.full(len(lams), (-angles.theta0) % math.pi)
     jump0, pieces = engine._layout(problem.Q, problem.V)
-    alpha = _spike_phase(alpha, lams, jump0)
-    for piece in pieces:
-        advance = _constant_piece_phase if piece.is_constant else _varying_piece_phase
-        alpha = _spike_phase(advance(alpha, piece, lams), lams, piece.jump)
+    # leaves: 0 turns alpha = 0 to the left condition, 2i + 1 is the spike
+    # before piece i (or after the last), 2i + 2 is piece i
+    walk = np.zeros((2, 2, len(lams), 2 * len(pieces) + 2))
+    walk[0, 0] = walk[1, 1] = 1.0
+    a0 = (-angles.theta0) % math.pi
+    walk[:, :, :, 0] = [[[math.cos(a0)], [math.sin(a0)]], [[-math.sin(a0)], [math.cos(a0)]]]
+    weights = np.array([jump0] + [p.jump for p in pieces])
+    walk[1, 0, :, 1::2] = lams[:, None] * weights
+    walk = _lift(walk)
+    cols = [2 * i + 2 for i, p in enumerate(pieces) if p.is_constant]
+    if cols:  # one pass over every constant piece
+        walk[..., cols] = _constant_leaves([p for p in pieces if p.is_constant], lams)
+    for i, piece in enumerate(pieces):
+        if not piece.is_constant:
+            walk[..., 2 * i + 2] = _varying_leaf(piece, lams)
+    keep = np.ones(walk.shape[-1], dtype=bool)
+    keep[1::2] = weights != 0.0  # a spike of weight 0 is the identity
+    alpha = engine._tree_product(walk[..., keep], _compose)[2, 1]
     ts = ((alpha + angles.theta1) / math.pi).tolist()  # past the right mark, in units of pi
     on_mark = [abs(t - round(t)) * math.pi <= _PHASE_TOL for t in ts]
     counts = [round(t) - 1 if flag else math.floor(t) for t, flag in zip(ts, on_mark)]

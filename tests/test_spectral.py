@@ -1,6 +1,7 @@
 """Boundary angles, oscillation counts, zero-eigenvalue link, tents."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from ccscatter import (
     tent_witness,
     zero_eigen_check,
 )
+from ccscatter import engine
 
 PI = math.pi
 
@@ -105,8 +107,56 @@ def test_count_on_varying_pieces_at_large_coupling():
         ang = boundary_angles(prob)
         with np.errstate(over="raise", invalid="raise"):
             got = [negative_eigenvalue_count(prob, lam, ang) for lam in lams]
+            batch = negative_eigenvalue_counts(prob, lams, ang)  # one n, set by -3e6
         assert [int(c) for c in got] == want, name
         assert not any(c.boundary_degenerate for c in got), name
+        assert [(int(c), c.boundary_degenerate) for c in batch] == [(k, False) for k in want], name
+
+
+def test_count_across_cut_pieces_matches_enumerated_spectrum(sine_well):
+    """sine_well's [0, 1] cut into 7 equal pieces with the same constants: the
+    walk composes phases that have wound through many multiples of pi."""
+    cut = build_problem(
+        PotentialSpec.from_samples([-PI * PI] * 7),
+        PotentialSpec.from_samples([-1.0] * 7),
+        (0.0, PI),
+        tolerances=sine_well.tolerances,
+    )
+    rng = np.random.default_rng(7)
+    grid = [*np.linspace(-1e6, 1e6, 41), *rng.uniform(-2000.0, 2000.0, 20), 1e6 + 0.37]
+    modes = (2, 3, 17, 100, 318)  # lam = (n^2 - 1) pi^2 makes n^2 pi^2 an eigenvalue
+    lams = grid + [(n * n - 1) * PI * PI for n in modes]
+    want = [(sine_well_count(lam, 2000), lam == 0.0) for lam in grid]
+    want += [(n - 1, True) for n in modes]
+    ang = boundary_angles(cut)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = negative_eigenvalue_counts(cut, lams, ang)
+        single = [negative_eigenvalue_count(cut, lam, ang) for lam in lams]
+    assert [(int(c), c.boundary_degenerate) for c in batch] == want
+    assert [(int(c), c.boundary_degenerate) for c in single] == want
+
+
+def test_varying_walk_memory_stays_within_a_few_blocks():
+    """16 ramp_well couplings near lam = 1e8: the traced peak of one count.
+
+    The unit, 8 B x _BLOCK_ENTRIES, is one double per step and coupling of
+    a block.  The piece takes about 35,000 steps, 68 units of entries, so
+    its step matrices alone would take 272 units; a block's coefficients,
+    steps, lifted steps and first tree level take about 19.
+    """
+    prob = catalog.ramp_well()
+    ang = boundary_angles(prob)
+    lams = 1e8 * (1.0 + np.arange(16) / 1000.0)
+    negative_eigenvalue_counts(prob, lams[:1] * 1e-6, ang)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        counts = negative_eigenvalue_counts(prob, lams, ang)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(int(c) > 2000 for c in counts)
+    assert peak <= 24 * 8 * engine._BLOCK_ENTRIES, peak
 
 
 def test_zero_eigen_check_known_values(sine_well):
