@@ -396,8 +396,7 @@ def _piece_transfer(
     is accepted when the relative difference of its members, over 4, is at
     most rtol for every coupling; the finer member is returned.  The
     difference falls as n**-6, so a failed pair with worst difference e
-    predicts the next n as about 1.1 n (e/rtol)**(1/6), at least 2n (then
-    the next pair steps the old finer member again) and at most the
+    predicts the next n as about 1.1 n (e/rtol)**(1/6), at most the
     largest pair allowed.
     Rounding sets a floor under the difference that more steps do not
     lower.  When rtol is below double rounding, or a failed pair's worst
@@ -428,7 +427,7 @@ def _piece_transfer(
         else:
             # sixth order: pair differences fall as n**-6; aim 10 % past rtol
             want = 1.1 * n * (worst / rtol) ** (1 / 6)
-        m = math.ceil(min(np.fmax(want, 2 * n), _MAX_SUBSTEPS // 2))
+        m = math.ceil(min(want, _MAX_SUBSTEPS // 2))
         expected = worst * (n / m) ** 6
         n = m
 

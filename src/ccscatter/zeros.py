@@ -12,20 +12,26 @@ by the paper's theorem (b vanishes identically exactly when V = 0), for V
 with spikes on a fixed control grid.  Every counting routine refuses to run
 on it.
 
-Refinement is batched, and one iteration (Chandrupatla's) refines every
-real zero.  A sign change of a scan is bracketed on b itself; a dip of |b|,
-where an even-order zero leaves the sign unchanged, is bracketed on the
-central difference b(x + d) - b(x - d), whose root is the extremum.  Every
-open bracket takes one probe per iteration, and the probes of one
-iteration go to b in one call.  A bracket whose next step is already tiny
-also probes p -/+ delta, delta just under its tolerance, so that a side
-point of the other sign closes it in that same call; so does one of the
-three points where |b| is within the error bound that ``coefficients_batch``
-returns with it.  The nine-point multiplicity stencil of each zero rides in
-the call that closes its bracket (zeros on the grid and the structural zero
-at 0 take theirs in the first), so a scan makes a separate stencil call
+One iteration (Chandrupatla's) refines every real zero, each bracket an
+object that steps in plain floats.  A sign change of a scan is bracketed on
+b itself; a dip of |b|, where an even-order zero leaves the sign unchanged,
+is bracketed on the central difference b(x + d) - b(x - d), whose root is
+the extremum.  Every open bracket takes one probe per round, and the points
+of one round go to b in one call, so the numpy work of a round does not
+grow with the number of brackets.  A bracket whose next step is already
+tiny also probes p -/+ delta, delta just under its tolerance, so that a
+side point of the other sign closes it in that same call; so does one of
+the three points where |b| is within the error bound that
+``coefficients_batch`` returns with it.  The nine-point multiplicity
+stencil of each zero rides in the call that closes its bracket (zeros on
+the grid take theirs in the first), so a scan makes a separate stencil call
 only for a zero left without one, or for one of two zeros found so close
-together that each needs a narrower stencil.
+together that each needs a narrower stencil.  A stencil keeps the error
+bounds of its values, and its order reads against them.
+
+The structural zero b(0) = W[u0, u0] = 0 is a grid point with the value 0
+exactly, inserted when the grid misses it; so a zero that shares its grid
+cell, where b keeps its sign, is found by the dip that 0 makes.
 
 Contours reuse what they have evaluated: doubling n nodes evaluates only
 the n new odd nodes (the even nodes of the 2n grid are the old grid, bit
@@ -41,6 +47,7 @@ to validate the counting machinery against synthetic functions.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -70,9 +77,9 @@ _DISTINCT = 1e-6  # candidate zeros closer than _DISTINCT (1 + |x|) are one
 # them, large enough that rounding noise in f barely moves the extremum
 _DIP_STEP = 0.1 * _DISTINCT
 _MAX_ITERATIONS = 500
-_STENCIL = np.arange(-4, 5)  # the multiplicity stencil lam + k h
+_STENCIL = range(-4, 5)  # the multiplicity stencil lam + k h
 # maps f on the stencil to the Taylor terms c_0 ... c_8 of its interpolant
-_TAYLOR = np.linalg.inv(np.vander(_STENCIL, increasing=True))
+_TAYLOR = np.linalg.inv(np.vander(np.array(_STENCIL), increasing=True))
 
 
 @dataclass(frozen=True)
@@ -145,12 +152,12 @@ def is_identically_zero(problem: ScatteringProblem) -> bool:
 # real-axis scan
 
 
-class _Brackets:
-    """Sign-change brackets refined together by Chandrupatla's iteration.
+class _Bracket:
+    """A sign change refined by Chandrupatla's iteration, in plain floats.
 
-    Each bracket holds two ends (x1, f1), (x2, f2) of opposite sign and a
-    point (x3, f3) beyond x1 of its sign: the end it dropped last, or a seed
-    (nan for none, and then the first step bisects).  Its next probe is
+    It holds two ends (x1, f1), (x2, f2) of opposite sign and a point
+    (x3, f3) beyond x1 of its sign: the end it dropped last, or a seed (nan
+    for none, and then the first step bisects).  Its next probe is
     x1 + t (x2 - x1), with t from inverse quadratic interpolation through
     the three points where that is safe and 1/2 otherwise (Chandrupatla,
     Adv. Eng. Softw. 28, 1997).  The interpolation runs on sign(f) |f|^(1/m),
@@ -158,156 +165,156 @@ class _Brackets:
     takes m = 1 if that step is safe, else m + 2 if that one is: a zero of
     odd order m >= 3 is too flat for the test, and its m-th root is simple.
 
-    A bracket is done when it is narrower than tol = xtol + rtol |x| at its
-    better end, or when f is exactly 0 at its probe.  A bracket whose probe
-    p moves by less than sqrt(tol (1 + |x|)) is closing: it also probes
-    p -/+ delta, delta = 0.9 tol, and when a side point has the other sign
-    from f(p), or |f| at one of the three is within the bound on its error
-    that came with it (the noise of f), the one of the three with the
-    smallest |f| is its root.  A root comes as (key, x, |f(x)|).
+    It is done when narrower than tol = xtol + rtol |x| at its better end,
+    or when f is exactly 0 at its probe.  While its probe p moves by less
+    than sqrt(tol (1 + |x|)) it is closing: it also probes p -/+ delta,
+    delta = 0.9 tol, and when a side point has the other sign from f(p), or
+    |f| at one of the three is within the bound on its error that came with
+    it (the noise of f), the one of the three with the smallest |f| is its
+    root.  ``root`` is (x, |f(x)|) once it is done, None before.
     """
 
-    def __init__(self, xtol: float, rtol: float) -> None:
+    def __init__(self, xtol, rtol, x1, f1, x2, f2, x3=math.nan, f3=math.nan):
         self.xtol, self.rtol = xtol, rtol
-        self.keys = np.empty(0, dtype=int)
-        # one column a bracket: x1, f1, x2, f2, x3, f3 and the order m
-        self.s = np.empty((7, 0))
-        self.stalled = self.closing = self.bisected = np.empty(0, dtype=bool)
-        self.probes = self.delta = np.empty(0)
-        self.c = np.empty(0, dtype=int)  # the closing brackets
-        self.rooted = False  # whether some bracket has m > 1
-        self.roots: list[tuple[int, float, float]] = []
+        self.x1, self.f1, self.x2, self.f2, self.x3, self.f3 = x1, f1, x2, f2, x3, f3
+        self.order, self.bisected, self.root = 1.0, False, None
+        self._next(stalled=False)
 
-    def add(self, keys, x1, f1, x2, f2, x3=np.nan, f3=np.nan) -> None:
-        if len(keys) == 0:
+    def points(self) -> list[float]:
+        """The probe p, then p - delta and p + delta while closing."""
+        p = self.probe
+        return [p, p - self.delta, p + self.delta] if self.closing else [p]
+
+    def update(self, values: list[float], noise: list[float]) -> None:
+        """Take f and its noise at ``points()`` and step, or end on a root."""
+        p, fp = self.probe, values[0]
+        if self.closing:
+            trio = (values[1], fp, values[2])
+            size = [abs(v) for v in trio]
+            best = size.index(min(size))
+            if (
+                any(s <= e for s, e in zip(size, (noise[1], noise[0], noise[2])))
+                or (trio[0] > 0.0) != (fp > 0.0)
+                or (trio[2] > 0.0) != (fp > 0.0)
+            ):
+                self.root = ((p - self.delta, p, p + self.delta)[best], size[best])
+                return
+        elif fp == 0.0:
+            self.root = (p, 0.0)
             return
-        new = np.empty((7, len(keys)))
-        new[0], new[1], new[2], new[3], new[4], new[5], new[6] = x1, f1, x2, f2, x3, f3, 1.0
-        self.keys = np.concatenate([self.keys, keys])
-        self.s = np.concatenate([self.s, new], axis=1)
-        self.stalled = np.concatenate([self.stalled, np.zeros(len(keys), dtype=bool)])
-        self._next()
-
-    def spread(self, v: np.ndarray) -> np.ndarray:
-        """Per-bracket values, one for each of ``points()``."""
-        c = self.c
-        return np.concatenate([v, v[c], v[c]]) if c.size else v
-
-    def points(self) -> np.ndarray:
-        """The probes, then p - delta and then p + delta of the closing ones."""
-        p, c = self.probes, self.c
-        if not c.size:
-            return p
-        d = self.delta[c]
-        return np.concatenate([p, p[c] - d, p[c] + d])
-
-    def update(self, values: np.ndarray, noise: np.ndarray, drop=None) -> None:
-        """Take f and its noise at ``points()`` and choose the next probes.
-
-        The brackets marked in ``drop`` leave without a root.
-        """
-        n, c = len(self.probes), self.c
-        ft = values[:n]
-        at, residual = self.probes, np.abs(ft)
-        ends = residual == 0.0
-        if c.size:
-            # the trio p - delta, p, p + delta of each closing bracket
-            k = c.size
-            trio = np.array([values[n : n + k], ft[c], values[n + k :]])
-            size = np.abs(trio)
-            zero = size <= np.array([noise[n : n + k], noise[c], noise[n + k :]])
-            s = np.sign(trio)
-            ends[c] = zero.any(axis=0) | (s[0] != s[1]) | (s[1] != s[2])
-            best = size.argmin(axis=0)
-            at, residual = at.copy(), residual.copy()
-            at[c] += (best - 1) * self.delta[c]
-            residual[c] = size[best, np.arange(k)]
-        if drop is not None:
-            ends &= ~drop
-        e = ends.nonzero()[0]
-        if e.size:
-            self.roots += zip(self.keys[e].tolist(), at[e].tolist(), residual[e].tolist())
-        self.stalled = self.bisected
         # the probe replaces the end of its sign, which becomes (x3, f3)
-        old = self.s
-        same = np.sign(ft) == np.sign(old[1])
-        self.s = np.empty_like(old)
-        self.s[4:6] = np.where(same, old[0:2], old[2:4])
-        self.s[2:4] = np.where(same, old[2:4], old[0:2])
-        self.s[0], self.s[1], self.s[6] = self.probes, ft, old[6]
-        self._next(ends if drop is None else ends | drop)
+        if (fp > 0.0) == (self.f1 > 0.0):
+            self.x3, self.f3 = self.x1, self.f1
+        else:
+            self.x3, self.f3, self.x2, self.f2 = self.x2, self.f2, self.x1, self.f1
+        self.x1, self.f1 = p, fp
+        self._next(stalled=self.bisected)
 
-    def _next(self, gone=None) -> None:
-        """Report the brackets that are done, drop those in ``gone`` and
-        choose the probes of the rest."""
-        x1, f1, x2, f2, x3, f3, order = self.s
-        # the better end, xm, and |f| there
-        size = np.abs(self.s[1:4:2])
-        xm = np.where(size[0] < size[1], x1, x2)
-        fm = np.minimum(size[0], size[1])
-        dx = np.abs(x2 - x1)
-        tol = self.xtol + self.rtol * np.abs(xm)
-        done = (fm == 0.0) | (dx < tol)
-        if gone is not None:
-            done &= ~gone
-        e = done.nonzero()[0]
-        if e.size:
-            self.roots += zip(self.keys[e].tolist(), xm[e].tolist(), fm[e].tolist())
-        gone = done if gone is None else done | gone
-        if gone.nonzero()[0].size:
-            keep = ~gone
-            self.keys, self.s, self.stalled = self.keys[keep], self.s[:, keep], self.stalled[keep]
-            x1, f1, x2, f2, x3, f3, order = self.s
-            dx, tol = dx[keep], tol[keep]
+    def _next(self, stalled: bool) -> None:
+        """End at the better end if done, else choose the next probe."""
+        x1, f1, x2, f2, x3, f3 = self.x1, self.f1, self.x2, self.f2, self.x3, self.f3
+        xm, fm = (x1, abs(f1)) if abs(f1) < abs(f2) else (x2, abs(f2))
+        dx = abs(x2 - x1)
+        tol = self.xtol + self.rtol * abs(xm)
+        if fm == 0.0 or dx < tol:
+            self.root = (xm, fm)
+            return
         points = (x1, f1, x2, f2, x3, f3)
-        t = _interpolation(*points, order if self.rooted else None)
-        unsafe = np.isnan(t)
-        # a second bisection in a row: step on f if that is safe, else on
-        # its next odd root
-        flat = unsafe & self.stalled
-        if flat.nonzero()[0].size:
-            for m in (np.ones_like(order), order + 2):
+        t = _interpolation(*points, self.order)
+        if math.isnan(t) and stalled:
+            # a second bisection in a row: step on f if that is safe, else
+            # on its next odd root
+            for m in (1.0, self.order + 2.0):
                 other = _interpolation(*points, m)
-                up = flat & ~np.isnan(other)
-                order, t = np.where(up, m, order), np.where(up, other, t)
-                flat &= ~up
-            self.s[6] = order
-            self.rooted = bool((order != 1.0).any())
-            unsafe = np.isnan(t)
-        self.bisected = unsafe & ~np.isnan(x3)
-        t[unsafe] = 0.5
+                if not math.isnan(other):
+                    self.order, t = m, other
+                    break
+        self.bisected = math.isnan(t) and not math.isnan(x3)
+        if math.isnan(t):
+            t = 0.5
         tl = 0.5 * tol / dx
-        self.probes = x1 + np.minimum(np.maximum(t, tl), 1.0 - tl) * (x2 - x1)
-        step = self.probes - x1
-        self.closing = step * step < tol * (1.0 + np.abs(x1))
-        self.c = self.closing.nonzero()[0]
+        self.probe = x1 + min(max(t, tl), 1.0 - tl) * (x2 - x1)
+        step = self.probe - x1
+        self.closing = step * step < tol * (1.0 + abs(x1))
         self.delta = 0.9 * tol
 
 
-def _unstenciled(brackets: _Brackets, stencils: dict) -> np.ndarray:
-    """The closing brackets whose keys have no stencil yet."""
-    c = brackets.c
-    if c.size:
-        c = c[[key not in stencils for key in brackets.keys[c].tolist()]]
-    return c
+class _Dip:
+    """A dip of |f| at a grid point x, refined as the root of the central
+    difference g(x) = f(x + d) - f(x - d), d = _DIP_STEP (1 + |x|).
+
+    Its two cells have slopes of opposite sign, so f' changes sign between
+    the grid neighbours x0 and x1.  Its ``slope`` bracket holds those two
+    points, with the slopes times 2 d / h as end values.  A probe x where
+    f(x -/+ d) has the other sign from the dip splits it into the two root
+    brackets of ``halves``, from the innermost points seen on either side of
+    the dip where f has its sign (the grid neighbours at first, then x + d of
+    a probe left of the extremum and x - d of one right of it); so a simple
+    zero on a grid point between neighbours of one sign finds its partner
+    zero.  ``near`` is the smaller |f(x -/+ d)| at the last probe.
+    """
+
+    def __init__(self, x0, f0, x, f, x1, f1):
+        self.d = d = _DIP_STEP * (1.0 + abs(x))
+        w = 4.0 * d / (x1 - x0)  # 2 d / h
+        self.slope = _Bracket(_DIP_XTOL, _SQRT_EPS, x0, (f - f0) * w, x1, (f1 - f) * w)
+        self.left, self.right = (x0, f0), (x1, f1)
+        # the sign of f on either side of the dip, as np.sign gives it
+        self.sign = math.copysign(1.0, f0 + f1) if f0 + f1 else 0.0
+        self.near = abs(f)
+        self.halves: tuple[_Bracket, _Bracket] | None = None
+
+    @property
+    def open(self) -> bool:
+        return self.halves is None and self.slope.root is None
+
+    def points(self) -> list[float]:
+        """x - d, then x + d, for each point of the slope bracket."""
+        xs, d = self.slope.points(), self.d
+        return [x - d for x in xs] + [x + d for x in xs]
+
+    def update(self, values: list[float], noise: list[float]) -> None:
+        """Take f and its noise at ``points()``: split, or step the slope bracket."""
+        k = len(values) // 2
+        lo, hi = values[:k], values[k:]
+        x, d, sign = self.slope.probe, self.d, self.sign
+        flo, fhi = lo[0], hi[0]
+        self.near = min(abs(flo), abs(fhi))
+        left, right = flo * sign < 0.0, fhi * sign < 0.0
+        if left or right:
+            self.halves = (
+                _Bracket(_XTOL, _RTOL, *self.left, *((x - d, flo) if left else (x + d, fhi))),
+                _Bracket(_XTOL, _RTOL, *((x + d, fhi) if right else (x - d, flo)), *self.right),
+            )
+            return
+        # the probe moves the innermost point on its side of the extremum:
+        # x + d where f falls towards the dip
+        if (fhi - flo) * sign < 0.0:
+            self.left = (x + d, fhi)
+        else:
+            self.right = (x - d, flo)
+        self.slope.update(
+            [b - a for a, b in zip(lo, hi)], [a + b for a, b in zip(noise[:k], noise[k:])]
+        )
 
 
-def _interpolation(x1, f1, x2, f2, x3, f3, order=None):
-    """Chandrupatla's t on sign(f) |f|^(1/order) (on f for None): nan where
-    the inverse quadratic through the three points is unsafe."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if order is not None:
-            f1, f2, f3 = (np.sign(v) * np.abs(v) ** (1.0 / order) for v in (f1, f2, f3))
-        f12, f32 = f1 - f2, f3 - f2
-        xi = (x1 - x2) / (x3 - x2)
-        phi = f12 / f32
-        alpha = (x3 - x1) / (x2 - x1)
-        iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-        quadratic = f1 / f12 * f3 / f32 + alpha * f1 / (f3 - f1) * f2 / f32
-    return np.where(iqi, quadratic, np.nan)
+def _interpolation(x1, f1, x2, f2, x3, f3, order=1.0) -> float:
+    """Chandrupatla's t on sign(f) |f|^(1/order): nan where the inverse
+    quadratic through the three points is unsafe (x3 nan, x3 == x2, f3 == f2,
+    or xi = (x1 - x2) / (x3 - x2) outside (0, 1))."""
+    if order != 1.0:
+        f1, f2, f3 = (math.copysign(abs(v) ** (1.0 / order), v) for v in (f1, f2, f3))
+    f12, f32 = f1 - f2, f3 - f2
+    if x3 == x2 or f32 == 0.0:
+        return math.nan
+    xi, phi = (x1 - x2) / (x3 - x2), f12 / f32
+    if not (0.0 < xi < 1.0 and 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi)):
+        return math.nan
+    alpha = (x3 - x1) / (x2 - x1)
+    return f1 / f12 * f3 / f32 + alpha * f1 / (f3 - f1) * f2 / f32
 
 
-def _step(lam, cell: float):
+def _step(lam: float, cell: float) -> float:
     """The multiplicity stencil's step h = min(0.02 (1 + |lam|), cell / 5).
 
     It is wide enough that the sixth Taylor term of a sixth-order zero
@@ -315,167 +322,109 @@ def _step(lam, cell: float):
     points stay within 0.8 of a grid cell of lam.  A zero found closer than
     1.5 h to another is read again with a narrower step (see ``_scan``).
     """
-    return np.minimum(0.02 * (1.0 + np.abs(lam)), 0.2 * cell)
+    return min(0.02 * (1.0 + abs(lam)), 0.2 * cell)
 
 
-def _stencil(centres: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """The multiplicity stencils lam + k h, k = -4..4, one row per centre."""
-    return centres[:, None] + _STENCIL * steps[:, None]
+def _stencil(lam: float, h: float) -> list[float]:
+    """The multiplicity stencil lam + k h, k = -4..4."""
+    return [lam + k * h for k in _STENCIL]
 
 
-def _refine(f, grid, vals, cells, i, centres, origin):
-    """Refine the sign changes of ``cells`` and the dips at grid points ``i``.
+def _refine(f, grid, vals, cells, dips, on_grid, cell):
+    """Refine the sign changes of ``cells`` and the dips at grid points ``dips``.
 
     A cell's bracket is seeded with the grid point left of it when that has
-    the sign of the cell's left end, so its first step can interpolate; the
-    cell ``origin`` (-1: none) holds the structural zero and probes 0 first.
-    A dip at x_i is a root of the central difference g(x) = f(x + d) -
-    f(x - d), d = _DIP_STEP (1 + |x_i|): its two cells have slopes of
-    opposite sign, so f' changes sign between x_(i-1) and x_(i+1).  Its
-    bracket holds those two points, with the slopes times 2 d / h as end
-    values, so its first probe is x_i.  A probe x where f(x -/+ d) has the
-    other sign from the dip splits it into two root brackets, from the
-    innermost points seen on either side of the dip where f has its sign
-    (the grid neighbours at first, then x + d of a probe left of the extremum
-    and x - d of one right of it); so a simple zero on a grid point between
-    neighbours of one sign finds its partner zero.
+    the sign of the cell's left end, so its first step can interpolate.
 
-    Each round is one call of ``f``: on the points of the root brackets, on
-    x -/+ d of the points of the dip brackets, and on the multiplicity
-    stencils of the round, those of ``centres`` (key -> centre) in the first
-    and that of each bracket in its first closing round, centred on its
-    probe.
+    Each round is one call of ``f``, on the points of every open bracket and
+    dip, each followed by its multiplicity stencil in its first closing
+    round: the outer points of a root bracket's, centred on its probe (whose
+    value comes with the round), and the whole of a dip's, centred on its
+    slope bracket's probe.  The first round also takes the stencils of the
+    zeros at grid points ``on_grid``.
 
-    Returns the roots as (key, x, |f(x)|), the dips' extrema as (key, x, the
-    smaller |f(x -/+ d)| at the dip's last probe, within tolerance of x), and
-    the stencils as key -> (centre, values).
+    Returns the cells' brackets, the dips and the stencils, as bracket, dip
+    or grid index -> (centre, values, their noise).
     """
-    n, cell = len(grid), grid[1] - grid[0]
-    roots = _Brackets(_XTOL, _RTOL)
-    seed = np.maximum(cells - 1, 0)
-    seeded = (cells > 0) & (np.sign(vals[seed]) * np.sign(vals[cells]) > 0.0)
-    roots.add(
-        2 * cells,
-        grid[cells], vals[cells], grid[cells + 1], vals[cells + 1],
-        np.where(seeded, grid[seed], np.nan), np.where(seeded, vals[seed], np.nan),
-    )
-    if origin >= 0:
-        # the cell ``origin`` holds the structural zero: it probes 0 first
-        held = roots.keys == 2 * origin
-        roots.probes[held], roots.closing[held] = 0.0, True
-        roots.c = roots.closing.nonzero()[0]
-    slopes = _Brackets(_DIP_XTOL, _SQRT_EPS)
-    near = np.abs(vals)
-    if len(i):
-        d = _DIP_STEP * (1.0 + np.abs(grid))
-        w = 4.0 * d[i] / (grid[i + 1] - grid[i - 1])  # 2 d / h
-        slopes.add(
-            2 * (n + i),
-            grid[i - 1], (vals[i] - vals[i - 1]) * w,
-            grid[i + 1], (vals[i + 1] - vals[i]) * w,
-        )
-        # the innermost points left and right of each dip where f has its
-        # sign, by the dip's grid index
-        left_x, left_f, right_x, right_f = np.empty((4, n))
-        left_x[i], left_f[i] = grid[i - 1], vals[i - 1]
-        right_x[i], right_f[i] = grid[i + 1], vals[i + 1]
-    outer = _STENCIL != 0
-    stencils: dict[int, tuple[float, np.ndarray]] = {}
+    g, v = grid.tolist(), vals.tolist()
+    roots = []
+    for k in cells.tolist():
+        # the seed: grid point k - 1 when f has the sign of f(x_k) there
+        seeded = k > 0 and (v[k - 1] > 0.0 and v[k] > 0.0 or v[k - 1] < 0.0 and v[k] < 0.0)
+        seed = (g[k - 1], v[k - 1]) if seeded else (math.nan, math.nan)
+        roots.append(_Bracket(_XTOL, _RTOL, g[k], v[k], g[k + 1], v[k + 1], *seed))
+    cells = list(roots)
+    dips = [_Dip(g[i - 1], v[i - 1], g[i], v[i], g[i + 1], v[i + 1]) for i in dips.tolist()]
+    stencils: dict = {}
+    first = [(k, g[k]) for k in on_grid.tolist()]
+    taps = len(_STENCIL)
     for _ in range(_MAX_ITERATIONS):
-        # this round's points: the root brackets', x -/+ d of the dip
-        # brackets', then the stencils: a root bracket's outer points (the
-        # value at its centre, the probe, comes with the round), and every
-        # point of a dip's and of those in ``centres``
-        new = _unstenciled(roots, stencils)
-        keys, at = list(centres), list(centres.values())
-        centres = {}
-        rx = roots.points()
-        batch, ns = [rx], 0
-        if len(slopes.keys):
-            j = slopes.keys // 2 - n
-            sx, sd = slopes.points(), slopes.spread(d[j])
-            batch, ns = batch + [sx - sd, sx + sd], len(sx)
-            fresh = _unstenciled(slopes, stencils)
-            keys += slopes.keys[fresh].tolist()
-            at += slopes.probes[fresh].tolist()
-        if new.size:
-            p = roots.probes[new]
-            batch.append(_stencil(p, _step(p, cell))[:, outer].ravel())
-        if keys:
-            p = np.array(at)
-            batch.append(_stencil(p, _step(p, cell)).ravel())
-        points = np.concatenate(batch)
-        if len(points) == 0:
+        # this round's points: each open bracket's and dip's, followed by its
+        # stencil in its first closing round, then those of the grid zeros
+        points, jobs = [], []
+        for owner in [b for b in roots if b.root is None] + [dip for dip in dips if dip.open]:
+            xs = owner.points()
+            bracket = owner if isinstance(owner, _Bracket) else owner.slope
+            centre = bracket.probe if bracket.closing and owner not in stencils else None
+            jobs.append((owner, len(xs), centre))
+            if centre is not None:
+                stencil = _stencil(centre, _step(centre, cell))
+                if owner is bracket:
+                    del stencil[taps // 2]  # the probe, which the round has already
+                xs += stencil
+            points += xs
+        for _, x in first:
+            points += _stencil(x, _step(x, cell))
+        if not points:
             break
-        values, noise = f(points)
-        nr = len(rx)
-        rest = values[nr + 2 * ns :]
-        if new.size:
-            size = len(new) * (len(_STENCIL) - 1)
-            rows = np.empty((len(new), len(_STENCIL)))
-            rows[:, outer], rows[:, ~outer] = rest[:size].reshape(len(new), -1), values[new, None]
-            stencils.update(zip(roots.keys[new].tolist(), zip(roots.probes[new].tolist(), rows)))
-            rest = rest[size:]
-        if keys:
-            stencils.update(zip(keys, zip(at, rest.reshape(len(keys), len(_STENCIL)))))
-        if nr:
-            roots.update(values[:nr], noise[:nr])
-        if ns == 0:
-            continue
-
-        lo, hi = values[nr : nr + ns], values[nr + ns : nr + 2 * ns]
-        m = len(slopes.probes)
-        x, dm, flo, fhi = slopes.probes, d[j], lo[:m], hi[:m]
-        near[j] = np.minimum(np.abs(flo), np.abs(fhi))
-        sign = np.sign(vals[j - 1] + vals[j + 1])
-        left, right = flo * sign < 0.0, fhi * sign < 0.0
-        split = left | right
-        # a probe that does not split the dip moves the innermost point on its
-        # side of the extremum: x + d where f falls towards the dip
-        falls = (fhi - flo) * sign < 0.0
-        moves = ~split & falls
-        left_x[j[moves]], left_f[j[moves]] = (x + dm)[moves], fhi[moves]
-        moves = ~split & ~falls
-        right_x[j[moves]], right_f[j[moves]] = (x - dm)[moves], flo[moves]
-        if split.any():
-            # a dip that splits drops its stencil, centred on its extremum
-            keys, js = slopes.keys[split], j[split]
-            for key in keys.tolist():
-                stencils.pop(key, None)
-            roots.add(
-                np.concatenate([keys, keys + 1]),
-                np.concatenate([left_x[js], np.where(right, x + dm, x - dm)[split]]),
-                np.concatenate([left_f[js], np.where(right, fhi, flo)[split]]),
-                np.concatenate([np.where(left, x - dm, x + dm)[split], right_x[js]]),
-                np.concatenate([np.where(left, flo, fhi)[split], right_f[js]]),
-            )
-        slopes.update(hi - lo, noise[nr : nr + ns] + noise[nr + ns : nr + 2 * ns], split)
+        values, noise = (a.tolist() for a in f(np.array(points)))
+        at = 0
+        for owner, k, centre in jobs:
+            ys, es = values[at : at + k], noise[at : at + k]
+            at += k
+            if centre is not None:
+                m = taps - 1 if isinstance(owner, _Bracket) else taps
+                sv, se = values[at : at + m], noise[at : at + m]
+                at += m
+                if m < taps:  # a root bracket's probe is its stencil's centre
+                    sv.insert(taps // 2, ys[0])
+                    se.insert(taps // 2, es[0])
+                stencils[owner] = (centre, sv, se)
+            owner.update(ys, es)
+            if isinstance(owner, _Dip) and owner.halves:
+                # a dip that splits drops its stencil, centred on its extremum
+                stencils.pop(owner, None)
+                roots += owner.halves
+        for k, x in first:
+            stencils[k] = (x, values[at : at + taps], noise[at : at + taps])
+            at += taps
+        first = []
     else:
         # out of rounds: what is open reports its last probe
-        for brackets in (roots, slopes):
-            brackets.roots += zip(
-                brackets.keys.tolist(), brackets.s[0].tolist(), np.abs(brackets.s[1]).tolist()
-            )
-    extrema = [(k, x, near[k // 2 - n]) for k, x, _ in slopes.roots]
-    return roots.roots, extrema, stencils
+        for b in [b for b in roots if b.root is None] + [dip.slope for dip in dips if dip.open]:
+            b.root = (b.x1, abs(b.f1))
+    return cells, dips, stencils
 
 
-def _multiplicities(v: np.ndarray, scale: float) -> np.ndarray:
+def _multiplicities(v: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Zero orders, at most 8, from the Taylor terms of the 9-point interpolant.
 
-    ``v`` holds f at lam + k h, k = -4..4, one row per zero.  The interpolant
-    sum_j c_j k^j through them is exact on polynomials of degree 8, so c_j =
-    f^(j) h^j / j! up to the ninth Taylor term, and a zero of order m <= 8
-    leaves c_1 ... c_(m-1) at that level.  (Seven points would not do for
-    m = 6: they fold k^7 into 36 k - 49 k^3 + 14 k^5.)
+    ``v`` holds f at lam + k h, k = -4..4, one row per zero, and ``noise``
+    the bounds on the errors of those values.  The interpolant sum_j c_j k^j
+    through them is exact on polynomials of degree 8, so c_j = f^(j) h^j / j!
+    up to the ninth Taylor term, and a zero of order m <= 8 leaves
+    c_1 ... c_(m-1) at that level.  (Seven points would not do for m = 6:
+    they fold k^7 into 36 k - 49 k^3 + 14 k^5.)  A term is noise up to
+    1e3 eps max|f| plus 4 times the largest error on the row: no row of
+    ``_TAYLOR`` sums above 3.26 in modulus.
     """
     c = _TAYLOR @ v.T
     terms = np.abs(c[1:].T)
     top = terms.max(axis=1)
-    noise = 1e3 * np.finfo(float).eps * scale
+    noise = 1e3 * np.finfo(float).eps * np.abs(v).max(axis=1) + 4.0 * noise.max(axis=1)
     # the order is the first significant term; the largest term always is
     # one unless every term is noise
-    significant = (terms >= 0.1 * top[:, None]) & (terms > noise)
+    significant = (terms >= 0.1 * top[:, None]) & (terms > noise[:, None])
     return np.where(top <= noise, 1, significant.argmax(axis=1) + 1)
 
 
@@ -496,57 +445,58 @@ def _scan(f, lo: float, hi: float, n: int, structural_zero_at_origin: bool) -> Z
     grid = np.linspace(lo, hi, n)
     vals, _ = f(grid)
     scale = max(1.0, float(np.abs(vals).max()))
+    cell = float(grid[1] - grid[0])
+    if structural_zero_at_origin and lo <= 0.0 <= hi:
+        # f(0) = 0 exactly: the structural zero is a grid point
+        k = int(np.searchsorted(grid, 0.0))
+        if grid[k] != 0.0:
+            grid, vals = np.insert(grid, k, 0.0), np.insert(vals, k, 0.0)
+        vals = np.where(grid == 0.0, 0.0, vals)
 
-    # every candidate zero carries a key that fixes the order of the dedup
-    # below: grid cells first (2 i), then dips (2 (n + i), and + 1 for the
-    # right half of a split dip), then the structural zero
     on_grid = np.flatnonzero(vals == 0.0)
     # signs compare as signs: a product of two values of f underflows to
     # zero once |f| is below about 1e-154
     signs = np.sign(vals)
-    cells = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
-    sign_change = np.zeros(n, dtype=bool)
-    sign_change[cells] = sign_change[cells + 1] = True
+    change = signs[:-1] * signs[1:] < 0.0
+    cells = np.flatnonzero(change)
 
-    # even-order zeros: local minima of |f| that dip below threshold but do
-    # not change sign (sign changes are refined as brackets, and so is an
-    # exact zero on the grid between neighbours of opposite sign)
+    # even-order zeros: local minima of |f| that dip below threshold where
+    # neither cell changes sign (sign changes are refined as brackets, and
+    # an exact zero on the grid between neighbours of opposite sign is
+    # taken as it is)
     absvals = np.abs(vals)
     left, mid, right = absvals[:-2], absvals[1:-1], absvals[2:]
     dip = (
         (signs[:-2] * signs[2:] >= 0.0)
-        & ~(sign_change[:-2] | sign_change[1:-1] | sign_change[2:])
+        & ~change[:-1]
+        & ~change[1:]
         & (mid <= left)
         & (mid <= right)
         & (mid < 1e-3 * scale)
     )
+    roots, dips, stencils = _refine(f, grid, vals, cells, np.flatnonzero(dip) + 1, on_grid, cell)
 
-    # zeros on the grid take their stencils in the first round; so does the
-    # structural zero, centred on the probe at 0 of the cell that holds it
-    # or else on its own
-    centres = {2 * int(k): float(grid[k]) for k in on_grid}
-    structural = structural_zero_at_origin and lo <= 0.0 <= hi
-    origin = -1
-    if structural:
-        held = cells[(grid[cells] < 0.0) & (grid[cells + 1] > 0.0)]
-        if len(held):
-            origin = int(held[0])
-        elif not np.any(grid[on_grid] == 0.0):
-            centres[4 * n] = 0.0
-    dips = np.flatnonzero(dip) + 1
-    roots, extrema, stencils = _refine(f, grid, vals, cells, dips, centres, origin)
+    # candidate zeros as (lam, residual, stencil), in the order in which the
+    # first of any close pair is kept: grid zeros and cells by position,
+    # then the dips (a split one's left root, then its right)
+    at_grid = {k: (float(grid[k]), None, stencils[k]) for k in on_grid.tolist()}
+    at_grid.update((k, (*b.root, stencils.get(b))) for k, b in zip(cells.tolist(), roots))
+    candidates = [at_grid[k] for k in sorted(at_grid)]
+    for d in dips:
+        if d.halves:
+            candidates += [(*b.root, stencils.get(b)) for b in d.halves]
+        elif d.near <= 1e-8 * scale:
+            candidates.append((d.slope.root[0], None, stencils.get(d)))
 
-    candidates = [(2 * int(k), float(grid[k]), None) for k in on_grid]
-    candidates += roots
-    candidates += [(key, lam, None) for key, lam, near in extrema if near <= 1e-8 * scale]
-    if structural:
-        candidates.append((4 * n, 0.0, None))
-    candidates.sort(key=lambda c: c[0])
-
-    found: list[tuple[int, float, float | None]] = []
-    for key, lam, residual in candidates:
-        if all(abs(lam - seen) > _DISTINCT * (1.0 + abs(seen)) for _, seen, _ in found):
-            found.append((key, lam, residual))
+    # a candidate closer than _DISTINCT (1 + |x|) to a kept zero x is that
+    # zero; such an x lies within 2 _DISTINCT (1 + |lam|) of the candidate lam
+    found, kept = [], []
+    for lam, residual, stencil in candidates:
+        w = 2.0 * _DISTINCT * (1.0 + abs(lam))
+        near = kept[bisect.bisect_left(kept, lam - w) : bisect.bisect_right(kept, lam + w)]
+        if all(abs(lam - seen) > _DISTINCT * (1.0 + abs(seen)) for seen in near):
+            bisect.insort(kept, lam)
+            found.append((lam, residual, stencil))
 
     # a zero takes a stencil in one more call when it has none, when the
     # centre of its stencil is farther than h / 100 from it (an order m
@@ -556,30 +506,31 @@ def _scan(f, lo: float, hi: float, n: int, structural_zero_at_origin: bool) -> Z
     # while h < 0.79 g.  Then h shrinks to g / 2, but not below the
     # 1e-3 (1 + |lam|) at which the terms of a triple zero next to a simple
     # one would sink into the noise rule.
-    lams = np.array([lam for _, lam, _ in found])
-    apart = np.abs(lams[:, None] - lams)
-    np.fill_diagonal(apart, np.inf)
-    wide = _step(lams, grid[1] - grid[0])
-    gap = apart.min(axis=1, initial=np.inf)
-    narrow = np.minimum(wide, np.maximum(0.5 * gap, 1e-3 * (1.0 + np.abs(lams))))
-    steps = np.where(gap < 1.5 * wide, narrow, wide)
-    missing = [
-        j for j, ((key, lam, _), h, h0) in enumerate(zip(found, steps.tolist(), wide.tolist()))
-        if key not in stencils or abs(lam - stencils[key][0]) > 0.01 * h or h < h0
-    ]
+    gaps = [b - a for a, b in zip(kept, kept[1:])]
+    gap = dict(zip(kept, map(min, [math.inf] + gaps, gaps + [math.inf])))
+    missing = []
+    for j, (lam, _, stencil) in enumerate(found):
+        wide = _step(lam, cell)
+        h = wide
+        if gap[lam] < 1.5 * wide:
+            h = min(wide, max(0.5 * gap[lam], 1e-3 * (1.0 + abs(lam))))
+        if stencil is None or abs(lam - stencil[0]) > 0.01 * h or h < wide:
+            missing.append((j, h))
     if missing:
-        values, _ = f(_stencil(lams[missing], steps[missing]).ravel())
-        rows = values.reshape(len(missing), len(_STENCIL))
-        stencils.update((found[j][0], (lams[j], v)) for j, v in zip(missing, rows))
+        values, noise = f(np.array([x for j, h in missing for x in _stencil(found[j][0], h)]))
+        shape = (len(missing), len(_STENCIL))
+        for (j, _), v, e in zip(missing, values.reshape(shape), noise.reshape(shape)):
+            lam, residual, _ = found[j]
+            found[j] = (lam, residual, (lam, v, e))
 
     zeros = []
     if found:
-        rows = np.array([stencils[key][1] for key, _, _ in found])
-        mults = _multiplicities(rows, scale)
-        for (_, lam, residual), v, mult in zip(found, rows, mults.tolist()):
+        rows = np.array([stencil[1] for _, _, stencil in found])
+        mults = _multiplicities(rows, np.array([stencil[2] for _, _, stencil in found]))
+        for (lam, residual, _), v, mult in zip(found, rows.tolist(), mults.tolist()):
             # a root's residual is its bracket's last |f|, any other zero's
             # is |f| at its stencil's centre
-            residual = abs(float(v[len(_STENCIL) // 2])) if residual is None else residual
+            residual = abs(v[len(_STENCIL) // 2]) if residual is None else residual
             if residual <= 1e-8 * scale:
                 zeros.append((complex(lam), mult, residual))
     zeros.sort(key=lambda z: (abs(z[0]), z[0].real))
@@ -596,7 +547,9 @@ def real_zero_scan_fn(
     """Scan a real-valued function on a grid and refine its zeros.
 
     f is taken as exact: a closing bracket ends on a zero of f only where f
-    is exactly 0.
+    is exactly 0.  ``structural_zero_at_origin=True`` promises f(0) = 0:
+    when 0 lies in the interval it becomes a grid point with the value 0,
+    whatever f returns there.
     """
     lo, hi = _scan_interval(interval, grid_points)
 

@@ -384,6 +384,16 @@ def test_predicted_step_count_needs_few_sweeps(monkeypatch):
     assert sum(counts) <= 1000, counts
 
 
+def test_failed_pair_steps_its_predicted_count(monkeypatch):
+    """tilted_background on 101 real couplings over [-1e5, 1e5]: the pair
+    (123, 246) fails and predicts n = 189, whose pair is swept next; the
+    prediction already exceeds 1.1 n, so no floor at 2n is needed, and one
+    would sweep (246, 492), recomputing the finer member."""
+    counts = _counting_sweeps(monkeypatch)
+    engine.transfer_matrices(catalog.tilted_background(), np.linspace(-1e5, 1e5, 101))
+    assert counts == [4, 8, 23, 46, 123, 246, 189, 378]
+
+
 def test_unreachable_rtol_exhausts_within_the_step_cap(monkeypatch):
     """A tolerance below rounding goes to the largest pair without creeping up."""
     piece = _varying_piece("ramp_well")
