@@ -2,8 +2,11 @@
 
 One subcommand per analysis: scan, reflect, series, zeros, count, order,
 eigencount, witness, plus ``examples`` which writes re-runnable bundled
-configs.  Tables go to stdout (or --output) as CSV or JSON with numbers at
-17 significant digits; runs are deterministic.
+configs.  ``_COMMANDS`` declares each one once: its help, its handler and
+its options.  An option is a flag and the key of the config's command block
+that the flag overrides; ``main`` hands the handler the flag's value, else
+the key's, else the option's default.  Tables go to stdout (or --output) as
+CSV or JSON with numbers at 17 significant digits; runs are deterministic.
 
 Exit codes: 0 success, 1 usage/config error, 2 degenerate (b identically
 zero), 3 solver failure.
@@ -25,16 +28,12 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import catalog, config as cfg, series, spectral, zeros
-from .errors import (
-    ConfigError,
-    DegenerateFunctionError,
-    ScatterError,
-    WitnessNotFoundError,
-)
+from .errors import ConfigError, DegenerateFunctionError, ScatterError, WitnessNotFoundError
 # reflection is unused here, but perfbench/tracing.py wraps cli.reflection by name
 from .scattering import coefficients_batch, realify, reflection, reflection_batch  # noqa: F401
 
@@ -73,19 +72,9 @@ def _emit(rows: list[dict], fmt: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-_SHORT_GRID = "coupling grids need at least 2 points"
-
-
-def _read(run: cfg.RunConfig, cmd: str, key: str, default, convert):
-    """command.<cmd>.<key> through convert (a rejected value is a ConfigError), or default."""
-    block = run.command.get(cmd, {})
-    if key not in block:
-        return default
-    try:
-        return convert(block[key])
-    except (TypeError, ValueError, KeyError) as exc:
-        where = f"command.{cmd}.{key}"
-        raise ConfigError(f"malformed value {block[key]!r}: {exc}", where) from None
+def _complex(name: str, z) -> dict:
+    """``z`` as the two columns <name>_re and <name>_im."""
+    return {name + "_re": z.real, name + "_im": z.imag}
 
 
 def _numbers(value, size: int | None = None) -> list[float]:
@@ -95,194 +84,124 @@ def _numbers(value, size: int | None = None) -> list[float]:
 
 
 def _grid(spec) -> list[float]:
+    """A coupling grid: a list of couplings, or {start, stop, count}."""
     if not isinstance(spec, dict):
         return _numbers(spec)
     count = int(spec.get("count", 0))
     if count < 2:
-        raise ValueError(_SHORT_GRID)
+        raise ValueError("coupling grids need at least 2 points")
     return list(np.linspace(float(spec["start"]), float(spec["stop"]), count))
 
 
-def _resolve_lambdas(flag: str | None, run: cfg.RunConfig, cmd: str) -> list[float]:
-    if flag is None:
-        return _read(run, cmd, "lambdas", list(np.linspace(-5.0, 5.0, 21)), _grid)
+def _grid_text(flag: str, text: str) -> list[float]:
+    """lo:hi:count or a comma list, read as the grid's config form."""
     try:
-        if ":" not in flag:
-            lams = [float(tok) for tok in flag.split(",") if tok]
+        if ":" in text:
+            lo, hi, count = text.split(":")
+            spec = {"start": float(lo), "stop": float(hi), "count": int(count)}
         else:
-            lo, hi, count = flag.split(":")
-            lo, hi, count = float(lo), float(hi), int(count)
+            spec = [float(tok) for tok in text.split(",") if tok]
     except ValueError:
-        raise ValueError(
-            f"--lambdas takes lo:hi:count or a comma list, not {flag!r}"
-        ) from None
-    if ":" in flag:
-        if count < 2:
-            raise ValueError(_SHORT_GRID)
-        lams = list(np.linspace(lo, hi, count))
+        raise ValueError(f"{flag} takes lo:hi:count or a comma list, not {text!r}") from None
+    lams = _grid(spec)
     if not lams or not np.all(np.isfinite(lams)):
-        raise ValueError(f"--lambdas needs finite couplings, not {flag!r}")
+        raise ValueError(f"{flag} needs finite couplings, not {text!r}")
     return lams
+
+
+def _interval_text(flag: str, text: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(tok) for tok in text.split(":"))
+    except ValueError:
+        raise ValueError(f"{flag} expects lo:hi, not {text!r}") from None
+    return lo, hi
+
+
+def _radii_text(flag: str, text: str) -> list[float]:
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} takes a comma list of radii, not {text!r}") from None
 
 
 def _real_problem(run: cfg.RunConfig):
     """Realify for the real-axis analyses, with a notice when it matters."""
     if run.problem.ref.u0_is_real:
         return run.problem
-    print(
-        "note: reference solution realified for real-axis analysis",
-        file=sys.stderr,
-    )
+    print("note: reference solution realified for real-axis analysis", file=sys.stderr)
     return realify(run.problem)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the loaded config, then its options' values
 
 
-def _cmd_scan(run: cfg.RunConfig, args) -> list[dict]:
-    lams = _resolve_lambdas(args.lambdas, run, "scan")
-    a, b, err = coefficients_batch(run.problem, np.asarray(lams, dtype=complex))
+def _cmd_scan(run: cfg.RunConfig, lams: list[float]) -> list[dict]:
+    lams = np.asarray(lams, dtype=complex)
+    a, b, err = coefficients_batch(run.problem, lams)
     return [
-        {
-            "lambda_re": float(l.real),
-            "lambda_im": float(l.imag),
-            "a_re": float(av.real),
-            "a_im": float(av.imag),
-            "b_re": float(bv.real),
-            "b_im": float(bv.imag),
-            "err": float(e),
-            "method": "ode",
-        }
-        for l, av, bv, e in zip(np.asarray(lams, dtype=complex), a, b, err)
+        {**_complex("lambda", l), **_complex("a", av), **_complex("b", bv),
+         "err": e, "method": "ode"}
+        for l, av, bv, e in zip(lams.tolist(), a.tolist(), b.tolist(), err.tolist())
     ]
 
 
-def _cmd_reflect(run: cfg.RunConfig, args) -> list[dict]:
-    lams = _resolve_lambdas(args.lambdas, run, "reflect")
+def _cmd_reflect(run: cfg.RunConfig, lams: list[float]) -> list[dict]:
     return [
-        {
-            "lambda": float(lam),
-            "alpha_re": res.alpha.real,
-            "alpha_im": res.alpha.imag,
-            "beta_re": res.beta.real,
-            "beta_im": res.beta.imag,
-            "R": res.R,
-            "flux_defect": res.flux_defect,
-            "method": "ode",
-        }
+        {"lambda": float(lam), **_complex("alpha", res.alpha), **_complex("beta", res.beta),
+         "R": res.R, "flux_defect": res.flux_defect, "method": "ode"}
         for lam, res in zip(lams, reflection_batch(run.problem, lams))
     ]
 
 
-def _cmd_series(run: cfg.RunConfig, args) -> list[dict]:
-    order = args.order if args.order is not None else _read(run, "series", "N", 16, int)
-    lams = _resolve_lambdas(args.lambdas, run, "series")
+def _cmd_series(run: cfg.RunConfig, lams: list[float], order: int) -> list[dict]:
     expansion = series.series_coefficients(run.problem, order)
-    rows = []
-    for lam in lams:
-        val = series.evaluate_series(expansion, lam)
-        rows.append(
-            {
-                "lambda_re": float(complex(lam).real),
-                "lambda_im": float(complex(lam).imag),
-                "a_re": val.a.real,
-                "a_im": val.a.imag,
-                "b_re": val.b.real,
-                "b_im": val.b.imag,
-                "certified_err": val.err,
-                "usable": int(val.is_usable()),
-                "method": "series",
-            }
-        )
-    return rows
+    values = [series.evaluate_series(expansion, lam) for lam in lams]
+    return [
+        {**_complex("lambda", lam), **_complex("a", val.a), **_complex("b", val.b),
+         "certified_err": val.err, "usable": int(val.is_usable()), "method": "series"}
+        for lam, val in zip(lams, values)
+    ]
 
 
-def _cmd_zeros(run: cfg.RunConfig, args) -> list[dict]:
-    if args.interval is not None:
-        try:
-            lo, hi = (float(tok) for tok in args.interval.split(":"))
-        except ValueError:
-            raise ValueError(f"--interval expects lo:hi, not {args.interval!r}") from None
-    else:
-        lo, hi = _read(run, "zeros", "interval", (-50.0, 50.0), lambda v: _numbers(v, 2))
-    grid_points = args.grid_points
-    if grid_points is None:
-        grid_points = _read(run, "zeros", "grid_points", 400, int)
-    report = zeros.real_zero_scan(_real_problem(run), (lo, hi), grid_points)
+def _cmd_zeros(run: cfg.RunConfig, interval, grid_points: int) -> list[dict]:
+    report = zeros.real_zero_scan(_real_problem(run), interval, grid_points)
     if report.identically_zero:
         raise DegenerateFunctionError("b identically zero")
     return [
-        {
-            "zero_re": z.real,
-            "zero_im": z.imag,
-            "multiplicity": mult,
-            "residual": res,
-            "method": "ode",
-        }
+        {**_complex("zero", z), "multiplicity": mult, "residual": res, "method": "ode"}
         for z, mult, res in report.zeros
     ]
 
 
-def _cmd_count(run: cfg.RunConfig, args) -> list[dict]:
-    if args.radius is not None:
-        radii = [float(args.radius)]
-    else:
-        radii = _read(
-            run, "count", "radius", [50.0], lambda r: _numbers(r if isinstance(r, list) else [r])
-        )
-    nodes = args.nodes if args.nodes is not None else _read(run, "count", "nodes", 64, int)
+def _cmd_count(run: cfg.RunConfig, radii: list[float], nodes: int) -> list[dict]:
     return [
-        {
-            "radius": r,
-            "count": zeros.disk_zero_count(run.problem, r, nodes),
-            "method": "ode",
-        }
+        {"radius": r, "count": zeros.disk_zero_count(run.problem, r, nodes), "method": "ode"}
         for r in radii
     ]
 
 
-def _cmd_order(run: cfg.RunConfig, args) -> list[dict]:
-    radii = (
-        [float(tok) for tok in args.radii.split(",")]
-        if args.radii
-        else _read(run, "order", "radii", [1e2, 1e3, 1e4, 1e5], _numbers)
-    )
+def _cmd_order(run: cfg.RunConfig, radii: list[float]) -> list[dict]:
     fit = zeros.order_fit(run.problem, radii)
     return [
-        {
-            "radius": r,
-            "count": c,
-            "log_max_modulus": lm,
-            "count_exponent": fit.count_exponent,
-            "growth_exponent": fit.growth_exponent,
-            "fit_residual": fit.fit_residual,
-            "method": "ode",
-        }
+        {"radius": r, "count": c, "log_max_modulus": lm, "count_exponent": fit.count_exponent,
+         "growth_exponent": fit.growth_exponent, "fit_residual": fit.fit_residual,
+         "method": "ode"}
         for r, c, lm in zip(fit.radii, fit.counts, fit.log_max_modulus)
     ]
 
 
-def _cmd_eigencount(run: cfg.RunConfig, args) -> list[dict]:
-    lams = _resolve_lambdas(args.lambdas, run, "eigencount")
+def _cmd_eigencount(run: cfg.RunConfig, lams: list[float]) -> list[dict]:
     problem = _real_problem(run)
     counts = spectral.negative_eigenvalue_counts(problem, lams, spectral.boundary_angles(problem))
     return [
-        {
-            "lambda": float(lam),
-            "count": int(count),
-            "boundary_degenerate": int(count.boundary_degenerate),
-            "method": "prufer",
-        }
+        {"lambda": float(lam), "count": int(count),
+         "boundary_degenerate": int(count.boundary_degenerate), "method": "prufer"}
         for lam, count in zip(lams, counts)
     ]
 
 
-def _cmd_witness(run: cfg.RunConfig, args) -> list[dict]:
-    lam = args.coupling
-    if lam is None:
-        lam = _read(run, "witness", "lambda", -1e4, float)
-    tents = args.tents if args.tents is not None else _read(run, "witness", "tents", 5, int)
+def _cmd_witness(run: cfg.RunConfig, lam: float, tents: int) -> list[dict]:
     problem = _real_problem(run)
     try:
         witness = spectral.tent_witness(problem, lam, tents)
@@ -290,12 +209,7 @@ def _cmd_witness(run: cfg.RunConfig, args) -> list[dict]:
         print(f"witness: inconclusive ({exc})", file=sys.stderr)
         return []
     return [
-        {
-            "center": c,
-            "epsilon": witness.epsilon,
-            "rayleigh": q,
-            "method": "tent",
-        }
+        {"center": c, "epsilon": witness.epsilon, "rayleigh": q, "method": "tent"}
         for c, q in zip(witness.centers, witness.rayleigh_values)
     ]
 
@@ -319,8 +233,8 @@ _EXAMPLE_BUNDLE = (
 )
 
 
-def _cmd_examples(args) -> list[dict]:
-    out_dir = Path(args.output_dir)
+def _cmd_examples(_run: None, output_dir: str) -> list[dict]:
+    out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for name, builder, command in _EXAMPLE_BUNDLE:
@@ -331,66 +245,105 @@ def _cmd_examples(args) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
+# the command table
+
+
+class _Option(NamedTuple):
+    """A flag, the command-block key it overrides and the key's default.
+
+    ``parse`` reads the key's value, and the flag's value once argparse's
+    ``type`` has read it; where no ``type`` can, ``text(flag, text)`` reads
+    the flag's text instead.
+    """
+
+    flag: str
+    key: str | None
+    default: object
+    parse: Callable = str
+    type: Callable | None = None
+    text: Callable | None = None
+    help: str | None = None
+
+    def value(self, args: argparse.Namespace, cmd: str, block: dict):
+        """The flag's value, else the key's (a rejected one is a ConfigError), else the default."""
+        given = getattr(args, self.flag[2:].replace("-", "_"))
+        if given is not None:
+            return self.text(self.flag, given) if self.text else self.parse(given)
+        if self.key not in block:
+            return self.default
+        try:
+            return self.parse(block[self.key])
+        except (TypeError, ValueError, KeyError) as exc:
+            where = f"command.{cmd}.{self.key}"
+            raise ConfigError(f"malformed value {block[self.key]!r}: {exc}", where) from None
+
+
+class _Command(NamedTuple):
+    help: str
+    handler: Callable  # handler(run, *values of options), run None unless config
+    options: tuple[_Option, ...]
+    config: bool = True  # takes a problem configuration file
+
+
+_LAMBDAS = _Option(
+    "--lambdas", "lambdas", tuple(np.linspace(-5.0, 5.0, 21)), _grid,
+    text=_grid_text, help="lo:hi:count or comma list",
+)
+
+_COMMANDS = {
+    "scan": _Command("sweep (a, b) over a coupling grid", _cmd_scan, (_LAMBDAS,)),
+    "reflect": _Command("reflection probability over real couplings", _cmd_reflect, (_LAMBDAS,)),
+    "series": _Command("power-series evaluation with certified error", _cmd_series, (
+        _LAMBDAS,
+        _Option("--order", "N", 16, int, type=int, help="truncation order N"),
+    )),
+    "zeros": _Command("real zeros of b", _cmd_zeros, (
+        _Option("--interval", "interval", (-50.0, 50.0), lambda v: _numbers(v, 2),
+                text=_interval_text, help="lo:hi"),
+        _Option("--grid-points", "grid_points", 400, int, type=int),
+    )),
+    "count": _Command("zeros of b in a disk (argument principle)", _cmd_count, (
+        _Option("--radius", "radius", (50.0,),
+                lambda r: _numbers(r if isinstance(r, list) else [r]), type=float),
+        _Option("--nodes", "nodes", 64, int, type=int),
+    )),
+    "order": _Command("growth and zero-count exponents", _cmd_order, (
+        _Option("--radii", "radii", (1e2, 1e3, 1e4, 1e5), _numbers,
+                text=_radii_text, help="comma list of increasing radii"),
+    )),
+    "eigencount": _Command(
+        "negative eigenvalues under the u0 boundary angles", _cmd_eigencount, (_LAMBDAS,)
+    ),
+    "witness": _Command("tent-function minimax witness", _cmd_witness, (
+        _Option("--coupling", "lambda", -1e4, float, type=float, help="coupling value"),
+        _Option("--tents", "tents", 5, int, type=int, help="number of tents N"),
+    )),
+    "examples": _Command("write bundled example configs", _cmd_examples, (
+        _Option("--output-dir", None, "ccscatter-examples"),
+    ), config=False),
+}
 
 
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
-        prog="ccscatter",
-        description="Coupling-constant scattering analysis on [0, 1]",
+        prog="ccscatter", description="Coupling-constant scattering analysis on [0, 1]"
     )
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", help="write the table to this path")
     # accept the output flags after the subcommand too; SUPPRESS keeps the
     # globally parsed value when the trailing flag is absent
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("csv", "json"), default=argparse.SUPPRESS
-    )
+    common.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS)
     common.add_argument("--output", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def add(name: str, help_text: str, needs_config: bool = True):
-        p = sub.add_parser(name, help=help_text, parents=[common])
-        if needs_config:
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, parents=[common])
+        if command.config:
             p.add_argument("config", help="problem configuration file")
-        return p
-
-    p = add("scan", "sweep (a, b) over a coupling grid")
-    p.add_argument("--lambdas", help="lo:hi:count or comma list")
-    p = add("reflect", "reflection probability over real couplings")
-    p.add_argument("--lambdas")
-    p = add("series", "power-series evaluation with certified error")
-    p.add_argument("--lambdas")
-    p.add_argument("--order", type=int, help="truncation order N")
-    p = add("zeros", "real zeros of b")
-    p.add_argument("--interval", help="lo:hi")
-    p.add_argument("--grid-points", type=int, dest="grid_points")
-    p = add("count", "zeros of b in a disk (argument principle)")
-    p.add_argument("--radius", type=float)
-    p.add_argument("--nodes", type=int)
-    p = add("order", "growth and zero-count exponents")
-    p.add_argument("--radii", help="comma list of increasing radii")
-    p = add("eigencount", "negative eigenvalues under the u0 boundary angles")
-    p.add_argument("--lambdas")
-    p = add("witness", "tent-function minimax witness")
-    p.add_argument("--coupling", type=float, help="coupling value")
-    p.add_argument("--tents", type=int, help="number of tents N")
-    p = add("examples", "write bundled example configs", needs_config=False)
-    p.add_argument("--output-dir", default="ccscatter-examples")
+        for option in command.options:
+            p.add_argument(option.flag, type=option.type, help=option.help)
     return parser
-
-
-_HANDLERS = {
-    "scan": _cmd_scan,
-    "reflect": _cmd_reflect,
-    "series": _cmd_series,
-    "zeros": _cmd_zeros,
-    "count": _cmd_count,
-    "order": _cmd_order,
-    "eigencount": _cmd_eigencount,
-    "witness": _cmd_witness,
-}
 
 
 def main(argv=None) -> int:
@@ -399,13 +352,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = _COMMANDS[args.cmd]
     try:
-        if args.cmd == "examples":
-            rows = _cmd_examples(args)
-        else:
+        run, block = None, {}
+        if command.config:
             run = cfg.load_config(args.config)
-            rows = _HANDLERS[args.cmd](run, args)
-        _emit(rows, args.format, args.output)
+            block = run.command.get(args.cmd, {})
+        values = [option.value(args, args.cmd, block) for option in command.options]
+        _emit(command.handler(run, *values), args.format, args.output)
         return 0
     except OSError as exc:  # an unwritable --output or --output-dir
         print(f"error: cannot write: {exc}", file=sys.stderr)

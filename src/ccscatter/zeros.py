@@ -251,7 +251,9 @@ class _Dip:
     the dip where f has its sign (the grid neighbours at first, then x + d of
     a probe left of the extremum and x - d of one right of it); so a simple
     zero on a grid point between neighbours of one sign finds its partner
-    zero.  ``near`` is the smaller |f(x -/+ d)| at the last probe.
+    zero.  A half whose interior holds the grid point, when f is exactly 0
+    there, is dropped: its zero is already on the grid.  ``near`` is the
+    smaller |f(x -/+ d)| at the last probe.
     """
 
     def __init__(self, x0, f0, x, f, x1, f1):
@@ -262,7 +264,8 @@ class _Dip:
         # the sign of f on either side of the dip, as np.sign gives it
         self.sign = math.copysign(1.0, f0 + f1) if f0 + f1 else 0.0
         self.near = abs(f)
-        self.halves: tuple[_Bracket, _Bracket] | None = None
+        self.zero = x if f == 0.0 else math.nan
+        self.halves: tuple[_Bracket, ...] | None = None
 
     @property
     def open(self) -> bool:
@@ -282,9 +285,12 @@ class _Dip:
         self.near = min(abs(flo), abs(fhi))
         left, right = flo * sign < 0.0, fhi * sign < 0.0
         if left or right:
-            self.halves = (
-                _Bracket(_XTOL, _RTOL, *self.left, *((x - d, flo) if left else (x + d, fhi))),
-                _Bracket(_XTOL, _RTOL, *((x + d, fhi) if right else (x - d, flo)), *self.right),
+            ends = (
+                (self.left, (x - d, flo) if left else (x + d, fhi)),
+                ((x + d, fhi) if right else (x - d, flo), self.right),
+            )
+            self.halves = tuple(
+                _Bracket(_XTOL, _RTOL, *a, *b) for a, b in ends if not a[0] < self.zero < b[0]
             )
             return
         # the probe moves the innermost point on its side of the extremum:
@@ -443,7 +449,7 @@ def _scan(f, lo: float, hi: float, n: int, structural_zero_at_origin: bool) -> Z
     ``f`` maps an array of points to f there and a bound on its error there.
     """
     grid = np.linspace(lo, hi, n)
-    vals, _ = f(grid)
+    vals, noise = f(grid)
     scale = max(1.0, float(np.abs(vals).max()))
     cell = float(grid[1] - grid[0])
     if structural_zero_at_origin and lo <= 0.0 <= hi:
@@ -451,6 +457,12 @@ def _scan(f, lo: float, hi: float, n: int, structural_zero_at_origin: bool) -> Z
         k = int(np.searchsorted(grid, 0.0))
         if grid[k] != 0.0:
             grid, vals = np.insert(grid, k, 0.0), np.insert(vals, k, 0.0)
+        elif abs(vals[k]) > noise[k]:
+            f0, err = float(vals[k]), float(noise[k])
+            raise ValueError(
+                f"structural_zero_at_origin promises f(0) = 0, but f(0) = {f0!r}"
+                f" exceeds its error bound {err!r}"
+            )
         vals = np.where(grid == 0.0, 0.0, vals)
 
     on_grid = np.flatnonzero(vals == 0.0)
@@ -548,8 +560,9 @@ def real_zero_scan_fn(
 
     f is taken as exact: a closing bracket ends on a zero of f only where f
     is exactly 0.  ``structural_zero_at_origin=True`` promises f(0) = 0:
-    when 0 lies in the interval it becomes a grid point with the value 0,
-    whatever f returns there.
+    when 0 lies in the interval it becomes a grid point with the value 0.
+    When 0 is a point of the linspace, f is evaluated there and must return
+    exactly 0, or the scan raises ValueError.
     """
     lo, hi = _scan_interval(interval, grid_points)
 

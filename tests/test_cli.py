@@ -163,11 +163,20 @@ def test_bad_flag_values_are_usage_errors(bundle_dir, capsys, args):
     assert err.startswith("error: ")
 
 
-def test_interval_error_names_the_flag(bundle_dir, capsys):
-    code, _, err = run_cli(["zeros", str(bundle_dir / "sine_well.json"), "--interval=5"], capsys)
+@pytest.mark.parametrize(
+    "cmd, flag, text, message",
+    [
+        ("zeros", "--interval", "5", "--interval expects lo:hi"),
+        ("scan", "--lambdas", "a,b", "--lambdas takes lo:hi:count or a comma list"),
+        ("order", "--radii", "a,b", "--radii takes a comma list of radii"),
+    ],
+    ids=["interval", "lambdas", "radii"],
+)
+def test_interval_error_names_the_flag(bundle_dir, capsys, cmd, flag, text, message):
+    # the flags whose text the CLI reads itself, not argparse's type
+    code, _, err = run_cli([cmd, str(bundle_dir / "sine_well.json"), f"{flag}={text}"], capsys)
     assert code == 1
-    assert "--interval expects lo:hi" in err
-    assert "'5'" in err
+    assert err == f"error: {message}, not {text!r}\n"
 
 
 def test_count_and_eigencount(bundle_dir, capsys):
@@ -187,6 +196,32 @@ def test_count_and_eigencount(bundle_dir, capsys):
     assert code == 0
     (row,) = parse_csv(out)
     assert row["count"] == "2"
+
+
+def test_zeros_subcommand(bundle_dir, capsys):
+    # the command block scans (-5, 100) on 400 points: (n^2 - 1) pi^2, n = 1, 2, 3
+    code, out, _ = run_cli(["zeros", str(bundle_dir / "sine_well.json")], capsys)
+    assert code == 0
+    rows = parse_csv(out)
+    want = [(n * n - 1) * PI * PI for n in (1, 2, 3)]
+    assert len(rows) == len(want)
+    for row, z in zip(rows, want):
+        found = complex(float(row["zero_re"]), float(row["zero_im"]))
+        assert abs(found - z) <= 1e-8 * (1.0 + abs(z))
+        assert row["multiplicity"] == "1"
+
+
+def test_realified_reference_is_noted(bundle_dir, capsys):
+    code, out, err = run_cli(["eigencount", str(bundle_dir / "traveling_barrier.json")], capsys)
+    assert code == 0 and out
+    assert err.startswith("note: reference solution realified")
+
+
+def test_solver_failure_exit_code(bundle_dir, capsys):
+    # series expansions need an L^1 perturbation, and delta_pair's V is spikes
+    code, out, err = run_cli(["series", str(bundle_dir / "delta_pair.json")], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("solver error:")
 
 
 def test_eigencount_at_large_coupling(bundle_dir, capsys):
@@ -315,6 +350,7 @@ def test_config_error_diagnostics(tmp_path, capsys):
         ("order", {"radii": 100.0}),
         ("witness", {"lambda": [-1e4, 1e4]}),
         ("eigencount", {"lambdas": "0:1:3"}),
+        ("scan", {"lambdas": {"start": 0.0, "stop": 1.0, "count": 1}}),
     ],
 )
 def test_malformed_command_blocks_are_config_errors(tmp_path, capsys, cmd, block):
@@ -324,7 +360,7 @@ def test_malformed_command_blocks_are_config_errors(tmp_path, capsys, cmd, block
     assert code == 1
     assert out == ""
     assert err.startswith("config error:")
-    assert f"command.{cmd}." in err
+    assert f"command.{cmd}.{next(iter(block))}" in err
     assert "Traceback" not in err
 
 

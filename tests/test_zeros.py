@@ -104,10 +104,13 @@ def test_scan_always_reports_structural_zero(sine_well):
     assert any(abs(z) <= 1e-10 for z, _, _ in report.zeros)
 
 
-def test_scan_finds_the_zero_sharing_the_structural_zeros_cell(sine_well):
+def test_scan_finds_the_zero_sharing_the_structural_zeros_cell(engine_sizes, sine_well):
     # 0 and 3 pi^2 lie in the grid cell [-5, 45.03], and b has one sign at
-    # both of its ends; 0 is a grid point where b = 0, so its dip splits
+    # both of its ends; 0 is a grid point where b = 0, so its dip splits,
+    # and only the half that holds 3 pi^2 is refined
+    engine_sizes.clear()
     report = real_zero_scan(sine_well, (-5.0, 1e5), 2000)
+    assert engine_sizes == [2000, 109, 119, 773, 300, 75, 13, 22]
     found = sorted(z.real for z, _, _ in report.zeros)
     want = sine_well_zeros(1e5)
     assert len(found) == len(want) == 100
@@ -279,6 +282,16 @@ def test_tiny_function_keeps_its_sign_changes(points):
     assert [m for _, m, _ in report.zeros] == [1]
     assert abs(report.zeros[0][0] - 0.3) <= 1e-10
     assert len(f.sizes) < 20
+
+
+def test_broken_structural_zero_promise_raises():
+    # 0 is a point of the 3-point linspace, where f is -3e-301, not 0: taken
+    # as a zero, it would leave no sign change and lose the zero at 0.3
+    def f(lams):
+        return 1e-300 * (np.real(lams) - 0.3)
+
+    with pytest.raises(ValueError, match=r"promises f\(0\) = 0, but f\(0\) = -3e-301"):
+        real_zero_scan_fn(f, (-2.0, 2.0), 3, structural_zero_at_origin=True)
 
 
 def test_scan_refines_all_brackets_in_few_engine_calls(engine_sizes):
