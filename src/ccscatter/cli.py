@@ -7,6 +7,8 @@ its options.  An option is a flag and the key of the config's command block
 that the flag overrides; ``main`` hands the handler the flag's value, else
 the key's, else the option's default.  Tables go to stdout (or --output) as
 CSV or JSON with numbers at 17 significant digits; runs are deterministic.
+JSON is ``json.dumps(rows, indent=2)`` byte for byte, each row in one call
+of the C encoder.
 
 Exit codes: 0 success, 1 usage/config error, 2 degenerate (b identically
 zero), 3 solver failure.
@@ -64,8 +66,10 @@ def _emit(rows: list[dict], fmt: str, output: str | None) -> None:
             for row in rows:
                 writer.writerow(_fmt(v) for v in row.values())
         text = buf.getvalue()
-    else:
-        text = json.dumps(rows, indent=2) + "\n"
+    else:  # json.dumps(rows, indent=2), each row (of scalars) through the C encoder
+        encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+        body = ",\n".join("  {\n    " + encode(row)[1:-1] + "\n  }" for row in rows)
+        text = f"[\n{body}\n]\n" if rows else "[]\n"
     if output:
         Path(output).write_text(text)
     else:
@@ -83,14 +87,17 @@ def _numbers(value, size: int | None = None) -> list[float]:
     return [float(v) for v in value]
 
 
-def _grid(spec) -> list[float]:
-    """A coupling grid: a list of couplings, or {start, stop, count}."""
-    if not isinstance(spec, dict):
-        return _numbers(spec)
-    count = int(spec.get("count", 0))
-    if count < 2:
-        raise ValueError("coupling grids need at least 2 points")
-    return list(np.linspace(float(spec["start"]), float(spec["stop"]), count))
+def _grid(spec, refusal: str = "needs finite couplings") -> list[float]:
+    """Couplings from a list or {start, stop, count}: finite, non-empty, or ValueError(refusal)."""
+    if isinstance(spec, dict):
+        count = int(spec.get("count", 0))
+        if count < 2:
+            raise ValueError("coupling grids need at least 2 points")
+        spec = np.linspace(float(spec["start"]), float(spec["stop"]), count).tolist()
+    lams = _numbers(spec)
+    if not lams or not np.all(np.isfinite(lams)):
+        raise ValueError(refusal)
+    return lams
 
 
 def _grid_text(flag: str, text: str) -> list[float]:
@@ -103,10 +110,7 @@ def _grid_text(flag: str, text: str) -> list[float]:
             spec = [float(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise ValueError(f"{flag} takes lo:hi:count or a comma list, not {text!r}") from None
-    lams = _grid(spec)
-    if not lams or not np.all(np.isfinite(lams)):
-        raise ValueError(f"{flag} needs finite couplings, not {text!r}")
-    return lams
+    return _grid(spec, f"{flag} needs finite couplings, not {text!r}")
 
 
 def _interval_text(flag: str, text: str) -> tuple[float, float]:

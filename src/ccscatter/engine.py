@@ -34,11 +34,13 @@ the whole batch complex.
 ``_layout`` is the one place that decides how [0, 1] is walked: it returns
 the weight of the spike at 0 and the pieces, each carrying the weight of
 the spike at its right end.  A spike contributes the jump
-u' -> u' + lam * weight * u.  ``transfer_matrices`` walks the layout from
-0- to 1+, and every whole-interval quantity (coefficients, reflection,
-``propagate``, ``transfer_matrix``) and its error bound is a read-out of
-it; spectral's phase count walks the same layout, with the same step
-kernel, node values and pairwise tree.  States inside a piece come from
+u' -> u' + lam * weight * u.  ``_walk`` walks the layout from 0- to 1+,
+and it has two read-outs: the product with its bound
+(``transfer_matrices``), of which every whole-interval quantity
+(coefficients, reflection, ``propagate``, ``transfer_matrix``) is a
+read-out, and the product alone (``_product``), for a caller that reads no
+bound, such as ``build_problem``.  Spectral's phase count walks the same
+layout, with the same step kernel, node values and pairwise tree.  States inside a piece come from
 ``_piece_states``, the products of the first k steps for every k, which
 ``reference_states`` reads at lam = 0, where spikes are the identity.
 """
@@ -466,22 +468,8 @@ def apply_delta(state: Pair, lam: complex, weight: float) -> Pair:
     return (u, up + complex(lam) * weight * u)
 
 
-def transfer_matrices(
-    problem: ScatteringProblem, lams, *, rtol: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Transfer matrices from 0- to 1+ for a batch of couplings.
-
-    Walks the layout: the spike at 0, then each piece followed by the spike
-    at its right end, as one (2, 2, K, L) stack of K matrices, real when
-    every coupling is real.  All constant pieces take one kernel call.  A
-    non-finite coupling raises ValueError.  Returns (complex matrices, error
-    bounds), both (L, 2, 2): the library's one error model, which the
-    read-outs only pass on.  It bounds each entry's distance from the exact
-    product of the layout's matrices: truncation (the pieces' summed
-    Richardson estimates times max-abs entry + 1) plus rounding
-    (``_rounding_bound``).  Against 60-digit oracles on the corpus up to
-    |lam| = 1e5 the true error stayed under a third of it.
-    """
+def _walk(problem: ScatteringProblem, lams, rtol: float | None):
+    """The walk of ``transfer_matrices``: (lams, walk, prods E_k .. E_0, scales, rel_sum)."""
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     if not lams.imag.any():  # then every layer steps in real arithmetic
         lams = lams.real.copy()
@@ -516,9 +504,34 @@ def transfer_matrices(
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, len(items)):
             prods[:, :, k] = _mul(walk[:, :, k], prods[:, :, k - 1])
-    M = prods[:, :, -1]
-    if not np.isfinite(M).all():
+    if not np.isfinite(prods[:, :, -1]).all():
         raise IntegrationError("propagation produced non-finite values", 1.0)
+    return lams, walk, prods, scales, rel_sum
+
+
+def _product(problem: ScatteringProblem, lams) -> np.ndarray:
+    """The matrices of ``transfer_matrices`` alone, without their bound."""
+    return _walk(problem, lams, None)[2][:, :, -1].transpose(2, 0, 1).astype(complex, copy=False)
+
+
+def transfer_matrices(
+    problem: ScatteringProblem, lams, *, rtol: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer matrices from 0- to 1+ for a batch of couplings.
+
+    Walks the layout: the spike at 0, then each piece followed by the spike
+    at its right end, as one (2, 2, K, L) stack of K matrices, real when
+    every coupling is real.  All constant pieces take one kernel call.  A
+    non-finite coupling raises ValueError.  Returns (complex matrices, error
+    bounds), both (L, 2, 2): the library's one error model, which the
+    read-outs only pass on.  It bounds each entry's distance from the exact
+    product of the layout's matrices: truncation (the pieces' summed
+    Richardson estimates times max-abs entry + 1) plus rounding
+    (``_rounding_bound``).  Against 60-digit oracles on the corpus up to
+    |lam| = 1e5 the true error stayed under a third of it.
+    """
+    lams, walk, prods, scales, rel_sum = _walk(problem, lams, rtol)
+    M = prods[:, :, -1]
     bound = rel_sum * (_matrix_scale(M) + 1.0) + _rounding_bound(lams, scales, walk, prods)
     return M.transpose(2, 0, 1).astype(complex, copy=False), bound.transpose(2, 0, 1)
 

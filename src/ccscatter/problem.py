@@ -287,9 +287,8 @@ def build_problem(
         ref=ReferenceData(u0, u0, v0, v0, k_tag),
         tolerances=tol,
     )
-    mat = engine.transfer_matrix(draft, 0.0)
-    u0_at_1 = mat.apply(u0)
-    v0_at_1 = mat.apply(v0)
+    (a, b), (c, d) = engine._product(draft, 0.0)[0].tolist()  # no bound is read here
+    u0_at_1, v0_at_1 = ((a * u + b * up, c * u + d * up) for u, up in (u0, v0))
     defect = abs(wronskian(u0_at_1, v0_at_1) - 1.0)
     if defect > tol.wronskian_tol:
         raise InvalidProblemError(

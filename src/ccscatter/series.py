@@ -17,6 +17,8 @@ coefficient bound
     |b_n| <= M^{n+1} ||V||_1^n / (n! (n-1)^(n-1)),
 
 where M dominates both sup|u0| and the kernel ratio |K| / (|s-t| |V(t)|).
+One walk of the reference solutions serves the coarse and the fine
+quadrature grids and the grid that certifies M.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from .problem import ScatteringProblem
 from .scattering import Coefficients
 
 _EPS = np.finfo(float).eps
-_SUP_GRID = 513  # points of the grid that certifies M
+_SUP_XS = np.linspace(0.0, 1.0, 513)  # the grid that certifies M
+_SUP_ROWS = 64  # rows of the grid's pair table held at once
 
 
 def _factorial_term(lead: float, base: float, n: int) -> float:
@@ -103,7 +106,6 @@ class _Grid:
         self.half = np.array(halves)
         self.nodes = np.concatenate(nodes)
         self.weights = (self.half[:, None] * self._ref_w).ravel()
-        self.u0, _, self.v0, _ = engine.reference_states(problem, self.nodes)
         self.V = np.concatenate(v)
 
     def total(self, f: np.ndarray) -> complex:
@@ -187,33 +189,37 @@ def M_constant(problem: ScatteringProblem) -> float:
     |u0(s) v0(t) - v0(s) u0(t)| <= M |s - t|, inflated by the documented
     safety factor 1.01.
     """
-    M, _ = _sup_constants(problem)
-    return M
+    u0, _, v0, _ = engine.reference_states(problem, _SUP_XS)
+    return _sup_constants(u0, v0)[0]
 
 
-def _sup_constants(problem: ScatteringProblem) -> tuple[float, float]:
-    xs = np.linspace(0.0, 1.0, _SUP_GRID)
-    u0, _, v0, _ = engine.reference_states(problem, xs)
-    sup_u = float(np.abs(u0).max())
-    sup_v = float(np.abs(v0).max())
-    cross = np.abs(u0[:, None] * v0[None, :] - v0[:, None] * u0[None, :])
-    dx = np.abs(xs[:, None] - xs[None, :])
-    np.fill_diagonal(dx, 1.0)
-    ratio = cross / dx
-    # diagonal limit is |W[u0, v0]| = 1 exactly
-    np.fill_diagonal(ratio, 1.0)
-    m = max(sup_u, float(ratio.max()))
-    return 1.01 * m, 1.01 * sup_v
+def _sup_constants(u0: np.ndarray, v0: np.ndarray) -> tuple[float, float]:
+    """(M, Mv) of ``M_constant`` from u0 and v0 on ``_SUP_XS``, a block of rows at a time.
+
+    fl(ab - cd) = -fl(cd - ab), so the ratio is read on the triangle t > s alone, and a
+    real reference in real arithmetic, whose products, differences and moduli are the same.
+    """
+    if not (u0.imag.any() or v0.imag.any()):
+        u0, v0 = u0.real, v0.real
+    xs, ratio = _SUP_XS, 1.0  # the diagonal limit is |W[u0, v0]| = 1 exactly
+    for i in range(0, len(xs), _SUP_ROWS):
+        rows = slice(i, i + _SUP_ROWS)
+        cross = np.abs(u0[rows, None] * v0[i:] - v0[rows, None] * u0[i:])
+        dx = xs[i:] - xs[rows, None]
+        dx[dx <= 0.0] = np.inf  # t <= s lies outside the triangle
+        ratio = max(ratio, float((cross / dx).max()))
+    m = max(float(np.abs(u0).max()), ratio)
+    return 1.01 * m, 1.01 * float(np.abs(v0).max())
 
 
 def _coefficients_on_grid(
-    grid: _Grid, N: int
+    grid: _Grid, u0: np.ndarray, v0: np.ndarray, N: int
 ) -> tuple[list[complex], list[complex]]:
     a = [1.0 + 0.0j]
     b = [0.0 + 0.0j]
-    iterate = grid.u0.copy()
-    weight_v = grid.v0 * grid.V
-    weight_u = grid.u0 * grid.V
+    iterate = u0.copy()
+    weight_v = v0 * grid.V
+    weight_u = u0 * grid.V
     for _ in range(N):
         fa = weight_v * iterate
         fb = weight_u * iterate
@@ -221,7 +227,7 @@ def _coefficients_on_grid(
         b.append(-grid.total(fb))
         A = grid.cumulative(fa)
         B = grid.cumulative(fb)
-        iterate = grid.u0 * A - grid.v0 * B
+        iterate = u0 * A - v0 * B
     return a, b
 
 
@@ -251,9 +257,15 @@ def series_coefficients(
     spec = quad if quad is not None else QuadratureSpec()
     coarse = _Grid(problem, spec)
     fine = _Grid(problem, spec.refined())
-    a1, b1 = _coefficients_on_grid(coarse, N)
-    a2, b2 = _coefficients_on_grid(fine, N)
-    M, Mv = _sup_constants(problem)
+    # one walk for all three grids: its values are pointwise, whatever nodes share it
+    nodes = np.concatenate((coarse.nodes, fine.nodes, _SUP_XS))
+    order = np.argsort(nodes, kind="stable")
+    ref = np.empty((2, len(nodes)), dtype=complex)  # rows u0, v0
+    ref[0, order], _, ref[1, order], _ = engine.reference_states(problem, nodes[order])
+    ref_c, ref_f, ref_s = np.split(ref, np.cumsum([len(coarse.nodes), len(fine.nodes)]), axis=1)
+    a1, b1 = _coefficients_on_grid(coarse, *ref_c, N)
+    a2, b2 = _coefficients_on_grid(fine, *ref_f, N)
+    M, Mv = _sup_constants(*ref_s)
     l1 = problem.V.l1_norm
 
     a_err, b_err = [], []

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import ccscatter
-from ccscatter import PotentialSpec, build_problem, catalog, load_config
+from ccscatter import PotentialSpec, build_problem, catalog, cli, load_config
 from ccscatter.cli import main
 from ccscatter.config import config_to_text, problem_from_dict, problem_to_dict
 
@@ -351,6 +351,12 @@ def test_config_error_diagnostics(tmp_path, capsys):
         ("witness", {"lambda": [-1e4, 1e4]}),
         ("eigencount", {"lambdas": "0:1:3"}),
         ("scan", {"lambdas": {"start": 0.0, "stop": 1.0, "count": 1}}),
+        # a block's couplings obey the --lambdas rule: finite, at least one
+        *(
+            (cmd, {"lambdas": lams})
+            for cmd in ("scan", "series", "eigencount", "reflect")
+            for lams in ([math.nan], [], {"start": 0.0, "stop": math.nan, "count": 5})
+        ),
     ],
 )
 def test_malformed_command_blocks_are_config_errors(tmp_path, capsys, cmd, block):
@@ -428,6 +434,36 @@ def test_witness_inconclusive_is_reported(tmp_path, capsys):
     )
     assert code == 0
     assert "inconclusive" in err
+
+
+def test_json_rows_are_the_indented_dump_byte_for_byte(bundle_dir, tmp_path, capsys, monkeypatch):
+    """--format json prints json.dumps(rows, indent=2) and a newline, whatever the rows hold."""
+    seen = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda rows, fmt, output: (seen.append(rows), emit(rows, fmt, output)))
+    free = tmp_path / "free.json"
+    free.write_text(config_to_text(build_problem(PotentialSpec.zero(), PotentialSpec.zero(), (1.0, 0.0))))
+    odd_dir = tmp_path / 'quote"d \u00e9'
+    runs = [[cmd, str(path)] for path in sorted(bundle_dir.iterdir()) for cmd in cli._COMMANDS
+            if cmd != "examples"]
+    runs += [
+        ["witness", str(free), "--coupling", "-100", "--tents", "1"],  # inconclusive: no rows
+        ["examples", "--output-dir", str(odd_dir)],  # escaped and non-ASCII strings
+    ]
+    emitted = []
+    for args in runs:
+        seen.clear()
+        code, out, _ = run_cli(["--format", "json", *args], capsys)
+        if code == 0:
+            (rows,) = seen
+            assert out == json.dumps(rows, indent=2) + "\n", args
+            emitted.append(out)
+    assert len(emitted) >= 30
+    assert emitted[-2] == "[]\n"
+    assert '\\"d \\u00e9' in emitted[-1]
+    row = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "text": "\u00e9\t\"", "count": 3}
+    emit([row, row], "json", None)
+    assert capsys.readouterr().out == json.dumps([row, row], indent=2) + "\n"
 
 
 def test_reflect_subcommand(bundle_dir, capsys):

@@ -12,9 +12,12 @@ from ccscatter import (
     PotentialSpec,
     UnsupportedBackgroundError,
     build_problem,
+    catalog,
+    transfer_matrix,
     v0_from_u0,
     wronskian,
 )
+from ccscatter import engine
 from ccscatter.engine import reference_states
 
 PI = math.pi
@@ -119,6 +122,40 @@ def test_build_problem_is_deterministic():
     a, b = build(), build()
     assert a == b
     assert a.ref.u0_at_1 == b.ref.u0_at_1  # bit-identical, not just approx
+
+
+def _built_problems(corpus):
+    yield from corpus
+    for name in ("delta_pair", "traveling_barrier"):
+        yield name + "(0.4)", getattr(catalog, name)(0.4)
+    v = PotentialSpec.polynomial([0.0, -3.0, 3.0])
+    yield "ramp, complex u0", build_problem(PotentialSpec.polynomial([1.0, -2.0]), v, (1.0, 0.5j))
+    yield "explicit v0", build_problem(PotentialSpec.zero(), v, (1.0, 0.0), v0_init=(1.0, -1.0))
+
+
+def test_build_problem_reads_the_zero_coupling_transfer_matrix(corpus):
+    for name, prob in _built_problems(corpus):
+        mat = transfer_matrix(prob, 0.0)
+        ref = prob.ref
+        got = (ref.u0_at_1, ref.v0_at_1)
+        want = (mat.apply(ref.u0_at_0), mat.apply(ref.v0_at_0))
+        assert repr(got) == repr(want), name  # bit for bit, signed zeros included
+
+
+def test_build_problem_skips_the_error_bound(corpus, monkeypatch):
+    calls = []
+    bound = engine._rounding_bound
+
+    def counting(*args):
+        calls.append(args)
+        return bound(*args)
+
+    monkeypatch.setattr(engine, "_rounding_bound", counting)
+    for name, prob in corpus:
+        build_problem(prob.Q, prob.V, prob.ref.u0_at_0, k_tag=prob.ref.k_tag, tolerances=prob.tolerances)
+        assert calls == [], name
+    transfer_matrix(prob, 0.0)
+    assert len(calls) == 1  # the counter sees the bound where it is read
 
 
 def test_l1_norm_additive_under_segment_split():

@@ -1,6 +1,7 @@
 """Iterated-kernel series: coefficients, bounds, certified evaluation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ccscatter import (
     kernel,
     series_coefficients,
 )
+from ccscatter import catalog, engine, series
 from ccscatter.engine import reference_states
 
 PI = math.pi
@@ -132,6 +134,70 @@ def test_M_constant_scales_with_reference_amplitude():
     base = build_problem(PotentialSpec.zero(), PotentialSpec.constant(1.0), (1.0, 0.0))
     scaled = build_problem(PotentialSpec.zero(), PotentialSpec.constant(1.0), (10.0, 0.0))
     assert M_constant(scaled) == pytest.approx(10.0 * M_constant(base), rel=1e-6)
+
+
+def _dense_sup_constants(u0, v0):
+    """(M, Mv) from the whole 513 x 513 table in complex arithmetic: the reference formula."""
+    xs = np.linspace(0.0, 1.0, 513)
+    cross = np.abs(u0[:, None] * v0[None, :] - v0[:, None] * u0[None, :])
+    dx = np.abs(xs[:, None] - xs[None, :])
+    np.fill_diagonal(dx, 1.0)
+    ratio = cross / dx
+    np.fill_diagonal(ratio, 1.0)  # the limit |W[u0, v0]| = 1
+    m = max(float(np.abs(u0).max()), float(ratio.max()))
+    return 1.01 * m, 1.01 * float(np.abs(v0).max())
+
+
+def test_sup_constants_equal_the_dense_complex_table(spike_free):
+    xs = np.linspace(0.0, 1.0, 513)
+    for name, prob in spike_free:
+        u0, _, v0, _ = reference_states(prob, xs)
+        assert u0.dtype == complex
+        assert series._sup_constants(u0, v0) == _dense_sup_constants(u0, v0), name
+
+
+def test_sup_constants_hold_no_full_table():
+    prob = catalog.traveling_barrier()  # a complex reference
+    u0, _, v0, _ = reference_states(prob, np.linspace(0.0, 1.0, 513))
+    tracemalloc.start()
+    try:
+        series._sup_constants(u0, v0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 513 * 513 * 16 // 2  # half of one complex 513 x 513 array
+
+
+def test_reference_states_on_a_union_equal_separate_walks_bit_for_bit(corpus):
+    for name, prob in corpus:
+        sets = [
+            series._Grid(prob, spec).nodes
+            for spec in (QuadratureSpec(), QuadratureSpec().refined())
+        ] + [np.linspace(0.0, 1.0, 513)]
+        nodes = np.concatenate(sets)
+        order = np.argsort(nodes, kind="stable")
+        joint = np.empty((4, len(nodes)), dtype=complex)
+        joint[:, order] = reference_states(prob, nodes[order])
+        start = 0
+        for xs in sets:
+            alone = np.array(reference_states(prob, xs))
+            assert joint[:, start : start + len(xs)].tobytes() == alone.tobytes(), name
+            start += len(xs)
+
+
+def test_series_coefficients_walk_the_reference_once(spike_free, monkeypatch):
+    calls = []
+    walk = engine.reference_states
+
+    def counting(problem, xs):
+        calls.append(len(xs))
+        return walk(problem, xs)
+
+    monkeypatch.setattr(engine, "reference_states", counting)
+    for name, prob in spike_free:
+        calls.clear()
+        series_coefficients(prob)
+        assert len(calls) == 1, name
 
 
 def test_evaluate_at_zero_is_exact(sine_well):
