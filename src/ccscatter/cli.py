@@ -87,16 +87,16 @@ def _numbers(value, size: int | None = None) -> list[float]:
     return [float(v) for v in value]
 
 
-def _grid(spec, refusal: str = "needs finite couplings") -> list[float]:
-    """Couplings from a list or {start, stop, count}: finite, non-empty, or ValueError(refusal)."""
+def _grid(spec, refuse: Callable[[str], Exception] = ValueError) -> list[float]:
+    """Couplings from a list or {start, stop, count}: finite, non-empty, or refuse(reason)."""
     if isinstance(spec, dict):
         count = int(spec.get("count", 0))
         if count < 2:
-            raise ValueError("coupling grids need at least 2 points")
+            raise refuse("needs a count of at least 2")
         spec = np.linspace(float(spec["start"]), float(spec["stop"]), count).tolist()
     lams = _numbers(spec)
     if not lams or not np.all(np.isfinite(lams)):
-        raise ValueError(refusal)
+        raise refuse("needs finite couplings")
     return lams
 
 
@@ -110,7 +110,7 @@ def _grid_text(flag: str, text: str) -> list[float]:
             spec = [float(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise ValueError(f"{flag} takes lo:hi:count or a comma list, not {text!r}") from None
-    return _grid(spec, f"{flag} needs finite couplings, not {text!r}")
+    return _grid(spec, lambda reason: ValueError(f"{flag} {reason}, not {text!r}"))
 
 
 def _interval_text(flag: str, text: str) -> tuple[float, float]:

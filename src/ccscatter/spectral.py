@@ -24,6 +24,7 @@ coefficients, for a whole array of candidate centres at once.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -274,6 +275,28 @@ def _tent_integrals(
     return iq, iv
 
 
+def _rayleigh_floor(problem: ScatteringProblem, lam: float) -> tuple[float, float]:
+    """(m, S): m the minimum of Q + lam V over [0, 1], S = sum max(0, -lam w)
+    over the spikes.
+
+    m is the least value of each layout piece's polynomial at its ends and
+    at its critical points.  A unit tent of half-width eps inside [0, 1] has
+    phi^2 <= 1.5 / eps, so its Rayleigh value is at least
+    3/eps^2 + m - 1.5 S / eps, which decreases in eps for eps < 4 / S.
+    """
+    jump0, pieces = engine._layout(problem.Q, problem.V)
+    m = math.inf
+    for piece in pieces:
+        pairs = itertools.zip_longest(piece.q_coeffs, piece.v_coeffs, fillvalue=0.0)
+        c = [q + lam * v for q, v in pairs]
+        if len(c) > 1:
+            ts = npoly.polyroots(npoly.polyder(c)).real
+            c = npoly.polyval([0.0, piece.length, *ts[(ts > 0.0) & (ts < piece.length)]], c)
+        m = min(m, *c)
+    S = sum(max(0.0, -lam * w) for w in [jump0] + [p.jump for p in pieces])
+    return float(m), S
+
+
 def tent_witness(
     problem: ScatteringProblem, lam: float, N: int
 ) -> TentWitness:
@@ -288,18 +311,29 @@ def tent_witness(
     3/eps^2 + int Q phi^2 + lam int V phi^2 was evaluated and found
     negative.
 
+    The search stops early once the floor of ``_rayleigh_floor`` proves
+    that no tent of this eps or narrower has a negative value: the floor
+    exceeds 1e-9 * 3/eps^2 and eps < 4 / S, so it only grows as eps halves.
+    A coupling where Q + lam V > 0 and no spike attracts is decided before
+    any tent is scored.
+
     Raises
     ------
     WitnessNotFoundError
-        Schedule exhausted.  Not a disproof; reported as inconclusive.
+        Schedule exhausted, or stopped by the floor.  Not a disproof;
+        reported as inconclusive.
     """
     lam = float(lam)
     if not math.isfinite(lam):
         raise ValueError(f"coupling must be finite, not {lam}")
     if N < 1:
         raise ValueError("witness size N must be >= 1")
+    floor, attraction = _rayleigh_floor(problem, lam)
     eps = 0.25
     while eps >= 2.0**-20:
+        energy = tent_gradient_energy(eps)
+        if attraction * eps < 4.0 and energy + floor - 1.5 * attraction / eps > 1e-9 * energy:
+            break
         margin = 1e-9 * eps
         step = max(eps / 2.0, (1.0 - 2.0 * eps) / 1024.0)
         candidates = np.arange(eps + margin, 1.0 - eps + step, step)

@@ -41,6 +41,19 @@ exactly real, only the upper half of each circle is evaluated: Q, V and
 u0 are then real, so b(conj lam) = conj b(lam), and every node below the
 real axis is the exact conjugate of one above it.
 
+Contours pay only for the accuracy they read, in two passes.  A winding
+count reads the phase of each node, so every node is read at a loose
+tolerance (``_PHASE_RTOL``), and a node whose error bound from
+``coefficients_batch`` exceeds 1e-3 |b| is read again at
+``_CONTOUR_RTOL``.  Each phase is then within asin(1e-3) rad of the exact
+one, far inside the settle rule's margin (increments below pi/2, winding
+within 0.25 of an integer, errors telescoping around the closed contour),
+so the count is the one exact values would give.  log max|b| reads one
+modulus: only the nodes whose |b| + err reaches the largest |b| - err can
+hold the maximum, and those not already within ``_CONTOUR_RTOL`` are read
+again in one small call.  A plain callable is taken as exact, so it
+serves both passes with no second call.
+
 The ``*_fn`` variants operate on a plain callable, which is the seam used
 to validate the counting machinery against synthetic functions.
 """
@@ -108,20 +121,38 @@ class GrowthFit:
     fit_residual: float
 
 
-# contour sweeps reach |lam| ~ 1e5 where winding and log-max fitting only
-# need ~1e-9 relative values; the problem's own (much tighter) tolerance
-# would force excessive refinement of polynomial pieces there
+# contour sweeps reach |lam| ~ 1e5, where the problem's own (much tighter)
+# tolerance would force excessive refinement of polynomial pieces.  A
+# winding count reads only the phase of each node: every node is read at
+# _PHASE_RTOL, and one whose error bound exceeds _PHASE_CERT |b| is read
+# again at _CONTOUR_RTOL.  log max|b| reads one modulus: only the nodes
+# that can hold the maximum are read at _CONTOUR_RTOL.
 _CONTOUR_RTOL = 1e-9
+_PHASE_RTOL = 1e-5
+_PHASE_CERT = 1e-3  # certified phases are within asin(1e-3) rad
 
 
-def _batch_evaluator(
-    problem: ScatteringProblem, rtol: float | None = None
-) -> Callable[[np.ndarray], np.ndarray]:
-    def f(lams: np.ndarray) -> np.ndarray:
-        _, b, _ = coefficients_batch(problem, lams, rtol=rtol)
-        return b
+@dataclass(frozen=True)
+class _Evaluator:
+    """b of ``problem``: called, b at _CONTOUR_RTOL; ``read`` gives b and the
+    bound on its error that ``coefficients_batch`` returns, at any rtol."""
 
-    return f
+    problem: ScatteringProblem
+
+    def __call__(self, lams: np.ndarray) -> np.ndarray:
+        return self.read(lams, _CONTOUR_RTOL)[0]
+
+    def read(self, lams: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+        _, b, err = coefficients_batch(self.problem, lams, rtol=rtol)
+        return b, err
+
+
+def _reader(f_batch: Callable[[np.ndarray], np.ndarray]):
+    """(values, error bounds) of f at an rtol: an ``_Evaluator``'s own read,
+    or a plain callable's values, taken as exact at every rtol."""
+    if isinstance(f_batch, _Evaluator):
+        return f_batch.read
+    return lambda lams, rtol: (f_batch(lams), np.zeros(len(lams)))
 
 
 def _real_on_real_axis(problem: ScatteringProblem) -> bool:
@@ -626,14 +657,24 @@ def _contour(r: float, n: int) -> np.ndarray:
     return _mirror(out)
 
 
+def _phases(read, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f at ``lams`` and the bounds on its errors, each within _PHASE_CERT |f|.
+
+    Every point is read at _PHASE_RTOL; one whose bound exceeds
+    _PHASE_CERT |f| is read again at _CONTOUR_RTOL.
+    """
+    vals, err = read(lams, _PHASE_RTOL)
+    loose = err > _PHASE_CERT * np.abs(vals)
+    if loose.any():
+        vals[loose], err[loose] = read(lams[loose], _CONTOUR_RTOL)
+    return vals, err
+
+
 def _on_contour(
-    f_batch: Callable[[np.ndarray], np.ndarray],
-    r: float,
-    n: int,
-    mirrored: bool,
-    half: np.ndarray | None = None,
-) -> np.ndarray:
-    """f on the n nodes of |lam| = r.
+    read, r: float, n: int, mirrored: bool, half: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """f on the n nodes of |lam| = r, and the bounds on the errors of the
+    nodes it evaluates, in order (``_phases``).
 
     ``half`` holds f on the n / 2 nodes of the halved circle, which are the
     even nodes of this one; then only the odd nodes are evaluated.  When
@@ -642,30 +683,25 @@ def _on_contour(
     """
     lams = _contour(r, n)
     top = n // 2 + 1 if mirrored else n
-    out = np.empty(n, dtype=complex)
-    if half is None:
-        out[:top] = f_batch(lams[:top])
-    else:
-        out[0::2], out[1:top:2] = half, f_batch(lams[1:top:2])
-    return _mirror(out) if mirrored else out
+    new = slice(0, top) if half is None else slice(1, top, 2)
+    vals = np.empty(n, dtype=complex)
+    if half is not None:
+        vals[0::2] = half
+    vals[new], err = _phases(read, lams[new])
+    return (_mirror(vals) if mirrored else vals), err
 
 
-def _settled_count(
-    f_batch: Callable[[np.ndarray], np.ndarray],
-    r: float,
-    n: int,
-    vals: np.ndarray,
-    mirrored: bool,
-) -> int:
+def _settled_count(read, r: float, n: int, vals: np.ndarray, mirrored: bool) -> int:
     """Winding count on |lam| = r from n nodes, doubling until it settles.
 
     ``vals`` holds f on the contour of ``len(vals)`` nodes, a multiple of n;
     past that, each doubling evaluates only the new odd nodes, and when
-    ``mirrored`` only those with Im lam >= 0.
+    ``mirrored`` only those with Im lam >= 0.  Every phase it reads is
+    certified by ``_phases``.
     """
     while True:
         if n > len(vals):
-            vals = _on_contour(f_batch, r, n, mirrored, vals)
+            vals = _on_contour(read, r, n, mirrored, vals)[0]
         sub = vals[:: len(vals) // n]
         absvals = np.abs(sub)
         if float(absvals.min()) == 0.0:
@@ -726,9 +762,9 @@ def disk_zero_count_fn(
     f(conj z) = conj f(z), once per node with Im lam >= 0.
     """
     r = _disk_radius(r, nodes)
-    n = max(int(nodes), 64)
-    vals = _on_contour(f_batch, r, n, conjugate_symmetric)
-    return _settled_count(f_batch, r, n, vals, conjugate_symmetric)
+    n, read = max(int(nodes), 64), _reader(f_batch)
+    vals = _on_contour(read, r, n, conjugate_symmetric)[0]
+    return _settled_count(read, r, n, vals, conjugate_symmetric)
 
 
 def disk_zero_count(problem: ScatteringProblem, r: float, nodes: int = 64) -> int:
@@ -737,7 +773,7 @@ def disk_zero_count(problem: ScatteringProblem, r: float, nodes: int = 64) -> in
     if is_identically_zero(problem):
         raise DegenerateFunctionError("b vanishes identically; no discrete zeros")
     return disk_zero_count_fn(
-        _batch_evaluator(problem, _CONTOUR_RTOL), r, nodes,
+        _Evaluator(problem), r, nodes,
         conjugate_symmetric=_real_on_real_axis(problem),
     )
 
@@ -767,13 +803,23 @@ def order_fit_fn(
     contour nodes with Im lam >= 0 are evaluated.
     """
     radii = _fit_radii(radii)
+    read = _reader(f_batch)
     counts = []
     log_max = []
     for r in radii:
-        vals = _on_contour(f_batch, r, _FIT_NODES, conjugate_symmetric)
-        log_max.append(float(np.log(np.abs(vals).max())))
+        vals, err = _on_contour(read, r, _FIT_NODES, conjugate_symmetric)
+        # of the evaluated nodes, only one whose |f| + err reaches |f| - err
+        # at the largest |f| (node j) can hold the maximum; those not already
+        # within _CONTOUR_RTOL are read again (a nan at j keeps j alone)
+        size = np.abs(vals[: len(err)])
+        j = int(size.argmax())
+        peak = np.flatnonzero(size + err >= size[j] - err[j]).tolist() or [j]
+        loose = [k for k in peak if err[k] > _CONTOUR_RTOL * size[k]]
+        if loose:
+            size[loose] = np.abs(read(_contour(r, _FIT_NODES)[loose], _CONTOUR_RTOL)[0])
+        log_max.append(float(np.log(max(size[k] for k in peak))))
         # the count's 64- and 128-node contours are every 4th and 2nd node
-        counts.append(_settled_count(f_batch, r, 64, vals, conjugate_symmetric))
+        counts.append(_settled_count(read, r, 64, vals, conjugate_symmetric))
     log_r = np.log(radii)
     count_fit, count_res = _slope(log_r, np.log(np.maximum(counts, 1)))
     # max|b| < e makes log log meaningless for order fitting; clamp so the
@@ -802,6 +848,6 @@ def order_fit(problem: ScatteringProblem, radii) -> GrowthFit:
     if is_identically_zero(problem):
         raise DegenerateFunctionError("b vanishes identically; growth undefined")
     return order_fit_fn(
-        _batch_evaluator(problem, _CONTOUR_RTOL), radii,
+        _Evaluator(problem), radii,
         conjugate_symmetric=_real_on_real_axis(problem),
     )

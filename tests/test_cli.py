@@ -168,9 +168,11 @@ def test_bad_flag_values_are_usage_errors(bundle_dir, capsys, args):
     [
         ("zeros", "--interval", "5", "--interval expects lo:hi"),
         ("scan", "--lambdas", "a,b", "--lambdas takes lo:hi:count or a comma list"),
+        ("scan", "--lambdas", "0:1:1", "--lambdas needs a count of at least 2"),
+        ("scan", "--lambdas", "nan", "--lambdas needs finite couplings"),
         ("order", "--radii", "a,b", "--radii takes a comma list of radii"),
     ],
-    ids=["interval", "lambdas", "radii"],
+    ids=["interval", "lambdas", "lambdas-count", "lambdas-finite", "radii"],
 )
 def test_interval_error_names_the_flag(bundle_dir, capsys, cmd, flag, text, message):
     # the flags whose text the CLI reads itself, not argparse's type

@@ -24,7 +24,7 @@ from ccscatter import (
     tent_witness,
     zero_eigen_check,
 )
-from ccscatter import engine
+from ccscatter import engine, spectral
 
 PI = math.pi
 
@@ -212,6 +212,83 @@ def test_witness_box_barrier(box_barrier):
     assert all(q < 0 for q in w.rayleigh_values)
     spacing = np.diff(w.centers)
     assert spacing.min() >= 2 * w.epsilon
+    # pinned: the first level that fits five tents finds them
+    assert w.epsilon == 0.0625
+    assert w.centers == (
+        0.0625000000625, 0.2187500000625, 0.3750000000625, 0.5312500000625, 0.6875000000625
+    )
+    assert w.rayleigh_values == pytest.approx([-9232.0] * 5, rel=1e-12)
+
+
+def _schedule_levels(problem, lam, n, monkeypatch):
+    """The half-widths that tent_witness scores, and its witness or None."""
+    levels = []
+    inner = spectral._tent_integrals
+
+    def recorded(problem, centers, eps):
+        levels.append(eps)
+        return inner(problem, centers, eps)
+
+    monkeypatch.setattr(spectral, "_tent_integrals", recorded)
+    try:
+        witness = tent_witness(problem, lam, n)
+    except WitnessNotFoundError:
+        witness = None
+    monkeypatch.undo()
+    return levels, witness
+
+
+def test_witness_early_stop_is_sound(corpus, monkeypatch):
+    """Wherever the search stops before 2^-20, no narrower tent is negative.
+
+    Besides random corpus couplings: an interior spike, where a tent centred
+    on it meets the floor's 1.5 S / eps, and the same spike in a repulsive
+    wall, where the floor is positive at eps = 1/4 > 4 / S and negative below.
+    """
+    rng = np.random.default_rng(7)
+    spike = PotentialSpec.deltas([(0.5, 1.0)])
+    cases = [(name, prob, np.concatenate([-(10.0 ** rng.uniform(0, 4, 4)),
+                                          10.0 ** rng.uniform(0, 4, 2)]))
+             for name, prob in corpus]
+    cases += [
+        ("spike", build_problem(PotentialSpec.zero(), spike, (1.0, 0.0)), [-6.0, -20.0, -35.0]),
+        # Q + lam V = 250 off the spike at lam = -40
+        ("spike in a wall", build_problem(
+            PotentialSpec.zero(), PotentialSpec(((0.0, 1.0, (-6.25,)),), ((0.5, 1.0),)),
+            (1.0, 0.0),
+        ), [-40.0, -44.0]),
+    ]
+    stops = 0
+    for name, prob, lams in cases:
+        for lam in lams:
+            for n in (1, 3):
+                levels, witness = _schedule_levels(prob, lam, n, monkeypatch)
+                eps = min(levels, default=0.5) / 2.0
+                if witness is not None or eps < 2.0**-20:
+                    continue
+                stops += 1
+                floor, attraction = spectral._rayleigh_floor(prob, lam)
+                while eps >= 2.0**-20:
+                    step = max(eps / 2.0, (1.0 - 2.0 * eps) / 1024.0)
+                    grid = np.arange(eps + 1e-9 * eps, 1.0 - eps, step)
+                    centers = np.sort(np.concatenate([grid, rng.uniform(eps, 1.0 - eps, 256)]))
+                    iq, iv = spectral._tent_integrals(prob, centers, eps)
+                    energy = tent_gradient_energy(eps)
+                    values = energy + iq + lam * iv
+                    assert values.min() >= 0.0, (name, lam, n, eps)
+                    bound = energy + floor - 1.5 * attraction / eps
+                    assert values.min() >= bound - 1e-9 * energy, (name, lam, n, eps)
+                    eps /= 2.0
+    assert stops >= 20
+
+
+def test_inconclusive_witness_scores_no_tent(sine_well, monkeypatch):
+    # Q + lam V = 300 - pi^2 > 0 and there are no spikes
+    levels, witness = _schedule_levels(sine_well, -300.0, 3, monkeypatch)
+    assert witness is None and levels == []
+    with pytest.raises(WitnessNotFoundError, match=r"^no 3-tent witness found at coupling -300 "
+                       r"\(inconclusive, not a disproof\)$"):
+        tent_witness(sine_well, -300.0, 3)
 
 
 def test_witness_soundness(box_barrier):

@@ -141,18 +141,29 @@ class Counting:
         return self.f(lams)
 
 
-@pytest.fixture
-def engine_sizes(monkeypatch):
-    """Sizes of the engine's coefficient calls made inside the test."""
-    sizes = []
+def _recorded_engine_calls(monkeypatch, entry):
+    """entry(size, rtol) of each engine coefficient call made inside the test."""
+    calls = []
     inner = engine.transfer_matrices
 
     def counted(problem, lams, *args, **kwargs):
-        sizes.append(int(np.size(lams)))
+        calls.append(entry(int(np.size(lams)), kwargs.get("rtol")))
         return inner(problem, lams, *args, **kwargs)
 
     monkeypatch.setattr(engine, "transfer_matrices", counted)
-    return sizes
+    return calls
+
+
+@pytest.fixture
+def engine_sizes(monkeypatch):
+    """Sizes of the engine's coefficient calls made inside the test."""
+    return _recorded_engine_calls(monkeypatch, lambda size, rtol: size)
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """(size, rtol) of each engine coefficient call made inside the test."""
+    return _recorded_engine_calls(monkeypatch, lambda size, rtol: (size, rtol))
 
 
 @pytest.mark.parametrize(
@@ -419,10 +430,57 @@ def test_order_fit_evaluation_budget(engine_sizes):
     assert sum(engine_sizes) <= 560
 
 
-def test_real_problem_evaluates_the_upper_half_of_each_circle(engine_sizes, sine_well):
-    # b(conj lam) = conj b(lam) for real u0: 33 of the 64 nodes are evaluated
+def test_real_problem_evaluates_the_upper_half_of_each_circle(engine_calls, sine_well):
+    # b(conj lam) = conj b(lam) for real u0: 33 of the 64 nodes are evaluated,
+    # every phase certified at the phase tolerance
     assert disk_zero_count(sine_well, 500.0) == 7
-    assert engine_sizes == [33]
+    assert engine_calls == [(33, zeros._PHASE_RTOL)]
+
+
+def test_fit_radius_is_one_phase_call_and_one_small_tight_call(engine_calls):
+    problem = catalog.ramp_well()
+    engine_calls.clear()
+    fit = order_fit(problem, (1e2, 3e2, 1e3, 3e3))
+    assert fit.counts == (3, 4, 7, 12)
+    # the count reads the 129 phases; the maximum, one node read again
+    assert engine_calls == [(129, zeros._PHASE_RTOL), (1, zeros._CONTOUR_RTOL)] * 4
+
+
+def _tight(problem):
+    """b at _CONTOUR_RTOL as a plain callable: every node read at that rtol."""
+    f = zeros._Evaluator(problem)
+    return lambda lams: f(lams)
+
+
+def test_two_passes_change_no_count_and_no_maximum(corpus):
+    # against an evaluation of every node at _CONTOUR_RTOL
+    for name, problem in corpus:
+        if not problem.ref.u0_is_real:
+            problem = realify(problem)
+        f = _tight(problem)
+        for r in (170.0, 1.3e3, 1.1e4):
+            want = _count_or_error(disk_zero_count_fn, f, r, conjugate_symmetric=True)
+            assert _count_or_error(disk_zero_count, problem, r) == want, (name, r)
+        radii = (1e2, 1e3, 1e4, 1e5)
+        want = order_fit_fn(f, radii, conjugate_symmetric=True)
+        fit = order_fit(problem, radii)
+        assert fit.counts == want.counts, name
+        assert np.allclose(fit.log_max_modulus, want.log_max_modulus, rtol=0, atol=1e-9), name
+
+
+@pytest.mark.parametrize("offset", [5e-4, -5e-4])
+def test_contour_near_a_zero_rereads_its_uncertified_nodes(engine_calls, offset):
+    # ramp_well has a simple zero at 27.3155696...; a node next to it has an
+    # error bound above 1e-3 |b| at the phase tolerance
+    problem = catalog.ramp_well()
+    r = 27.31556963932939 * (1.0 + offset)
+    engine_calls.clear()
+    count = disk_zero_count(problem, r)
+    assert count == disk_zero_count_fn(_tight(problem), r, conjugate_symmetric=True)
+    assert count == (2 if offset > 0 else 1)
+    phase = [size for size, rtol in engine_calls if rtol == zeros._PHASE_RTOL]
+    reread = [size for size, rtol in engine_calls if rtol == zeros._CONTOUR_RTOL]
+    assert phase[0] == 33 and reread and reread[0] < 33
 
 
 def _count_or_error(count, *args, **kwargs):
@@ -433,8 +491,9 @@ def _count_or_error(count, *args, **kwargs):
 
 
 def test_mirrored_contours_change_no_result(real_corpus):
+    # the mirrored and the unfolded run of the same two-pass evaluation
     for name, problem in real_corpus:
-        f = zeros._batch_evaluator(problem, zeros._CONTOUR_RTOL)
+        f = zeros._Evaluator(problem)
         for r in (170.0, 1.3e3, 1.1e4):
             unfolded = _count_or_error(disk_zero_count_fn, f, r)
             assert _count_or_error(disk_zero_count, problem, r) == unfolded, (name, r)
@@ -448,7 +507,7 @@ def test_mirrored_contours_change_no_result(real_corpus):
 @pytest.mark.parametrize("name", ["delta_pair", "traveling_barrier"])
 def test_complex_reference_evaluates_every_node(engine_sizes, name):
     problem = getattr(catalog, name)()
-    f = Counting(zeros._batch_evaluator(problem, zeros._CONTOUR_RTOL))
+    f = Counting(zeros._Evaluator(problem))
     count = disk_zero_count_fn(f, 10.0)
     engine_sizes.clear()
     assert disk_zero_count(problem, 10.0) == count
