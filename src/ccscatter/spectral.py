@@ -277,14 +277,15 @@ def _tent_integrals(
 
 def _rayleigh_floor(problem: ScatteringProblem, lam: float) -> tuple[float, float]:
     """(m, S): m the minimum of Q + lam V over [0, 1], S = sum max(0, -lam w)
-    over the spikes.
+    over the spikes in (0, 1).
 
     m is the least value of each layout piece's polynomial at its ends and
     at its critical points.  A unit tent of half-width eps inside [0, 1] has
-    phi^2 <= 1.5 / eps, so its Rayleigh value is at least
-    3/eps^2 + m - 1.5 S / eps, which decreases in eps for eps < 4 / S.
+    phi^2 <= 1.5 / eps and vanishes at 0 and 1, where spikes add nothing, so
+    its Rayleigh value is at least 3/eps^2 + m - 1.5 S / eps, which
+    decreases in eps for eps < 4 / S.
     """
-    jump0, pieces = engine._layout(problem.Q, problem.V)
+    pieces = engine._layout(problem.Q, problem.V)[1]
     m = math.inf
     for piece in pieces:
         pairs = itertools.zip_longest(piece.q_coeffs, piece.v_coeffs, fillvalue=0.0)
@@ -293,7 +294,7 @@ def _rayleigh_floor(problem: ScatteringProblem, lam: float) -> tuple[float, floa
             ts = npoly.polyroots(npoly.polyder(c)).real
             c = npoly.polyval([0.0, piece.length, *ts[(ts > 0.0) & (ts < piece.length)]], c)
         m = min(m, *c)
-    S = sum(max(0.0, -lam * w) for w in [jump0] + [p.jump for p in pieces])
+    S = sum(max(0.0, -lam * p.jump) for p in pieces if p.x1 < 1.0)
     return float(m), S
 
 
@@ -314,8 +315,8 @@ def tent_witness(
     The search stops early once the floor of ``_rayleigh_floor`` proves
     that no tent of this eps or narrower has a negative value: the floor
     exceeds 1e-9 * 3/eps^2 and eps < 4 / S, so it only grows as eps halves.
-    A coupling where Q + lam V > 0 and no spike attracts is decided before
-    any tent is scored.
+    A coupling where Q + lam V > 0 and no spike inside (0, 1) attracts is
+    decided before any tent is scored.
 
     Raises
     ------

@@ -54,6 +54,22 @@ hold the maximum, and those not already within ``_CONTOUR_RTOL`` are read
 again in one small call.  A plain callable is taken as exact, so it
 serves both passes with no second call.
 
+Real scans pay the same way.  The grid is read only for decisions (the
+sign of each point, the dip test at each) and for the first probes of the
+brackets, so it is read at ``_PHASE_RTOL``.  A sign is certified where |b|
+exceeds the bound on its error that ``coefficients_batch`` returns, a
+comparison of the dip test where the intervals |b| -/+ err do not overlap,
+and the loose points of a decision left open are read again at the problem
+tolerance, in one call.  Every decision is then the one that the exact
+values, and so the grid read at the problem tolerance, would give; the
+structural zero needs none, its value being 0 by promise.  A first probe
+interpolated from loose values is still inside its bracket, and every
+later value, stencil and residual is read at the problem tolerance.  The
+residual filter's scale is certified the same way: the points that can
+hold max |b| are read again only for a residual between its bounds.
+Constant pieces are exact at any rtol, so their loose grid is the tight
+one, bit for bit, and the certification is skipped.
+
 The ``*_fn`` variants operate on a plain callable, which is the seam used
 to validate the counting machinery against synthetic functions.
 """
@@ -126,7 +142,8 @@ class GrowthFit:
 # winding count reads only the phase of each node: every node is read at
 # _PHASE_RTOL, and one whose error bound exceeds _PHASE_CERT |b| is read
 # again at _CONTOUR_RTOL.  log max|b| reads one modulus: only the nodes
-# that can hold the maximum are read at _CONTOUR_RTOL.
+# that can hold the maximum are read at _CONTOUR_RTOL.  A real scan reads
+# its grid at _PHASE_RTOL too (``_scan``).
 _CONTOUR_RTOL = 1e-9
 _PHASE_RTOL = 1e-5
 _PHASE_CERT = 1e-3  # certified phases are within asin(1e-3) rad
@@ -474,42 +491,14 @@ def _scan_interval(interval: tuple[float, float], grid_points: int) -> tuple[flo
     return lo, hi
 
 
-def _scan(f, lo: float, hi: float, n: int, structural_zero_at_origin: bool) -> ZeroReport:
-    """The real zeros of f on [lo, hi] from an n-point grid.
-
-    ``f`` maps an array of points to f there and a bound on its error there.
-    """
-    grid = np.linspace(lo, hi, n)
-    vals, noise = f(grid)
-    scale = max(1.0, float(np.abs(vals).max()))
-    cell = float(grid[1] - grid[0])
-    if structural_zero_at_origin and lo <= 0.0 <= hi:
-        # f(0) = 0 exactly: the structural zero is a grid point
-        k = int(np.searchsorted(grid, 0.0))
-        if grid[k] != 0.0:
-            grid, vals = np.insert(grid, k, 0.0), np.insert(vals, k, 0.0)
-        elif abs(vals[k]) > noise[k]:
-            f0, err = float(vals[k]), float(noise[k])
-            raise ValueError(
-                f"structural_zero_at_origin promises f(0) = 0, but f(0) = {f0!r}"
-                f" exceeds its error bound {err!r}"
-            )
-        vals = np.where(grid == 0.0, 0.0, vals)
-
-    on_grid = np.flatnonzero(vals == 0.0)
-    # signs compare as signs: a product of two values of f underflows to
-    # zero once |f| is below about 1e-154
-    signs = np.sign(vals)
+def _dips(signs, mid, left, right, scale) -> np.ndarray:
+    """The dip test at the inner grid points, from the signs of f and |f| at
+    each point (``mid``) and its neighbours: a local minimum of |f| below
+    1e-3 ``scale`` where neither cell changes sign (sign changes are refined
+    as brackets, and an exact zero on the grid between neighbours of
+    opposite sign is taken as it is)."""
     change = signs[:-1] * signs[1:] < 0.0
-    cells = np.flatnonzero(change)
-
-    # even-order zeros: local minima of |f| that dip below threshold where
-    # neither cell changes sign (sign changes are refined as brackets, and
-    # an exact zero on the grid between neighbours of opposite sign is
-    # taken as it is)
-    absvals = np.abs(vals)
-    left, mid, right = absvals[:-2], absvals[1:-1], absvals[2:]
-    dip = (
+    return (
         (signs[:-2] * signs[2:] >= 0.0)
         & ~change[:-1]
         & ~change[1:]
@@ -517,6 +506,97 @@ def _scan(f, lo: float, hi: float, n: int, structural_zero_at_origin: bool) -> Z
         & (mid <= right)
         & (mid < 1e-3 * scale)
     )
+
+
+def _uncertified(vals: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The points of the grid decisions that the error bounds ``e`` leave open.
+
+    A sign is certified where |f| > e, a comparison of the dip test where
+    the intervals |f| -/+ e do not overlap, and the dip test at a point
+    where its comparisons are certified true or one of them certified false.
+    Returns the points with e > 0 of each open sign and of each open
+    comparison of an open dip test, the points that can hold max |f|
+    standing in for the scale.
+    """
+    a = np.abs(vals)
+    low, high = np.maximum(a - e, 0.0), a + e
+    unsure = a <= e
+    lo_s, hi_s = max(1.0, float(low.max())), max(1.0, float(high.max()))
+    # an open sign passes every sign test of a dip: it may be either
+    maybe = _dips(np.where(unsure, 0.0, np.sign(vals)), low[1:-1], high[:-2], high[2:], hi_s)
+    sure = _dips(np.zeros_like(a), high[1:-1], low[:-2], low[2:], lo_s)
+    i = np.flatnonzero(maybe & ~sure) + 1
+    again = unsure.copy()
+    again[i] = True
+    again[i[high[i] > low[i - 1]] - 1] = True
+    again[i[high[i] > low[i + 1]] + 1] = True
+    if (high[i] >= 1e-3 * lo_s).any():
+        again |= high >= lo_s
+    return again & (e > 0.0)
+
+
+def _scan(
+    read, lo: float, hi: float, n: int, structural_zero_at_origin: bool, rtol: float
+) -> ZeroReport:
+    """The real zeros of f on [lo, hi] from an n-point grid.
+
+    ``read(lams, rtol)`` maps an array of points to f there and bounds on its
+    errors.  The grid is read at _PHASE_RTOL, or at ``rtol``, the problem
+    tolerance, if that is looser, and every other point at ``rtol``.  A grid
+    value is loose where its bound exceeds rtol max(1, |f|).
+    """
+
+    def f(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return read(lams, rtol)
+
+    grid, grid_rtol = np.linspace(lo, hi, n), max(rtol, _PHASE_RTOL)
+    vals, err = read(grid, grid_rtol)
+    cell = float(grid[1] - grid[0])
+    if structural_zero_at_origin and lo <= 0.0 <= hi:
+        # f(0) = 0 exactly, by promise: the structural zero is a grid point
+        k = int(np.searchsorted(grid, 0.0))
+        if grid[k] != 0.0:
+            grid, vals, err = np.insert(np.array((grid, vals, err)), k, 0.0, axis=1)
+        elif abs(vals[k]) > err[k]:
+            f0, e0 = float(vals[k]), float(err[k])
+            raise ValueError(
+                f"structural_zero_at_origin promises f(0) = 0, but f(0) = {f0!r}"
+                f" exceeds its error bound {e0!r}"
+            )
+        vals = np.where(grid == 0.0, 0.0, vals)
+        err[k] = 0.0
+    # the bounds of the loose values, 0 where a value is as tight as rtol gives
+    loose = (grid_rtol > rtol) & (err > rtol * np.maximum(1.0, np.abs(vals)))
+    e, certify = np.where(loose, err, 0.0), bool(loose.any())
+    if certify:
+        again = _uncertified(vals, e)
+        if again.any():
+            vals[again], e[again] = f(grid[again])[0], 0.0
+
+    on_grid = np.flatnonzero(vals == 0.0)
+    # signs compare as signs: a product of two values of f underflows to
+    # zero once |f| is below about 1e-154
+    signs = np.sign(vals)
+    cells = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
+    absvals = np.abs(vals)
+    scale = max(1.0, float(absvals.max()))
+    dip = _dips(signs, absvals[1:-1], absvals[:-2], absvals[2:], scale)
+    # the residual filter's scale: bounds on max(1, max |f|) over the grid,
+    # made tight (the loose points that can hold it read again) only for a
+    # residual that falls between them
+    lo_s = hi_s = scale
+    if certify:
+        lo_s, hi_s = max(1.0, float((absvals - e).max())), max(1.0, float((absvals + e).max()))
+
+    def small(residual: float) -> bool:
+        nonlocal lo_s, hi_s
+        if 1e-8 * lo_s < residual <= 1e-8 * hi_s:
+            top = (e > 0.0) & (absvals + e >= lo_s)
+            tight = np.where(top, 0.0, absvals)
+            tight[top] = np.abs(f(grid[top])[0])
+            lo_s = hi_s = max(1.0, float(tight.max()))
+        return residual <= 1e-8 * hi_s
+
     roots, dips, stencils = _refine(f, grid, vals, cells, np.flatnonzero(dip) + 1, on_grid, cell)
 
     # candidate zeros as (lam, residual, stencil), in the order in which the
@@ -528,7 +608,7 @@ def _scan(f, lo: float, hi: float, n: int, structural_zero_at_origin: bool) -> Z
     for d in dips:
         if d.halves:
             candidates += [(*b.root, stencils.get(b)) for b in d.halves]
-        elif d.near <= 1e-8 * scale:
+        elif small(d.near):
             candidates.append((d.slope.root[0], None, stencils.get(d)))
 
     # a candidate closer than _DISTINCT (1 + |x|) to a kept zero x is that
@@ -574,7 +654,7 @@ def _scan(f, lo: float, hi: float, n: int, structural_zero_at_origin: bool) -> Z
             # a root's residual is its bracket's last |f|, any other zero's
             # is |f| at its stencil's centre
             residual = abs(v[len(_STENCIL) // 2]) if residual is None else residual
-            if residual <= 1e-8 * scale:
+            if small(residual):
                 zeros.append((complex(lam), mult, residual))
     zeros.sort(key=lambda z: (abs(z[0]), z[0].real))
     return ZeroReport(tuple(zeros), False, _SCAN_LABEL.format(lo, hi, n))
@@ -596,12 +676,8 @@ def real_zero_scan_fn(
     exactly 0, or the scan raises ValueError.
     """
     lo, hi = _scan_interval(interval, grid_points)
-
-    def f(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values = np.real(f_batch(np.asarray(x, dtype=complex)))
-        return values, np.zeros_like(values)
-
-    return _scan(f, lo, hi, grid_points, structural_zero_at_origin)
+    read = _reader(lambda x: np.real(f_batch(np.asarray(x, dtype=complex))))
+    return _scan(read, lo, hi, grid_points, structural_zero_at_origin, 0.0)
 
 
 def real_zero_scan(
@@ -621,17 +697,24 @@ def real_zero_scan(
     ``coefficients_batch`` returns with b: a zero as far as b can tell.  So
     a zero is located to within err / |b'| of the zero of the computed b,
     as close as the computed b locates the exact one.
+
+    The grid is read at a loose tolerance (1e-5, or the problem's if that is
+    looser), and each sign and dip decision is certified by ``err`` or read
+    again at the problem tolerance, which every other value is read at: the
+    zeros, their multiplicities and the refinement calls are those of a
+    grid read at the problem tolerance, at a fraction of its cost on
+    varying pieces.
     """
     lo, hi = _scan_interval(interval, grid_points)
     if is_identically_zero(problem):
         return ZeroReport((), True, _SCAN_LABEL.format(lo, hi, grid_points))
     require_real_reference(problem)
 
-    def f(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _, b, err = coefficients_batch(problem, lams)
+    def read(lams: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+        _, b, err = coefficients_batch(problem, lams, rtol=rtol)
         return np.real(b), err
 
-    return _scan(f, lo, hi, grid_points, True)
+    return _scan(read, lo, hi, grid_points, True, problem.tolerances.ode_rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +787,8 @@ def _settled_count(read, r: float, n: int, vals: np.ndarray, mirrored: bool) -> 
             vals = _on_contour(read, r, n, mirrored, vals)[0]
         sub = vals[:: len(vals) // n]
         absvals = np.abs(sub)
+        if not np.isfinite(absvals).all():
+            raise ContourCollisionError(f"b is not finite on the contour |lam| = {r:g}")
         if float(absvals.min()) == 0.0:
             raise ContourCollisionError(
                 f"b vanishes on the contour |lam| = {r:g}; perturb the radius"

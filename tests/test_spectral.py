@@ -19,6 +19,7 @@ from ccscatter import (
     coefficients_batch,
     negative_eigenvalue_count,
     negative_eigenvalue_counts,
+    realify,
     tent_gradient_energy,
     tent_value,
     tent_witness,
@@ -257,6 +258,13 @@ def test_witness_early_stop_is_sound(corpus, monkeypatch):
             PotentialSpec.zero(), PotentialSpec(((0.0, 1.0, (-6.25,)),), ((0.5, 1.0),)),
             (1.0, 0.0),
         ), [-40.0, -44.0]),
+        # spikes at 0 and 1, which no tent reaches: attractive at lam < 0 on
+        # the left, at lam > 0 on the right
+        ("end spikes", realify(catalog.delta_pair()), [-3880.0, -60.0, 60.0, 3880.0]),
+        ("attractive end spikes", build_problem(
+            PotentialSpec.constant(-30.0), PotentialSpec.deltas([(0.0, 1.0), (1.0, 1.0)]),
+            (1.0, 0.0),
+        ), [-3880.0, -50.0]),
     ]
     stops = 0
     for name, prob, lams in cases:
@@ -289,6 +297,15 @@ def test_inconclusive_witness_scores_no_tent(sine_well, monkeypatch):
     with pytest.raises(WitnessNotFoundError, match=r"^no 3-tent witness found at coupling -300 "
                        r"\(inconclusive, not a disproof\)$"):
         tent_witness(sine_well, -300.0, 3)
+
+
+def test_end_spikes_score_no_tent(monkeypatch):
+    # delta_pair's spikes sit at 0 and 1, where every tent vanishes, so at
+    # lam = -3880 the floor is that of Q = -1 alone and stops the search
+    problem = realify(catalog.delta_pair())
+    assert spectral._rayleigh_floor(problem, -3880.0) == (-1.0, 0.0)
+    levels, witness = _schedule_levels(problem, -3880.0, 3, monkeypatch)
+    assert witness is None and levels == []
 
 
 def test_witness_soundness(box_barrier):

@@ -10,8 +10,10 @@ from ccscatter import (
     DegenerateFunctionError,
     PotentialSpec,
     RealificationRequiredError,
+    Tolerances,
     build_problem,
     catalog,
+    coefficients_batch,
     disk_zero_count,
     disk_zero_count_fn,
     engine,
@@ -329,6 +331,169 @@ def test_benchmark_scans_take_at_most_five_engine_calls(engine_sizes, name, inte
     assert engine_sizes == sizes[name]
 
 
+def _single_pass(problem, interval, points):
+    """The single-pass scan: ``_scan`` reading every point at the problem
+    tolerance and taking each grid value as final."""
+    tol = problem.tolerances.ode_rtol
+
+    def read(lams, rtol):
+        _, b, err = coefficients_batch(problem, lams, rtol=tol)
+        b = np.real(b)
+        if rtol != tol:  # the grid: each value is final
+            err = np.minimum(err, tol * np.maximum(1.0, np.abs(b)))
+        return b, err
+
+    return zeros._scan(read, float(interval[0]), float(interval[1]), points, True, tol)
+
+
+# the survey of two-pass scans: the corpus (realified) on (-R, R), (-5, R)
+# and (-R, 5) for three R and four grids, then the two benchmark scans and
+# three 400-point scans of the polynomial problems
+SURVEY_SCANS = [
+    (name, interval, points)
+    for name in sorted(dict(catalog.corpus_problems()))
+    for R in (60.0, 300.0, 1500.0)
+    for interval in ((-R, R), (-5.0, R), (-R, 5.0))
+    for points in (9, 33, 65, 129)
+] + [
+    ("ramp_well", (-5.0, 120.0), 100),
+    ("tilted_background", (-5.0, 300.0), 100),
+    ("ramp_well", (-5.0, 2000.0), 400),
+    ("ramp_well", (-3000.0, 500.0), 400),
+    ("tilted_background", (-500.0, 3000.0), 400),
+]
+
+
+def test_two_pass_scans_keep_the_single_pass_zeros_and_calls(engine_calls):
+    corpus = dict(catalog.corpus_problems())
+    rereads = []
+    for name, interval, points in SURVEY_SCANS:
+        problem = corpus[name] if corpus[name].ref.u0_is_real else realify(corpus[name])
+        tol = problem.tolerances.ode_rtol
+        engine_calls.clear()
+        want = _single_pass(problem, interval, points)
+        single = engine_calls[:]
+        engine_calls.clear()
+        report = real_zero_scan(problem, interval, points)
+        calls = [c for c in engine_calls if c[1] is not None]  # not the degeneracy check
+        case = (name, interval, points)
+        assert len(report.zeros) == len(want.zeros), case
+        for (z, m, _), (w, n, _) in zip(report.zeros, want.zeros):
+            assert m == n and abs(z - w) <= 1e-12 * (1.0 + abs(w)), case
+        # the grid at the phase tolerance, then at most one call that reads
+        # the points of open grid decisions again, then the single pass's calls
+        assert calls[0] == (points, zeros._PHASE_RTOL) and single[0] == (points, tol), case
+        if calls[1:] != single[1:]:
+            assert calls[2:] == single[1:] and calls[1][1] == tol, case
+            rereads.append(calls[1][0])
+    # one 1-point read, of a grid point 5.7e-14 from the structural zero
+    # (tilted_background on (-500, 3000))
+    assert sum(rereads) <= 1
+
+
+@pytest.mark.parametrize(
+    "name, interval, sizes",
+    [
+        ("ramp_well", (-5.0, 120.0), [11, 2, 22]),
+        ("tilted_background", (-5.0, 300.0), [13, 4, 44]),
+    ],
+)
+def test_benchmark_scans_read_the_grid_at_the_phase_tolerance(engine_calls, name, interval, sizes):
+    problem = getattr(catalog, name)()
+    engine_calls.clear()
+    real_zero_scan(problem, interval, 100)
+    tol = problem.tolerances.ode_rtol
+    assert engine_calls == [(100, zeros._PHASE_RTOL)] + [(size, tol) for size in sizes]
+
+
+def test_scan_grid_is_never_read_tighter_than_the_problem(engine_calls):
+    # a problem tolerance looser than the phase tolerance reads every point
+    # at the problem's, the grid too
+    ramp = catalog.ramp_well()
+    problem = build_problem(ramp.Q, ramp.V, ramp.ref.u0_at_0, tolerances=Tolerances(1e-4, 1e-10))
+    engine_calls.clear()
+    real_zero_scan(problem, (-5.0, 120.0), 100)
+    assert engine_calls[0] == (100, 1e-4)
+    assert {rtol for _, rtol in engine_calls} == {1e-4}
+
+
+@pytest.mark.parametrize(
+    "name, interval, points, sizes",
+    [
+        ("sine_well", (-5.0, 1e5), 2000, [109, 119, 773, 300, 75, 13, 22]),
+        ("box_barrier", (-50.0, 1.0), 400, [11, 12, 14]),
+    ],
+)
+def test_constant_pieces_scan_as_in_a_single_pass(engine_calls, name, interval, points, sizes):
+    # their steps are exact at any rtol, so the grid read at the phase
+    # tolerance is the grid read at the problem's, bit for bit
+    problem = getattr(catalog, name)()
+    want = _single_pass(problem, interval, points)
+    engine_calls.clear()
+    assert real_zero_scan(problem, interval, points) == want
+    tol = problem.tolerances.ode_rtol
+    assert engine_calls == [(points, zeros._PHASE_RTOL)] + [(size, tol) for size in sizes]
+
+
+def test_grid_point_within_its_bound_of_a_zero_is_read_again(engine_calls):
+    # the middle grid point is 3.6e-15 from ramp_well's zero 27.3155696...,
+    # where b read at the phase tolerance is 4e-7 with a bound of 1.5e-5:
+    # its sign is open, so it alone is read again before any refinement.
+    # Taken as read, its sign sends the bracket through 18 more rounds to a
+    # point 7e-12 away.
+    problem = catalog.ramp_well()
+    z = 27.315569639329393
+    engine_calls.clear()
+    report = real_zero_scan(problem, (z - 10.0, z + 10.0), 21)
+    tol = problem.tolerances.ode_rtol
+    assert engine_calls == [(21, zeros._PHASE_RTOL), (1, tol), (11, tol)]
+    assert [m for _, m, _ in report.zeros] == [1]
+    assert abs(report.zeros[0][0] - z) <= 1e-12
+
+
+def test_open_dip_comparisons_are_read_again():
+    # a double zero at 0.299 whose loose grid values near it read 6e-3 high,
+    # within their bound 6.06e-3: every sign is certain, but |f| at 0.28
+    # then reads above 1e-3 max|f|, and taken as read it would be no dip
+    def exact(lams):
+        return (np.real(lams) - 0.299) ** 2
+
+    def read(lams, rtol):
+        f = exact(lams)
+        if rtol == zeros._PHASE_RTOL:
+            return f + 6e-3 * (abs(np.real(lams) - 0.299) < 0.1), np.full(len(f), 6.06e-3)
+        return f, np.zeros(len(f))
+
+    report = zeros._scan(read, -2.0, 2.0, 101, False, 1e-12)
+    assert report == real_zero_scan_fn(exact, (-2.0, 2.0), 101)
+    assert [(round(z.real, 6), m) for z, m, _ in report.zeros] == [(0.299, 2)]
+
+
+def test_residual_between_the_scale_bounds_reads_the_maximum_again():
+    # f = (x - 0.3)^2 + c dips to c without a zero: c lies above 1e-8 max|f|
+    # but below 1e-8 times the upper bound on max|f| that the loose grid
+    # gives, so the filter reads the one grid point that can hold the
+    # maximum (x = -2) again, and keeps the tight grid's decision
+    c = 1e-8 * 5.29 * (1.0 + 1e-4)
+    calls = []
+
+    def read(lams, rtol):
+        x = np.real(lams)
+        f = (x - 0.3) ** 2 + c
+        calls.append((len(x), rtol))
+        if rtol == zeros._PHASE_RTOL:
+            return f * (1.0 + 1e-4), 2e-4 * f
+        return f, np.zeros(len(x))
+
+    def exact(lams):
+        return (np.real(lams) - 0.3) ** 2 + c
+
+    report = zeros._scan(read, -2.0, 2.0, 101, False, 1e-12)
+    assert report == real_zero_scan_fn(exact, (-2.0, 2.0), 101)
+    assert report.zeros == ()
+    assert calls[-1] == (1, 1e-12)
+
+
 def test_disk_count_sine_well(sine_well):
     for r in (50.0, 500.0, 5000.0):
         assert disk_zero_count(sine_well, r) == len(sine_well_zeros(r))
@@ -522,6 +687,26 @@ def test_order_fit_validates_radii(sine_well, free_problem):
         order_fit(sine_well, [4.0, 3.0, 2.0, 1.0])
     with pytest.raises(DegenerateFunctionError):
         order_fit(free_problem, [1e2, 1e3, 1e4, 1e5])
+
+
+@pytest.mark.parametrize(
+    "count, radius",
+    [
+        (lambda f: order_fit_fn(f, [1.0, 2.0, 3.0, 4.0]), "1"),
+        (lambda f: disk_zero_count_fn(f, 2.5), "2.5"),
+    ],
+    ids=["order_fit_fn", "disk_zero_count_fn"],
+)
+def test_nan_on_a_contour_is_a_library_error(count, radius):
+    # nan on the real axis: the count raises a ScatterError, on which the CLI
+    # exits 3, before it forms a ratio of contour values (the test settings
+    # turn numpy's RuntimeWarning into an error)
+    def f(lams):
+        return np.where(abs(lams.imag) < 1e-9, np.nan, lams**2)
+
+    message = rf"^b is not finite on the contour \|lam\| = {radius}$"
+    with pytest.raises(ContourCollisionError, match=message):
+        count(f)
 
 
 def test_disk_count_seam_exact_winding():
