@@ -36,42 +36,26 @@ cell, where b keeps its sign, is found by the dip that 0 makes.
 Contours reuse what they have evaluated: doubling n nodes evaluates only
 the n new odd nodes (the even nodes of the 2n grid are the old grid, bit
 for bit), and a growth fit counts each radius starting from its own 256
-max-modulus nodes.  When u0 is
-exactly real, only the upper half of each circle is evaluated: Q, V and
-u0 are then real, so b(conj lam) = conj b(lam), and every node below the
-real axis is the exact conjugate of one above it.
+max-modulus nodes.  When u0 is exactly real, only the upper half of each
+circle is evaluated: Q, V and u0 are then real, so b(conj lam) =
+conj b(lam), and every node below the real axis is the exact conjugate of
+one above it.
 
-Contours pay only for the accuracy they read, in two passes.  A winding
-count reads the phase of each node, so every node is read at a loose
-tolerance (``_PHASE_RTOL``), and a node whose error bound from
-``coefficients_batch`` exceeds 1e-3 |b| is read again at
-``_CONTOUR_RTOL``.  Each phase is then within asin(1e-3) rad of the exact
-one, far inside the settle rule's margin (increments below pi/2, winding
-within 0.25 of an integer, errors telescoping around the closed contour),
-so the count is the one exact values would give.  log max|b| reads one
-modulus: only the nodes whose |b| + err reaches the largest |b| - err can
-hold the maximum, and those not already within ``_CONTOUR_RTOL`` are read
-again in one small call.  A plain callable is taken as exact, so it
-serves both passes with no second call.
-
-Real scans pay the same way.  The grid is read only for decisions (the
-sign of each point, the dip test at each) and for the first probes of the
-brackets, so it is read at ``_PHASE_RTOL``.  A sign is certified where |b|
-exceeds the bound on its error that ``coefficients_batch`` returns, a
-comparison of the dip test where the intervals |b| -/+ err do not overlap,
-and the loose points of a decision left open are read again at the problem
-tolerance, in one call.  Every decision is then the one that the exact
-values, and so the grid read at the problem tolerance, would give; the
-structural zero needs none, its value being 0 by promise.  A first probe
-interpolated from loose values is still inside its bracket, and every
-later value, stencil and residual is read at the problem tolerance.  The
-residual filter's scale is certified the same way: the points that can
-hold max |b| are read again only for a residual between its bounds.
-Constant pieces are exact at any rtol, so their loose grid is the tight
-one, bit for bit, and the certification is skipped.
-
-The ``*_fn`` variants operate on a plain callable, which is the seam used
-to validate the counting machinery against synthetic functions.
+Every routine reads f through one protocol, ``read(lams, rtol) -> (values,
+bounds)``: b with the error bound that ``coefficients_batch`` returns, or a
+plain callable (the ``*_fn`` seam for synthetic functions) as exact, with
+bounds 0.  Reads pay only for the accuracy they use.  Contour nodes are read
+for their phases at ``_PHASE_RTOL``, and one whose bound exceeds 1e-3 |b|
+again at ``_CONTOUR_RTOL``: each phase is then within asin(1e-3) rad of the
+exact one, far inside the settle rule's margin.  A scan's grid serves only
+signs, the dip test and the brackets' first probes, so it is read at
+``_PHASE_RTOL`` too; a sign is certified where |b| exceeds its bound, a dip
+comparison where the intervals |b| -/+ err do not overlap, and the points
+of an open decision are read again at the problem tolerance, as every later
+point is.  ``_peak`` gives the points that can hold max |f|, read again for
+log max|b| and for the dip test's scale.  A sign-change root is a zero; a
+dip or a grid zero is one when |f| at its stencil's centre is within the
+bound read with it plus 1e-12 S, S = max(1, max(|f| - err)) over the grid.
 """
 
 from __future__ import annotations
@@ -138,38 +122,27 @@ class GrowthFit:
 
 
 # contour sweeps reach |lam| ~ 1e5, where the problem's own (much tighter)
-# tolerance would force excessive refinement of polynomial pieces.  A
-# winding count reads only the phase of each node: every node is read at
-# _PHASE_RTOL, and one whose error bound exceeds _PHASE_CERT |b| is read
-# again at _CONTOUR_RTOL.  log max|b| reads one modulus: only the nodes
-# that can hold the maximum are read at _CONTOUR_RTOL.  A real scan reads
-# its grid at _PHASE_RTOL too (``_scan``).
+# tolerance would force excessive refinement of polynomial pieces
 _CONTOUR_RTOL = 1e-9
 _PHASE_RTOL = 1e-5
 _PHASE_CERT = 1e-3  # certified phases are within asin(1e-3) rad
 
 
-@dataclass(frozen=True)
-class _Evaluator:
-    """b of ``problem``: called, b at _CONTOUR_RTOL; ``read`` gives b and the
-    bound on its error that ``coefficients_batch`` returns, at any rtol."""
-
-    problem: ScatteringProblem
-
-    def __call__(self, lams: np.ndarray) -> np.ndarray:
-        return self.read(lams, _CONTOUR_RTOL)[0]
-
-    def read(self, lams: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
-        _, b, err = coefficients_batch(self.problem, lams, rtol=rtol)
-        return b, err
+def _read_b(problem: ScatteringProblem):
+    """b of ``problem`` at an rtol, and its ``coefficients_batch`` error bound."""
+    return lambda lams, rtol: coefficients_batch(problem, lams, rtol=rtol)[1:]
 
 
-def _reader(f_batch: Callable[[np.ndarray], np.ndarray]):
-    """(values, error bounds) of f at an rtol: an ``_Evaluator``'s own read,
-    or a plain callable's values, taken as exact at every rtol."""
-    if isinstance(f_batch, _Evaluator):
-        return f_batch.read
-    return lambda lams, rtol: (f_batch(lams), np.zeros(len(lams)))
+def _read_exact(f_batch: Callable[[np.ndarray], np.ndarray]):
+    """A plain callable's read: f at complex points, exact at every rtol."""
+    return lambda lams, rtol: (f_batch(np.asarray(lams, dtype=complex)), np.zeros(len(lams)))
+
+
+def _peak(size: np.ndarray, err: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """Where |f| (``size``) can hold max(floor, max |f|) within the bounds
+    ``err`` on its errors: |f| + err reaches max(floor, max(|f| - err)).  A
+    nan is its own peak."""
+    return (size + err >= np.maximum(floor, (size - err).max())) | np.isnan(size)
 
 
 def _real_on_real_axis(problem: ScatteringProblem) -> bool:
@@ -300,8 +273,7 @@ class _Dip:
     a probe left of the extremum and x - d of one right of it); so a simple
     zero on a grid point between neighbours of one sign finds its partner
     zero.  A half whose interior holds the grid point, when f is exactly 0
-    there, is dropped: its zero is already on the grid.  ``near`` is the
-    smaller |f(x -/+ d)| at the last probe.
+    there, is dropped: its zero is already on the grid.
     """
 
     def __init__(self, x0, f0, x, f, x1, f1):
@@ -311,7 +283,6 @@ class _Dip:
         self.left, self.right = (x0, f0), (x1, f1)
         # the sign of f on either side of the dip, as np.sign gives it
         self.sign = math.copysign(1.0, f0 + f1) if f0 + f1 else 0.0
-        self.near = abs(f)
         self.zero = x if f == 0.0 else math.nan
         self.halves: tuple[_Bracket, ...] | None = None
 
@@ -330,7 +301,6 @@ class _Dip:
         lo, hi = values[:k], values[k:]
         x, d, sign = self.slope.probe, self.d, self.sign
         flo, fhi = lo[0], hi[0]
-        self.near = min(abs(flo), abs(fhi))
         left, right = flo * sign < 0.0, fhi * sign < 0.0
         if left or right:
             ends = (
@@ -515,23 +485,24 @@ def _uncertified(vals: np.ndarray, e: np.ndarray) -> np.ndarray:
     the intervals |f| -/+ e do not overlap, and the dip test at a point
     where its comparisons are certified true or one of them certified false.
     Returns the points with e > 0 of each open sign and of each open
-    comparison of an open dip test, the points that can hold max |f|
-    standing in for the scale.
+    comparison of an open dip test, the points that can hold the scale
+    max(1, max |f|) standing in for it.
     """
     a = np.abs(vals)
     low, high = np.maximum(a - e, 0.0), a + e
     unsure = a <= e
-    lo_s, hi_s = max(1.0, float(low.max())), max(1.0, float(high.max()))
+    # the dip test's scale max(1, max |f|) lies in [scale, top]
+    scale, top = max(1.0, float(low.max())), max(1.0, float(high.max()))
     # an open sign passes every sign test of a dip: it may be either
-    maybe = _dips(np.where(unsure, 0.0, np.sign(vals)), low[1:-1], high[:-2], high[2:], hi_s)
-    sure = _dips(np.zeros_like(a), high[1:-1], low[:-2], low[2:], lo_s)
+    maybe = _dips(np.where(unsure, 0.0, np.sign(vals)), low[1:-1], high[:-2], high[2:], top)
+    sure = _dips(np.zeros_like(a), high[1:-1], low[:-2], low[2:], scale)
     i = np.flatnonzero(maybe & ~sure) + 1
     again = unsure.copy()
     again[i] = True
     again[i[high[i] > low[i - 1]] - 1] = True
     again[i[high[i] > low[i + 1]] + 1] = True
-    if (high[i] >= 1e-3 * lo_s).any():
-        again |= high >= lo_s
+    if (high[i] >= 1e-3 * scale).any():
+        again |= _peak(a, e, 1.0)
     return again & (e > 0.0)
 
 
@@ -540,17 +511,18 @@ def _scan(
 ) -> ZeroReport:
     """The real zeros of f on [lo, hi] from an n-point grid.
 
-    ``read(lams, rtol)`` maps an array of points to f there and bounds on its
-    errors.  The grid is read at _PHASE_RTOL, or at ``rtol``, the problem
-    tolerance, if that is looser, and every other point at ``rtol``.  A grid
-    value is loose where its bound exceeds rtol max(1, |f|).
+    ``read(lams, rtol)`` maps an array of points to f (its real part is taken)
+    and bounds on its errors.  The grid is read at _PHASE_RTOL, or at
+    ``rtol``, the problem tolerance, if that is looser, and every other point
+    at ``rtol``.  A grid value is loose where its bound exceeds rtol max(1, |f|).
     """
 
-    def f(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return read(lams, rtol)
+    def f(lams: np.ndarray, rtol: float = rtol) -> tuple[np.ndarray, np.ndarray]:
+        vals, err = read(lams, rtol)
+        return np.real(vals), err
 
     grid, grid_rtol = np.linspace(lo, hi, n), max(rtol, _PHASE_RTOL)
-    vals, err = read(grid, grid_rtol)
+    vals, err = f(grid, grid_rtol)
     cell = float(grid[1] - grid[0])
     if structural_zero_at_origin and lo <= 0.0 <= hi:
         # f(0) = 0 exactly, by promise: the structural zero is a grid point
@@ -567,8 +539,8 @@ def _scan(
         err[k] = 0.0
     # the bounds of the loose values, 0 where a value is as tight as rtol gives
     loose = (grid_rtol > rtol) & (err > rtol * np.maximum(1.0, np.abs(vals)))
-    e, certify = np.where(loose, err, 0.0), bool(loose.any())
-    if certify:
+    e = np.where(loose, err, 0.0)
+    if loose.any():
         again = _uncertified(vals, e)
         if again.any():
             vals[again], e[again] = f(grid[again])[0], 0.0
@@ -581,22 +553,9 @@ def _scan(
     absvals = np.abs(vals)
     scale = max(1.0, float(absvals.max()))
     dip = _dips(signs, absvals[1:-1], absvals[:-2], absvals[2:], scale)
-    # the residual filter's scale: bounds on max(1, max |f|) over the grid,
-    # made tight (the loose points that can hold it read again) only for a
-    # residual that falls between them
-    lo_s = hi_s = scale
-    if certify:
-        lo_s, hi_s = max(1.0, float((absvals - e).max())), max(1.0, float((absvals + e).max()))
-
-    def small(residual: float) -> bool:
-        nonlocal lo_s, hi_s
-        if 1e-8 * lo_s < residual <= 1e-8 * hi_s:
-            top = (e > 0.0) & (absvals + e >= lo_s)
-            tight = np.where(top, 0.0, absvals)
-            tight[top] = np.abs(f(grid[top])[0])
-            lo_s = hi_s = max(1.0, float(tight.max()))
-        return residual <= 1e-8 * hi_s
-
+    # a dip or grid zero's residual may exceed its bound by 1e-12 S, S the
+    # certified lower bound on max(1, max |f|) over the grid
+    slack = 1e-12 * max(1.0, float((absvals - e).max()))
     roots, dips, stencils = _refine(f, grid, vals, cells, np.flatnonzero(dip) + 1, on_grid, cell)
 
     # candidate zeros as (lam, residual, stencil), in the order in which the
@@ -608,7 +567,7 @@ def _scan(
     for d in dips:
         if d.halves:
             candidates += [(*b.root, stencils.get(b)) for b in d.halves]
-        elif small(d.near):
+        else:
             candidates.append((d.slope.root[0], None, stencils.get(d)))
 
     # a candidate closer than _DISTINCT (1 + |x|) to a kept zero x is that
@@ -646,16 +605,19 @@ def _scan(
             lam, residual, _ = found[j]
             found[j] = (lam, residual, (lam, v, e))
 
-    zeros = []
+    zeros, c = [], len(_STENCIL) // 2
     if found:
         rows = np.array([stencil[1] for _, _, stencil in found])
-        mults = _multiplicities(rows, np.array([stencil[2] for _, _, stencil in found]))
-        for (lam, residual, _), v, mult in zip(found, rows.tolist(), mults.tolist()):
+        bounds = np.array([stencil[2] for _, _, stencil in found])
+        mults = _multiplicities(rows, bounds)
+        for (lam, residual, _), v, e, mult in zip(found, rows, bounds, mults.tolist()):
             # a root's residual is its bracket's last |f|, any other zero's
-            # is |f| at its stencil's centre
-            residual = abs(v[len(_STENCIL) // 2]) if residual is None else residual
-            if small(residual):
-                zeros.append((complex(lam), mult, residual))
+            # |f| at its stencil's centre, within that value's bound + slack
+            if residual is None:
+                residual = abs(float(v[c]))
+                if residual > e[c] + slack:
+                    continue
+            zeros.append((complex(lam), mult, residual))
     zeros.sort(key=lambda z: (abs(z[0]), z[0].real))
     return ZeroReport(tuple(zeros), False, _SCAN_LABEL.format(lo, hi, n))
 
@@ -670,13 +632,16 @@ def real_zero_scan_fn(
     """Scan a real-valued function on a grid and refine its zeros.
 
     f is taken as exact: a closing bracket ends on a zero of f only where f
-    is exactly 0.  ``structural_zero_at_origin=True`` promises f(0) = 0:
-    when 0 lies in the interval it becomes a grid point with the value 0.
-    When 0 is a point of the linspace, f is evaluated there and must return
-    exactly 0, or the scan raises ValueError.
+    is exactly 0.  A sign change is a zero; a dip of |f| without one, or a
+    grid point where f is 0, is a zero when |f| at its stencil's centre is
+    at most 1e-12 max(1, max |f| over the grid).
+    ``structural_zero_at_origin=True`` promises f(0) = 0: when 0 lies in the
+    interval it becomes a grid point with the value 0.  When 0 is a point of
+    the linspace, f is evaluated there and must return exactly 0, or the
+    scan raises ValueError.
     """
     lo, hi = _scan_interval(interval, grid_points)
-    read = _reader(lambda x: np.real(f_batch(np.asarray(x, dtype=complex))))
+    read = _read_exact(f_batch)
     return _scan(read, lo, hi, grid_points, structural_zero_at_origin, 0.0)
 
 
@@ -696,25 +661,19 @@ def real_zero_scan(
     where |b| is within ``err``, the bound on the errors of a and b that
     ``coefficients_batch`` returns with b: a zero as far as b can tell.  So
     a zero is located to within err / |b'| of the zero of the computed b,
-    as close as the computed b locates the exact one.
+    as close as the computed b locates the exact one.  A dip of |b| without
+    a sign change is a zero when |b| at its refined centre is within its
+    ``err`` plus 1e-12 max(1, max(|b| - err) over the grid).
 
-    The grid is read at a loose tolerance (1e-5, or the problem's if that is
-    looser), and each sign and dip decision is certified by ``err`` or read
-    again at the problem tolerance, which every other value is read at: the
-    zeros, their multiplicities and the refinement calls are those of a
-    grid read at the problem tolerance, at a fraction of its cost on
-    varying pieces.
+    The grid is read at 1e-5 (or the problem tolerance if looser) and every
+    decision on it certified by ``err``, so the zeros, multiplicities and
+    refinement calls are those of a grid read at the problem tolerance.
     """
     lo, hi = _scan_interval(interval, grid_points)
     if is_identically_zero(problem):
         return ZeroReport((), True, _SCAN_LABEL.format(lo, hi, grid_points))
     require_real_reference(problem)
-
-    def read(lams: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
-        _, b, err = coefficients_batch(problem, lams, rtol=rtol)
-        return np.real(b), err
-
-    return _scan(read, lo, hi, grid_points, True, problem.tolerances.ode_rtol)
+    return _scan(_read_b(problem), lo, hi, grid_points, True, problem.tolerances.ode_rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -822,13 +781,19 @@ def _settled_count(read, r: float, n: int, vals: np.ndarray, mirrored: bool) -> 
             )
 
 
-def _disk_radius(r: float, nodes: int) -> float:
+def _disk_radius(r: float, nodes: int) -> tuple[float, int]:
+    """The checked radius, and the first node count max(nodes, 64)."""
     r = float(r)
     if not 0.0 < r < math.inf:
         raise ValueError(f"radius must be positive and finite, not {r}")
     if nodes < 1:
         raise ValueError("nodes must be >= 1")
-    return r
+    return r, max(int(nodes), 64)
+
+
+def _disk_count(read, r: float, n: int, mirrored: bool) -> int:
+    """Winding count on |lam| = r from n nodes up (``_settled_count``)."""
+    return _settled_count(read, r, n, _on_contour(read, r, n, mirrored)[0], mirrored)
 
 
 def disk_zero_count_fn(
@@ -846,21 +811,15 @@ def disk_zero_count_fn(
     node of the final contour, or, when ``conjugate_symmetric`` declares
     f(conj z) = conj f(z), once per node with Im lam >= 0.
     """
-    r = _disk_radius(r, nodes)
-    n, read = max(int(nodes), 64), _reader(f_batch)
-    vals = _on_contour(read, r, n, conjugate_symmetric)[0]
-    return _settled_count(read, r, n, vals, conjugate_symmetric)
+    return _disk_count(_read_exact(f_batch), *_disk_radius(r, nodes), conjugate_symmetric)
 
 
 def disk_zero_count(problem: ScatteringProblem, r: float, nodes: int = 64) -> int:
     """Number of zeros of b in |lam| <= r, counted by multiplicity."""
-    _disk_radius(r, nodes)
+    r, n = _disk_radius(r, nodes)
     if is_identically_zero(problem):
         raise DegenerateFunctionError("b vanishes identically; no discrete zeros")
-    return disk_zero_count_fn(
-        _Evaluator(problem), r, nodes,
-        conjugate_symmetric=_real_on_real_axis(problem),
-    )
+    return _disk_count(_read_b(problem), r, n, _real_on_real_axis(problem))
 
 
 # ---------------------------------------------------------------------------
@@ -876,35 +835,22 @@ def _fit_radii(radii) -> list[float]:
     return radii
 
 
-def order_fit_fn(
-    f_batch: Callable[[np.ndarray], np.ndarray],
-    radii,
-    *,
-    conjugate_symmetric: bool = False,
-) -> GrowthFit:
-    """Growth and zero-count exponents of f over increasing radii.
-
-    ``conjugate_symmetric`` declares f(conj z) = conj f(z), so that only the
-    contour nodes with Im lam >= 0 are evaluated.
-    """
-    radii = _fit_radii(radii)
-    read = _reader(f_batch)
+def _order_fit(read, radii: list[float], mirrored: bool) -> GrowthFit:
+    """Growth and zero-count exponents of f over the checked ``radii``."""
     counts = []
     log_max = []
     for r in radii:
-        vals, err = _on_contour(read, r, _FIT_NODES, conjugate_symmetric)
-        # of the evaluated nodes, only one whose |f| + err reaches |f| - err
-        # at the largest |f| (node j) can hold the maximum; those not already
-        # within _CONTOUR_RTOL are read again (a nan at j keeps j alone)
+        vals, err = _on_contour(read, r, _FIT_NODES, mirrored)
+        # of the evaluated nodes, those that can hold max |f| and are not
+        # already within _CONTOUR_RTOL are read again
         size = np.abs(vals[: len(err)])
-        j = int(size.argmax())
-        peak = np.flatnonzero(size + err >= size[j] - err[j]).tolist() or [j]
-        loose = [k for k in peak if err[k] > _CONTOUR_RTOL * size[k]]
-        if loose:
+        peak = _peak(size, err)
+        loose = np.flatnonzero(peak & (err > _CONTOUR_RTOL * size))
+        if loose.size:
             size[loose] = np.abs(read(_contour(r, _FIT_NODES)[loose], _CONTOUR_RTOL)[0])
-        log_max.append(float(np.log(max(size[k] for k in peak))))
+        log_max.append(float(np.log(size[peak].max())))
         # the count's 64- and 128-node contours are every 4th and 2nd node
-        counts.append(_settled_count(read, r, 64, vals, conjugate_symmetric))
+        counts.append(_settled_count(read, r, 64, vals, mirrored))
     log_r = np.log(radii)
     count_fit, count_res = _slope(log_r, np.log(np.maximum(counts, 1)))
     # max|b| < e makes log log meaningless for order fitting; clamp so the
@@ -920,6 +866,20 @@ def order_fit_fn(
     )
 
 
+def order_fit_fn(
+    f_batch: Callable[[np.ndarray], np.ndarray],
+    radii,
+    *,
+    conjugate_symmetric: bool = False,
+) -> GrowthFit:
+    """Growth and zero-count exponents of f over increasing radii.
+
+    ``conjugate_symmetric`` declares f(conj z) = conj f(z), so that only the
+    contour nodes with Im lam >= 0 are evaluated.
+    """
+    return _order_fit(_read_exact(f_batch), _fit_radii(radii), conjugate_symmetric)
+
+
 def _slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     coef, stats = np.polynomial.polynomial.polyfit(x, y, 1, full=True)
     resid = stats[0]
@@ -929,10 +889,7 @@ def _slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 def order_fit(problem: ScatteringProblem, radii) -> GrowthFit:
     """Fit growth and zero-count exponents of b over increasing radii."""
-    _fit_radii(radii)
+    radii = _fit_radii(radii)
     if is_identically_zero(problem):
         raise DegenerateFunctionError("b vanishes identically; growth undefined")
-    return order_fit_fn(
-        _Evaluator(problem), radii,
-        conjugate_symmetric=_real_on_real_axis(problem),
-    )
+    return _order_fit(_read_b(problem), radii, _real_on_real_axis(problem))

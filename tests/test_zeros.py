@@ -220,6 +220,10 @@ SYNTHETIC_SCANS = {
         lambda x: 1.0 - np.cos(3.0 * (x - 0.2)), 101, {0.2: 2, -1.894395: 2}, 7,
     ),
     "dip_without_zero": (lambda x: (x - 0.3) ** 2 + 1e-6, 101, {}, 7),
+    # dips far above rounding level but below the former 1e-8 max|f| rule,
+    # which took them for double zeros
+    "shallow_dip_1e-10": (lambda x: (x - 0.3) ** 2 + 1e-10, 41, {}, 5),
+    "shallow_dip_1e-11": (lambda x: (x - 0.3) ** 2 + 1e-11, 41, {}, 5),
 }
 
 
@@ -469,18 +473,14 @@ def test_open_dip_comparisons_are_read_again():
     assert [(round(z.real, 6), m) for z, m, _ in report.zeros] == [(0.299, 2)]
 
 
-def test_residual_between_the_scale_bounds_reads_the_maximum_again():
-    # f = (x - 0.3)^2 + c dips to c without a zero: c lies above 1e-8 max|f|
-    # but below 1e-8 times the upper bound on max|f| that the loose grid
-    # gives, so the filter reads the one grid point that can hold the
-    # maximum (x = -2) again, and keeps the tight grid's decision
+def test_shallow_dip_without_a_zero_is_no_zero_on_a_loose_grid():
+    # f = (x - 0.3)^2 + c dips to c without a zero, read 1e-4 high on the
+    # loose grid: the scan reports what the exact f gives, no zero
     c = 1e-8 * 5.29 * (1.0 + 1e-4)
-    calls = []
 
     def read(lams, rtol):
         x = np.real(lams)
         f = (x - 0.3) ** 2 + c
-        calls.append((len(x), rtol))
         if rtol == zeros._PHASE_RTOL:
             return f * (1.0 + 1e-4), 2e-4 * f
         return f, np.zeros(len(x))
@@ -491,7 +491,6 @@ def test_residual_between_the_scale_bounds_reads_the_maximum_again():
     report = zeros._scan(read, -2.0, 2.0, 101, False, 1e-12)
     assert report == real_zero_scan_fn(exact, (-2.0, 2.0), 101)
     assert report.zeros == ()
-    assert calls[-1] == (1, 1e-12)
 
 
 def test_disk_count_sine_well(sine_well):
@@ -613,8 +612,8 @@ def test_fit_radius_is_one_phase_call_and_one_small_tight_call(engine_calls):
 
 def _tight(problem):
     """b at _CONTOUR_RTOL as a plain callable: every node read at that rtol."""
-    f = zeros._Evaluator(problem)
-    return lambda lams: f(lams)
+    read = zeros._read_b(problem)
+    return lambda lams: read(lams, zeros._CONTOUR_RTOL)[0]
 
 
 def test_two_passes_change_no_count_and_no_maximum(corpus):
@@ -658,12 +657,12 @@ def _count_or_error(count, *args, **kwargs):
 def test_mirrored_contours_change_no_result(real_corpus):
     # the mirrored and the unfolded run of the same two-pass evaluation
     for name, problem in real_corpus:
-        f = zeros._Evaluator(problem)
+        read = zeros._read_b(problem)
         for r in (170.0, 1.3e3, 1.1e4):
-            unfolded = _count_or_error(disk_zero_count_fn, f, r)
+            unfolded = _count_or_error(zeros._disk_count, read, r, 64, False)
             assert _count_or_error(disk_zero_count, problem, r) == unfolded, (name, r)
         radii = (1e2, 1e3, 1e4, 1e5)
-        unfolded = order_fit_fn(f, radii)
+        unfolded = zeros._order_fit(read, radii, False)
         fit = order_fit(problem, radii)
         assert fit.counts == unfolded.counts, name
         assert np.allclose(fit.log_max_modulus, unfolded.log_max_modulus, rtol=1e-12, atol=0)
@@ -672,7 +671,7 @@ def test_mirrored_contours_change_no_result(real_corpus):
 @pytest.mark.parametrize("name", ["delta_pair", "traveling_barrier"])
 def test_complex_reference_evaluates_every_node(engine_sizes, name):
     problem = getattr(catalog, name)()
-    f = Counting(zeros._Evaluator(problem))
+    f = Counting(_tight(problem))
     count = disk_zero_count_fn(f, 10.0)
     engine_sizes.clear()
     assert disk_zero_count(problem, 10.0) == count
