@@ -31,18 +31,19 @@ Every layer follows the dtype of the couplings: a batch of real couplings
 steps in real arithmetic (``_cosh_sinhc``), and one complex coupling makes
 the whole batch complex.
 
-``_layout`` is the one place that decides how [0, 1] is walked: it returns
-the weight of the spike at 0 and the pieces, each carrying the weight of
-the spike at its right end.  A spike contributes the jump
-u' -> u' + lam * weight * u.  ``_walk`` walks the layout from 0- to 1+,
-and it has two read-outs: the product with its bound
-(``transfer_matrices``), of which every whole-interval quantity
-(coefficients, reflection, ``propagate``, ``transfer_matrix``) is a
-read-out, and the product alone (``_product``), for a caller that reads no
-bound, such as ``build_problem``.  Spectral's phase count walks the same
-layout, with the same step kernel, node values and pairwise tree.  States inside a piece come from
+``_layout`` is the one place that decides how [0, 1] is walked: it returns the
+weight of the spike at 0 and the pieces, each carrying the weight of the spike
+at its right end.  A spike contributes the jump u' -> u' + lam * weight * u.
+``_walk`` walks the layout from 0- to 1+, and it has two read-outs: the product
+with its bound (``transfer_matrices``), of which every whole-interval quantity
+(coefficients, reflection, ``propagate``, ``transfer_matrix``) is a read-out,
+and the product alone (``_product``), for a caller that reads no bound, such as
+``build_problem``.  Spectral's phase count walks the same layout, with the same
+step kernel, node values and pairwise tree.  States inside a piece come from
 ``_piece_states``, the products of the first k steps for every k, which
-``reference_states`` reads at lam = 0, where spikes are the identity.
+``reference_states`` reads at lam = 0, where spikes are the identity.  A piece
+caches ``l1_norms`` (integrals of |Q|, |V|) for the error bound and ``ranges``
+((min, max) of Q, V) for spectral's step counts and tent floor.
 """
 
 from __future__ import annotations
@@ -116,6 +117,15 @@ class _Piece:
     @functools.cached_property
     def l1_norms(self) -> tuple[float, ...]:  # exact integrals of |Q| and |V| over the piece
         return tuple(_segment_abs_integral(self.length, c) for c in (self.q_coeffs, self.v_coeffs))
+
+    @functools.cached_property
+    def ranges(self) -> tuple[tuple[float, float], ...]:  # (min, max) of Q and of V over the piece
+        out = []  # from the ends and the real parts of the derivative's roots inside
+        for c in (self.q_coeffs, self.v_coeffs):
+            ts = npoly.polyroots(npoly.polyder(c)).real
+            ys = npoly.polyval([0.0, self.length, *ts[(ts > 0.0) & (ts < self.length)]], c)
+            out.append((float(ys.min()), float(ys.max())))
+        return tuple(out)
 
 
 def _local_coeffs(pot: PotentialSpec, x: float) -> tuple[float, ...]:

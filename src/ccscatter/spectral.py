@@ -24,7 +24,6 @@ coefficients, for a whole array of candidate centres at once.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -164,13 +163,13 @@ def _constant_leaves(pieces: list[engine._Piece], lams: np.ndarray) -> np.ndarra
 def _varying_leaf(piece: engine._Piece, lams: np.ndarray) -> np.ndarray:
     """Lifted element (3, 2, L) across a varying piece, from n Magnus sub-steps.
 
-    n keeps sub-steps under a quarter of the zero spacing pi/sqrt|c| at the
-    batch's largest |c|, so each turns alpha = 0 by less than pi.  Blocks of
-    ``engine._BLOCK_ENTRIES`` steps times couplings cap the memory.
+    n keeps sub-steps under a quarter of the zero spacing pi/sqrt(c) at the bound
+    c = max|Q| + max|lam| max|V| of ``ranges``, so each turns alpha = 0 by less
+    than pi.  Blocks of ``engine._BLOCK_ENTRIES`` steps times couplings cap memory.
     """
-    xs = np.arange(9) * (piece.length / 8.0)  # np.linspace(0, length, 9), bit for bit
-    c = npoly.polyval(xs, piece.q_coeffs) + lams[:, None] * npoly.polyval(xs, piece.v_coeffs)
-    n = max(16, int(piece.length * (math.sqrt(np.abs(c).max(initial=0.0)) + 1.0) * 4.0) + 1)
+    (q_lo, q_hi), (v_lo, v_hi) = piece.ranges
+    c = max(-q_lo, q_hi) + float(np.abs(lams).max(initial=0.0)) * max(-v_lo, v_hi)
+    n = max(16, int(piece.length * (math.sqrt(c) + 1.0) * 4.0) + 1)
     k = max(1, engine._BLOCK_ENTRIES // max(1, len(lams)))
     leaf = None
     for lo in range(0, n, k):
@@ -256,7 +255,7 @@ def _tent_integrals(
     Each tent half is clipped to each layout piece it meets and integrated
     with the piece's local coefficients, by a Gauss rule exact there.
     """
-    jump0, pieces = engine._layout(problem.Q, problem.V)
+    pieces = engine._pieces(problem)
     deg = max(max(len(p.q_coeffs), len(p.v_coeffs)) - 1 for p in pieces)
     xg, wg, _ = _reference_rule(max(6, (deg + 3) // 2 + 1))
     iq, iv = np.zeros((2, len(centers)))
@@ -270,32 +269,23 @@ def _tent_integrals(
             phi2 = tent_value(xs - c[:, None], eps) ** 2
             iq[i:j] += half * ((npoly.polyval(xs - piece.x0, piece.q_coeffs) * phi2) @ wg)
             iv[i:j] += half * ((npoly.polyval(xs - piece.x0, piece.v_coeffs) * phi2) @ wg)
-    for x, w in [(0.0, jump0)] + [(p.x1, p.jump) for p in pieces]:  # w = 0: no spike
+    for x, w in problem.V.spikes:
         iv += w * tent_value(x - centers, eps) ** 2
     return iq, iv
 
 
 def _rayleigh_floor(problem: ScatteringProblem, lam: float) -> tuple[float, float]:
-    """(m, S): m the minimum of Q + lam V over [0, 1], S = sum max(0, -lam w)
+    """(m, S): m a lower bound of Q + lam V on [0, 1], S = sum max(0, -lam w)
     over the spikes in (0, 1).
 
-    m is the least value of each layout piece's polynomial at its ends and
-    at its critical points.  A unit tent of half-width eps inside [0, 1] has
-    phi^2 <= 1.5 / eps and vanishes at 0 and 1, where spikes add nothing, so
-    its Rayleigh value is at least 3/eps^2 + m - 1.5 S / eps, which
-    decreases in eps for eps < 4 / S.
+    m is the least min Q + min(lam min V, lam max V) of the pieces' ``ranges``,
+    exact where Q or V is constant on a piece.  A unit tent of half-width eps
+    inside [0, 1] has phi^2 <= 1.5 / eps and vanishes at 0 and 1, where spikes
+    add nothing, so its Rayleigh value is at least 3/eps^2 + m - 1.5 S / eps,
+    which decreases in eps for eps < 4 / S.
     """
-    pieces = engine._layout(problem.Q, problem.V)[1]
-    m = math.inf
-    for piece in pieces:
-        pairs = itertools.zip_longest(piece.q_coeffs, piece.v_coeffs, fillvalue=0.0)
-        c = [q + lam * v for q, v in pairs]
-        if len(c) > 1:
-            ts = npoly.polyroots(npoly.polyder(c)).real
-            c = npoly.polyval([0.0, piece.length, *ts[(ts > 0.0) & (ts < piece.length)]], c)
-        m = min(m, *c)
-    S = sum(max(0.0, -lam * p.jump) for p in pieces if p.x1 < 1.0)
-    return float(m), S
+    m = min(p.ranges[0][0] + min(lam * v for v in p.ranges[1]) for p in engine._pieces(problem))
+    return m, sum(max(0.0, -lam * w) for x, w in problem.V.spikes if 0.0 < x < 1.0)
 
 
 def tent_witness(
@@ -315,8 +305,8 @@ def tent_witness(
     The search stops early once the floor of ``_rayleigh_floor`` proves
     that no tent of this eps or narrower has a negative value: the floor
     exceeds 1e-9 * 3/eps^2 and eps < 4 / S, so it only grows as eps halves.
-    A coupling where Q + lam V > 0 and no spike inside (0, 1) attracts is
-    decided before any tent is scored.
+    A coupling whose floor is positive, where no spike inside (0, 1)
+    attracts, is decided before any tent is scored.
 
     Raises
     ------

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import ccscatter
-from ccscatter import PotentialSpec, build_problem, catalog, cli, load_config
+from ccscatter import PotentialSpec, Tolerances, build_problem, catalog, cli, load_config
 from ccscatter.cli import main
 from ccscatter.config import config_to_text, problem_from_dict, problem_to_dict
 
@@ -400,6 +400,62 @@ def test_bad_numbers_in_the_problem_block_are_config_errors(
     assert err.startswith("config error:")
     assert f"({where})" in err
     assert "Traceback" not in err
+
+
+def _set(path, value):
+    """A change to a parsed config: the entry at the key path set to value."""
+    def change(payload):
+        block = payload
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, where",
+    [
+        (_set(["problem", "u0", "value"], [1.0]), "problem.u0.value"),
+        (_set(["problem", "u0", "derivative"], ["a", 0.0]), "problem.u0.derivative"),
+        (_set(["problem", "V"], [[0.0, 1.0, [-1.0]]]), "problem.V"),
+        (_set(["problem", "V", "segments"], [[0.0, 1.0]]), "problem.V.segments"),
+        (_set(["problem", "Q", "segments"], [[0.0, 0.5, [1.0]], [0.6, 1.0, [1.0]]]), "problem.Q"),
+        (_set(["problem", "V", "spikes"], [[0.5]]), "problem.V.spikes"),
+        (_set(["problem"], [1.0]), "problem"),
+        (_set(["problem", "u0"], [1.0, 0.0]), "problem.u0"),
+        (_set(["problem", "tolerances"], 1e-10), "problem.tolerances"),
+        (_set(["problem", "u0"], {"value": [0.0, 0.0], "derivative": [0.0, 0.0]}), "problem"),
+        (lambda payload: payload.pop("problem"), None),
+        (_set(["command"], {"scan": [1.0]}), None),
+        (None, None),  # no file at the path
+    ],
+    ids=["u0-not-a-pair", "u0-not-numbers", "V-not-an-object", "segments-malformed",
+         "segments-gap", "spikes-malformed", "problem-not-an-object", "u0-not-an-object",
+         "tolerances-not-an-object", "u0-zero", "no-problem", "command-not-objects",
+         "unreadable"],
+)
+def test_malformed_configs_name_their_field(tmp_path, capsys, change, where):
+    path = tmp_path / "malformed.json"
+    if change is not None:
+        payload = json.loads(config_to_text(catalog.sine_well()))
+        change(payload)
+        path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["scan", str(path), "--lambdas=0,1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error:")
+    assert f"({where or path})" in err
+    assert "Traceback" not in err
+
+
+def test_config_without_wronskian_tol_loads_the_default(tmp_path):
+    payload = json.loads(config_to_text(catalog.sine_well()))
+    del payload["problem"]["tolerances"]["wronskian_tol"]
+    path = tmp_path / "default_tol.json"
+    path.write_text(json.dumps(payload))
+    problem = load_config(path).problem
+    assert problem.tolerances.wronskian_tol == Tolerances.wronskian_tol
+    assert problem == catalog.sine_well()
 
 
 def test_order_subcommand(bundle_dir, capsys):

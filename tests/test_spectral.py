@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from ccscatter import (
@@ -112,6 +112,38 @@ def test_count_on_varying_pieces_at_large_coupling():
         assert [int(c) for c in got] == want, name
         assert not any(c.boundary_degenerate for c in got), name
         assert [(int(c), c.boundary_degenerate) for c in batch] == [(k, False) for k in want], name
+
+
+def sturm_count(coeffs, lam: float) -> int:
+    """Negative eigenvalues of -u'' + lam V u, u'(0) = u'(1) = 0, V = coeffs.
+
+    DOP853 integrates u(0) = 1, u'(0) = 0; the count is the number of sign
+    changes of u in (0, 1), plus 1 where u(1) u'(1) < 0.
+    """
+    def rhs(x, y):
+        return [y[1], lam * np.polynomial.polynomial.polyval(x, coeffs) * y[0]]
+
+    sol = solve_ivp(rhs, (0.0, 1.0), [1.0, 0.0], method="DOP853", rtol=1e-10, atol=1e-12,
+                    dense_output=True)
+    u = sol.sol(np.linspace(0.0, 1.0, 20001))[0]
+    u1, up1 = sol.y[:, -1]
+    return int(np.count_nonzero(np.signbit(u[1:]) != np.signbit(u[:-1]))) + int(u1 * up1 < 0.0)
+
+
+def test_count_where_the_coefficient_peaks_between_samples():
+    """V with nine roots j/8 on one piece, scaled to max|V| = 1: |lam V| peaks
+    between the points j/8, so a step count set from samples there is too
+    coarse, sub-steps turn the phase by more than pi and the count comes out
+    low (4, 5, 6, 6 here).  The count steps from the piece's exact range."""
+    coeffs = np.polynomial.polynomial.polyfromroots(np.arange(9) / 8.0)
+    coeffs /= np.abs(np.polynomial.polynomial.polyval(np.linspace(0.0, 1.0, 10001), coeffs)).max()
+    prob = build_problem(PotentialSpec.zero(), PotentialSpec.polynomial(coeffs), (1.0, 0.0))
+    ang = boundary_angles(prob)
+    lams = [1e4, 3e4, 1e5, -1e5]
+    want = [sturm_count(coeffs, lam) for lam in lams]
+    assert want == [6, 9, 17, 17]
+    assert [int(negative_eigenvalue_count(prob, lam, ang)) for lam in lams] == want
+    assert [int(c) for c in negative_eigenvalue_counts(prob, lams, ang)] == want
 
 
 def test_count_across_cut_pieces_matches_enumerated_spectrum(sine_well):
@@ -265,6 +297,11 @@ def test_witness_early_stop_is_sound(corpus, monkeypatch):
             PotentialSpec.constant(-30.0), PotentialSpec.deltas([(0.0, 1.0), (1.0, 1.0)]),
             (1.0, 0.0),
         ), [-3880.0, -50.0]),
+        # Q and V both vary on one piece, where the floor is a bound, not the minimum
+        ("both varying", build_problem(
+            PotentialSpec.polynomial([1.0, -2.0]), PotentialSpec.polynomial([0.0, -3.0, 3.0]),
+            (1.0, 0.0),
+        ), [-400.0, -60.0, 60.0, 400.0]),
     ]
     stops = 0
     for name, prob, lams in cases:

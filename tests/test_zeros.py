@@ -708,6 +708,22 @@ def test_nan_on_a_contour_is_a_library_error(count, radius):
         count(f)
 
 
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        (lambda z: 1.0 / z, r"^negative winding on \|lam\| = 1: unresolved phase$"),
+        (lambda z: (z - 1.0) ** 2 - 1e-10,
+         r"^zero within 1e-6\*r of the contour \|lam\| = 1; perturb the radius$"),
+        (lambda z: np.exp(1e9j * z.real),
+         r"^phase unwrapping did not settle on \|lam\| = 1; perturb the radius$"),
+    ],
+    ids=["pole", "zero-on-the-contour", "unresolved-phase"],
+)
+def test_unsettled_contours_raise(f, message):
+    with pytest.raises(ContourCollisionError, match=message):
+        disk_zero_count_fn(f, 1.0)
+
+
 def test_disk_count_seam_exact_winding():
     assert disk_zero_count_fn(lambda l: l**3, 2.0) == 3
     assert disk_zero_count_fn(lambda l: (l - 1.0) * (l + 3.0), 2.0) == 1
