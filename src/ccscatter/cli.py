@@ -17,7 +17,7 @@ In process, ``main(argv)`` returns the exit code: usage, config and output
 errors (an unwritable ``--output`` or ``--output-dir``) come back as codes,
 not exceptions.  It builds the parser on its first call and reuses it on
 every later one, since parsing leaves the parser unchanged; a one-shot
-``ccscatter`` process builds it once, as before.
+``ccscatter`` process builds it once, so the reuse costs it nothing.
 """
 
 from __future__ import annotations

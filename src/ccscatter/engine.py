@@ -32,18 +32,19 @@ steps in real arithmetic (``_cosh_sinhc``), and one complex coupling makes
 the whole batch complex.
 
 ``_layout`` is the one place that decides how [0, 1] is walked: it returns the
-weight of the spike at 0 and the pieces, each carrying the weight of the spike
-at its right end.  A spike contributes the jump u' -> u' + lam * weight * u.
-``_walk`` walks the layout from 0- to 1+, and it has two read-outs: the product
-with its bound (``transfer_matrices``), of which every whole-interval quantity
-(coefficients, reflection, ``propagate``, ``transfer_matrix``) is a read-out,
-and the product alone (``_product``), for a caller that reads no bound, such as
-``build_problem``.  Spectral's phase count walks the same layout, with the same
-step kernel, node values and pairwise tree.  States inside a piece come from
-``_piece_states``, the products of the first k steps for every k, which
-``reference_states`` reads at lam = 0, where spikes are the identity.  A piece
-caches ``l1_norms`` (integrals of |Q|, |V|) for the error bound and ``ranges``
-((min, max) of Q, V) for spectral's step counts and tent floor.
+walk from 0- to 1+, the pieces in order and each spike of nonzero weight as its
+weight between the pieces it separates.  A spike contributes the jump
+u' -> u' + lam * weight * u.  ``_walk`` steps that walk, and it has two
+read-outs: the product with its bound (``transfer_matrices``), of which every
+whole-interval quantity (coefficients, reflection, ``propagate``,
+``transfer_matrix``) is a read-out, and the product alone (``_product``), for a
+caller that reads no bound, such as ``build_problem``.  Spectral's phase count
+walks the same layout, with the same step kernel, node values and pairwise
+tree.  States inside a piece come from ``_piece_states``, the products of the
+first k steps for every k, which ``reference_states`` reads at lam = 0, where
+spikes are the identity.  A piece caches ``l1_norms`` (integrals of |Q|, |V|)
+for the error bound and ``ranges`` ((min, max) of Q, V) for spectral's step
+counts and tent floor.
 """
 
 from __future__ import annotations
@@ -104,7 +105,6 @@ class _Piece:
     x1: float
     q_coeffs: tuple[float, ...]  # local to x0
     v_coeffs: tuple[float, ...]  # local to x0
-    jump: float = 0.0  # weight of the spike at x1
 
     @property
     def length(self) -> float:
@@ -138,11 +138,12 @@ def _local_coeffs(pot: PotentialSpec, x: float) -> tuple[float, ...]:
 
 
 @functools.lru_cache(maxsize=256)
-def _layout(q: PotentialSpec, v: PotentialSpec) -> tuple[float, tuple[_Piece, ...]]:
-    """How [0, 1] is walked: (weight of the spike at 0, pieces).
+def _layout(q: PotentialSpec, v: PotentialSpec) -> tuple[_Piece | float, ...]:
+    """How [0, 1] is walked, from 0- to 1+: pieces, and spikes as their weights.
 
     Pieces are split at every breakpoint and spike position, so each spike
-    in (0, 1] sits at the right end of exactly one piece, as its ``jump``.
+    of nonzero weight sits between the pieces it separates; one at 0 comes
+    first, one at 1 last.
     """
     spikes = dict(v.spikes)
     cuts = sorted(set(q.breakpoints) | set(v.breakpoints) | set(spikes))
@@ -151,15 +152,14 @@ def _layout(q: PotentialSpec, v: PotentialSpec) -> tuple[float, tuple[_Piece, ..
         cuts.insert(0, 0.0)
     if cuts[-1] != 1.0:
         cuts.append(1.0)
-    pieces = tuple(
-        _Piece(lo, hi, _local_coeffs(q, lo), _local_coeffs(v, lo), spikes.get(hi, 0.0))
-        for lo, hi in zip(cuts[:-1], cuts[1:])
-    )
-    return spikes.get(0.0, 0.0), pieces
+    walk = [spikes.get(0.0, 0.0)]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        walk += [_Piece(lo, hi, _local_coeffs(q, lo), _local_coeffs(v, lo)), spikes.get(hi, 0.0)]
+    return tuple(item for item in walk if isinstance(item, _Piece) or item)
 
 
 def _pieces(problem: ScatteringProblem) -> tuple[_Piece, ...]:
-    return _layout(problem.Q, problem.V)[1]
+    return tuple(item for item in _layout(problem.Q, problem.V) if isinstance(item, _Piece))
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +486,7 @@ def _walk(problem: ScatteringProblem, lams, rtol: float | None):
     if not np.isfinite(lams).all():
         raise ValueError(f"coupling must be finite, not {lams[~np.isfinite(lams)][0]}")
     tol = problem.tolerances.ode_rtol if rtol is None else rtol
-    jump0, pieces = _layout(problem.Q, problem.V)
-    items = [jump0] if jump0 else []  # the walk: pieces, and spikes as their weights
-    for piece in pieces:
-        items += [piece, piece.jump] if piece.jump else [piece]
+    items = _layout(problem.Q, problem.V)
     walk = np.empty((2, 2, len(items), len(lams)), dtype=lams.dtype)
     scales = np.zeros((4, len(items)))  # rounding scales: n + 1, h, int |Q|, int |V|
     rel_sum = np.zeros(lams.shape)

@@ -69,7 +69,6 @@ def coefficients_batch(
     ``err`` bounds the errors of a and b: the engine's entrywise bound on
     the transfer matrices, carried through the maps to (u, u') and (a, b).
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     M, bound = engine.transfer_matrices(problem, lams, rtol=rtol)
     ref = problem.ref
     u0, u0p = ref.u0_at_0

@@ -193,25 +193,24 @@ def negative_eigenvalue_counts(
     lams = np.array(lams, dtype=float, ndmin=1)
     if not np.isfinite(lams).all():
         raise ValueError(f"coupling must be finite, not {lams[~np.isfinite(lams)][0]}")
-    jump0, pieces = engine._layout(problem.Q, problem.V)
-    # leaves: 0 turns alpha = 0 to the left condition, 2i + 1 is the spike
-    # before piece i (or after the last), 2i + 2 is piece i
-    walk = np.zeros((2, 2, len(lams), 2 * len(pieces) + 2))
-    walk[0, 0] = walk[1, 1] = 1.0
+    walk = engine._layout(problem.Q, problem.V)
+    # leaves: 0 turns alpha = 0 to the left condition, k is item k - 1 of the walk
+    leaves = np.zeros((2, 2, len(lams), len(walk) + 1))
+    leaves[0, 0] = leaves[1, 1] = 1.0
     a0 = (-angles.theta0) % math.pi
-    walk[:, :, :, 0] = [[[math.cos(a0)], [math.sin(a0)]], [[-math.sin(a0)], [math.cos(a0)]]]
-    weights = np.array([jump0] + [p.jump for p in pieces])
-    walk[1, 0, :, 1::2] = lams[:, None] * weights
-    walk = _lift(walk)
-    cols = [2 * i + 2 for i, p in enumerate(pieces) if p.is_constant]
+    leaves[:, :, :, 0] = [[[math.cos(a0)], [math.sin(a0)]], [[-math.sin(a0)], [math.cos(a0)]]]
+    pieces = {k: item for k, item in enumerate(walk, 1) if isinstance(item, engine._Piece)}
+    for k, item in enumerate(walk, 1):
+        if k not in pieces:  # a spike's jump
+            leaves[1, 0, :, k] = lams * item
+    leaves = _lift(leaves)
+    cols = [k for k, piece in pieces.items() if piece.is_constant]
     if cols:  # one pass over every constant piece
-        walk[..., cols] = _constant_leaves([p for p in pieces if p.is_constant], lams)
-    for i, piece in enumerate(pieces):
+        leaves[..., cols] = _constant_leaves([pieces[k] for k in cols], lams)
+    for k, piece in pieces.items():
         if not piece.is_constant:
-            walk[..., 2 * i + 2] = _varying_leaf(piece, lams)
-    keep = np.ones(walk.shape[-1], dtype=bool)
-    keep[1::2] = weights != 0.0  # a spike of weight 0 is the identity
-    alpha = engine._tree_product(walk[..., keep], _compose)[2, 1]
+            leaves[..., k] = _varying_leaf(piece, lams)
+    alpha = engine._tree_product(leaves, _compose)[2, 1]
     ts = ((alpha + angles.theta1) / math.pi).tolist()  # past the right mark, in units of pi
     on_mark = [abs(t - round(t)) * math.pi <= _PHASE_TOL for t in ts]
     counts = [round(t) - 1 if flag else math.floor(t) for t, flag in zip(ts, on_mark)]
@@ -294,13 +293,17 @@ def tent_witness(
     """Search for N disjoint tents with negative Rayleigh quotients.
 
     The schedule halves eps from 1/4 down to 2^-20; for each eps the
-    candidate centers (a grid of pitch eps/2, capped at 1024 points) are
-    scored all at once by ``_tent_integrals`` over the layout pieces,
-    ranked greedily by the coupling term lam * int V phi^2 (most negative
-    first) and picked subject to disjointness.  The returned witness is
-    sound by construction: each recorded Rayleigh value
-    3/eps^2 + int Q phi^2 + lam int V phi^2 was evaluated and found
-    negative.
+    Rayleigh values 3/eps^2 + int Q phi^2 + lam int V phi^2 of the
+    candidate centers (a grid of pitch eps/2, capped at 1024 points) come
+    all at once from ``_tent_integrals`` over the layout pieces.  Walking
+    the candidates left to right, a tent of negative value is taken when
+    its center lies at least 2 eps + margin past the last one taken.  Tents
+    of one width are intervals of one length, for which this earliest-first
+    greedy is exact (interval scheduling; Kleinberg and Tardos, Algorithm
+    Design, 2006, 4.1): it takes as many pairwise disjoint negative tents
+    as any choice can, so the search returns the first N at the first eps
+    where N exist.  The witness is sound by construction: each recorded
+    Rayleigh value was evaluated and found negative.
 
     The search stops early once the floor of ``_rayleigh_floor`` proves
     that no tent of this eps or narrower has a negative value: the floor
@@ -331,29 +334,15 @@ def tent_witness(
         candidates = candidates[candidates <= 1.0 - eps - margin]
         if len(candidates) >= N:
             iq, iv = _tent_integrals(problem, candidates, eps)
-            scores = lam * iv
-            # quantize scores so fp-noise ties break by position: for equal
-            # scores left-to-right packing is the densest greedy order
-            scale = max(1.0, float(np.abs(scores).max()))
-            orders = [
-                np.argsort(np.round(scores / scale, 9), kind="stable"),
-                np.flatnonzero(scores <= 0.0),
-            ]
-            centers = candidates.tolist()
-            for order in orders:
-                picked: list[int] = []
-                for i in order.tolist():
-                    if all(abs(centers[i] - centers[p]) >= 2.0 * eps + margin for p in picked):
-                        picked.append(i)
-                        if len(picked) == N:
-                            break
-                if len(picked) < N:
-                    continue
-                picked.sort()
-                values = tent_gradient_energy(eps) + iq[picked] + lam * iv[picked]
-                if np.all(values < 0.0):
-                    picked_centers = tuple(centers[p] for p in picked)
-                    return TentWitness(picked_centers, eps, tuple(values.tolist()))
+            values = energy + iq + lam * iv
+            picked: list[int] = []
+            for i in np.flatnonzero(values < 0.0).tolist():
+                if not picked or candidates[i] - candidates[picked[-1]] >= 2.0 * eps + margin:
+                    picked.append(i)
+                    if len(picked) == N:
+                        return TentWitness(
+                            tuple(candidates[picked].tolist()), eps, tuple(values[picked].tolist())
+                        )
         eps /= 2.0
     raise WitnessNotFoundError(
         f"no {N}-tent witness found at coupling {lam:g} "

@@ -71,6 +71,10 @@ def test_transfer_matrix_box_closed_form(box_barrier):
     assert m == pytest.approx(np.array([[c2, s2 / 2.0], [2.0 * s2, c2]]), rel=1e-13)
 
 
+def test_transfer_matrix_has_unit_determinant(box_barrier):
+    assert abs(transfer_matrix(box_barrier, 4.0).det - 1.0) <= 1e-12
+
+
 def test_transfer_at_zero_reproduces_reference_data(corpus):
     for name, prob in corpus:
         m = transfer_matrix(prob, 0.0)
@@ -528,7 +532,6 @@ def _mixed_walk_problem():
 
 def _sequential_walk(prob, lams):
     """Product, in walk order and by matmul, of each piece's matrix and the spike jumps."""
-    jump0, pieces = engine._layout(prob.Q, prob.V)
 
     def jump(weight):
         out = np.zeros((len(lams), 2, 2), dtype=complex)
@@ -536,19 +539,22 @@ def _sequential_walk(prob, lams):
         out[:, 1, 0] = lams * weight
         return out
 
-    M = jump(jump0)
-    for piece in pieces:
-        Mp, _, _ = _piece_transfer(piece, lams, prob.tolerances.ode_rtol)
-        M = _matrices_last(Mp) @ M
-        M = jump(piece.jump) @ M
+    M = jump(0.0)
+    for item in engine._layout(prob.Q, prob.V):
+        if isinstance(item, engine._Piece):
+            Mp, _, _ = _piece_transfer(item, lams, prob.tolerances.ode_rtol)
+            M = _matrices_last(Mp) @ M
+        else:
+            M = jump(item) @ M
     return M
 
 
 def test_walk_mixing_constant_and_varying_pieces():
     prob = _mixed_walk_problem()
-    jump0, pieces = engine._layout(prob.Q, prob.V)
-    assert jump0 and [p.is_constant for p in pieces] == [True, False, True]
-    assert [p.jump != 0.0 for p in pieces] == [True, False, True]
+    walk = engine._layout(prob.Q, prob.V)
+    # spikes as their weights; pieces as whether they are constant
+    kinds = [item.is_constant if isinstance(item, engine._Piece) else item for item in walk]
+    assert kinds == [0.4, True, -0.7, False, True, 0.25]
     rng = np.random.default_rng(23)
     radii = 10.0 ** rng.uniform(0.0, 3.0, 12)
     lams = radii * np.concatenate((np.exp(2j * PI * rng.uniform(size=6)), [1, -1] * 3))
@@ -636,6 +642,14 @@ def test_reference_states_reject_nodes_outside_the_interval():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"xs must lie in \[0, 1\]"):
                 reference_states(prob, xs)
+
+
+def test_reference_states_reject_two_dimensional_or_decreasing_nodes():
+    prob = catalog.ramp_well()
+    with pytest.raises(ValueError, match="one-dimensional"):
+        reference_states(prob, [[0.25, 0.5]])
+    with pytest.raises(ValueError, match="nondecreasing"):
+        reference_states(prob, [0.5, 0.25])
 
 
 def test_real_couplings_return_complex_results(corpus):

@@ -190,6 +190,24 @@ def test_potential_validation_errors():
         PotentialSpec.deltas([(1.5, 1.0)])  # outside [0, 1]
 
 
+def test_potential_rejects_empty_input():
+    with pytest.raises(InvalidProblemError, match="at least one segment"):
+        PotentialSpec(())
+    for segments in (((0.0, 0.0, (1.0,)), (0.0, 1.0, (2.0,))),  # zero-width first
+                     ((0.0, 1.0, (1.0,)), (1.0, 1.0, (2.0,)))):  # zero-width last
+        with pytest.raises(InvalidProblemError, match="empty potential segment"):
+            PotentialSpec(segments)
+    with pytest.raises(InvalidProblemError, match="at least one value"):
+        PotentialSpec.from_samples([])
+
+
+def test_segment_coefficients_are_normalised():
+    assert PotentialSpec(((0.0, 1.0, ()),)).segments[0][2] == (0.0,)
+    poly = PotentialSpec.polynomial([1, 2, 0])
+    assert poly.segments[0][2] == (1.0, 2.0)
+    assert poly.max_degree == 1
+
+
 def test_potential_evaluation():
     ramp = PotentialSpec.from_samples([1.0, -2.0])
     assert ramp(0.25) == 1.0
@@ -198,6 +216,11 @@ def test_potential_evaluation():
     poly = PotentialSpec.polynomial([0.0, 1.0])
     assert poly(0.3) == pytest.approx(0.3)
     assert poly.max_degree == 1
+
+
+def test_segment_at_the_right_end_from_the_right():
+    spec = PotentialSpec.from_samples([1.0, 2.0, 3.0])
+    assert spec.segment_at(1.0, from_right=True) == spec.segments[-1] == (2 / 3, 1.0, (3.0,))
 
 
 def test_reference_realness_flag(corpus):

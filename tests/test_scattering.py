@@ -22,7 +22,7 @@ from ccscatter import (
     v0_from_u0,
     zeros,
 )
-from ccscatter.engine import _layout, transfer_matrices
+from ccscatter.engine import _layout, _pieces, _Piece, transfer_matrices
 
 PI = math.pi
 
@@ -295,14 +295,16 @@ def test_varying_pieces_against_power_series_oracle():
 def _exact_transfer(prob, lam):
     """Product of the layout's exact piece and spike matrices at lam, in mpmath."""
     lam = mp.mpc(lam)
-    jump0, pieces = _layout(prob.Q, prob.V)
-    M = mp.matrix([[1, 0], [lam * jump0, 1]])
-    for piece in pieces:
-        h = mp.mpf(piece.x1) - mp.mpf(piece.x0)
-        c = piece.q_coeffs[0] + lam * piece.v_coeffs[0]
+    M = mp.eye(2)
+    for item in _layout(prob.Q, prob.V):
+        if not isinstance(item, _Piece):  # a spike's jump
+            M = mp.matrix([[1, 0], [lam * item, 1]]) * M
+            continue
+        h = mp.mpf(item.x1) - mp.mpf(item.x0)
+        c = item.q_coeffs[0] + lam * item.v_coeffs[0]
         k = mp.sqrt(c)
         ch, shc = mp.cosh(h * k), (mp.sinh(h * k) / k if c else h)
-        M = mp.matrix([[1, 0], [lam * piece.jump, 1]]) * mp.matrix([[ch, shc], [c * shc, ch]]) * M
+        M = mp.matrix([[ch, shc], [c * shc, ch]]) * M
     return M
 
 
@@ -315,7 +317,7 @@ def test_constant_pieces_against_exact_matrices(corpus):
     meet the cancellations between growing and oscillating pieces.
     """
     rng = np.random.default_rng(2026)
-    constant = [(n, p) for n, p in corpus if all(pc.is_constant for pc in _layout(p.Q, p.V)[1])]
+    constant = [(n, p) for n, p in corpus if all(pc.is_constant for pc in _pieces(p))]
     assert len(constant) == 7
     with mp.workdps(60):
         for name, prob in constant:

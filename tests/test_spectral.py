@@ -253,6 +253,52 @@ def test_witness_box_barrier(box_barrier):
     assert w.rayleigh_values == pytest.approx([-9232.0] * 5, rel=1e-12)
 
 
+def test_witness_rejects_misplaced_tents():
+    with pytest.raises(ValueError, match="inside"):
+        spectral.TentWitness((0.05,), 0.1, (-1.0,))
+    with pytest.raises(ValueError, match="disjoint"):
+        spectral.TentWitness((0.3, 0.45), 0.1, (-1.0, -1.0))
+
+
+def _disjoint_negatives(centers, values, eps):
+    """Most pairwise disjoint tents of negative value: the longest chain of
+    negative candidates spaced 2 eps + margin apart, over all pairs."""
+    c = centers[values < 0.0]
+    longest = np.ones(len(c), dtype=int)  # the longest chain ending at each
+    for j in range(len(c)):
+        before = c[j] - c[:j] >= 2.0 * eps + 1e-9 * eps
+        longest[j] += longest[:j][before].max(initial=0)
+    return int(longest.max(initial=0))
+
+
+def test_witness_comes_at_the_first_eps_that_holds_one(monkeypatch):
+    """The witness stops the schedule at the first eps with N disjoint tents
+    of negative value.  On noise_bed at these couplings a greedy packing in
+    order of the coupling term lam int V phi^2 reaches tents of positive
+    value before it holds N negative ones, and finds no witness at all."""
+    problem = catalog.noise_bed()
+    angles = boundary_angles(problem)
+    scored = []
+    inner = spectral._tent_integrals
+
+    def recorded(problem, centers, eps):
+        iq, iv = inner(problem, centers, eps)
+        scored.append((centers, eps, iq, iv))
+        return iq, iv
+
+    monkeypatch.setattr(spectral, "_tent_integrals", recorded)
+    for lam, n in ((3000.0, 3), (-2e4, 8)):
+        scored.clear()
+        w = tent_witness(problem, lam, n)
+        assert len(w.centers) == n <= negative_eigenvalue_count(problem, lam, angles)
+        counts = [
+            _disjoint_negatives(centers, tent_gradient_energy(eps) + iq + lam * iv, eps)
+            for centers, eps, iq, iv in scored
+        ]
+        assert scored[-1][1] == w.epsilon
+        assert all(k < n for k in counts[:-1]) and counts[-1] >= n, (lam, counts)
+
+
 def _schedule_levels(problem, lam, n, monkeypatch):
     """The half-widths that tent_witness scores, and its witness or None."""
     levels = []

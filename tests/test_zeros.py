@@ -745,3 +745,11 @@ def test_arguments_are_checked_before_degeneracy(free_problem, call):
     """b vanishes identically on the free problem; bad arguments still raise."""
     with pytest.raises(ValueError):
         call(free_problem)
+
+
+def test_refinement_out_of_rounds_reports_the_last_probe(monkeypatch):
+    monkeypatch.setattr(zeros, "_MAX_ITERATIONS", 1)
+    report = real_zero_scan_fn(lambda x: np.sin(x.real) - 0.3, (-1, 1), 11)
+    ((lam, order, residual),) = report.zeros
+    assert 0.2 <= lam.real <= 0.4 and lam.imag == 0.0
+    assert order == 1 and residual > 0.0
