@@ -278,19 +278,14 @@ def _node_values(
     piece and (1, hi - lo) on a constant one, where c is the same at every
     node; ``h`` is the sub-step length, and all n sub-steps by default.
     ``_piece_states`` and spectral's phase count (a block at a time) form
-    c = Q + lam*V from them, and the sweep from the same nodes
-    (``_node_xs``), so the coefficients, the states and the eigenvalue
-    counts use one discretization.
+    c = Q + lam*V from them, and the sweep reads both members from it, so
+    the coefficients, the states and the eigenvalue counts use one
+    discretization.
     """
-    xs, h = _node_xs(piece, n, lo, hi)
-    return npoly.polyval(xs, piece.q_coeffs), npoly.polyval(xs, piece.v_coeffs), h
-
-
-def _node_xs(piece: _Piece, n: int, lo: int = 0, hi: int | None = None):
-    """Gauss nodes of sub-steps lo..hi - 1 of n equal ones, from x0, one row per node: (xs, h)."""
     h = piece.length / n
     offsets = (piece.x0 + h * np.arange(lo, n if hi is None else hi)) - piece.x0
-    return offsets + _nodes(piece) * h, h
+    xs = offsets + _nodes(piece) * h
+    return npoly.polyval(xs, piece.q_coeffs), npoly.polyval(xs, piece.v_coeffs), h
 
 
 def _nodes(piece: _Piece) -> np.ndarray:
@@ -323,22 +318,21 @@ def _tree_product(steps: np.ndarray, combine=_mul) -> np.ndarray:
 def _sweep_pair(piece: _Piece, lams: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Transfer matrices (2, 2, L) across a varying piece: (n steps, 2n steps).
 
-    The nodes of both members are laid out once, per node as (fine 2i,
-    fine 2i + 1, coarse i) with 4Q and 4V in the coarse row, so one kernel
-    call at the fine length h steps a block of 2k fine and k coarse
-    sub-steps; the coarse product is rescaled by diag(1, 2) at the end (see
-    the module docstring).  After the fine tree's first level both members
+    Q and V of both members are laid out per node as (fine 2i, fine 2i + 1,
+    coarse i) with 4Q and 4V in the coarse row, so one kernel call at the
+    fine length h steps a block of 2k fine and k coarse sub-steps; the
+    coarse product is rescaled by diag(1, 2) at the end (see the module
+    docstring).  After the fine tree's first level both members
     finish one pairwise tree as a batch of 2L.  k is a power of two and
     the block products join the tree as they come, in aligned runs (a
     binary counter), so blocking changes no rounding and costs no memory
     per block.  Every block reuses the same buffers.
     """
-    fine, h = _node_xs(piece, 2 * n)
-    coarse, _ = _node_xs(piece, n)
-    xs = np.concatenate((fine.reshape(3, n, 2).transpose(0, 2, 1), coarse[:, None]), axis=1)
-    q, v = npoly.polyval(xs, piece.q_coeffs), npoly.polyval(xs, piece.v_coeffs)
-    q[:, 2] *= 4.0
-    v[:, 2] *= 4.0
+    *fine, h = _node_values(piece, 2 * n)
+    q, v = (
+        np.concatenate((a.reshape(3, n, 2).transpose(0, 2, 1), 4.0 * b[:, None]), axis=1)
+        for a, b in zip(fine, _node_values(piece, n)[:2])
+    )
     L = len(lams)
     # k >= 2: a block's product is then never a view of the buffer the next block reuses
     k = min(n, 1 << max(1, (_BLOCK_ENTRIES // (3 * max(1, L))).bit_length() - 1))

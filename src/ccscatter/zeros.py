@@ -52,10 +52,11 @@ signs, the dip test and the brackets' first probes, so it is read at
 ``_PHASE_RTOL`` too; a sign is certified where |b| exceeds its bound, a dip
 comparison where the intervals |b| -/+ err do not overlap, and the points
 of an open decision are read again at the problem tolerance, as every later
-point is.  ``_peak`` gives the points that can hold max |f|, read again for
-log max|b| and for the dip test's scale.  A sign-change root is a zero; a
-dip or a grid zero is one when |f| at its stencil's centre is within the
-bound read with it plus 1e-12 S, S = max(1, max(|f| - err)) over the grid.
+point is.  An order fit reads again, at ``_CONTOUR_RTOL``, the nodes that can
+hold max |f|, for log max|b|.  A sign-change root is a zero; a dip (every
+local minimum of |f| without a sign change) or a grid zero is one when |f|
+at its stencil's centre is within the bound read with it plus 1e-12 S,
+S = max(1, max(|f| - err)) over the grid.
 """
 
 from __future__ import annotations
@@ -138,13 +139,6 @@ def _read_exact(f_batch: Callable[[np.ndarray], np.ndarray]):
     return lambda lams, rtol: (f_batch(np.asarray(lams, dtype=complex)), np.zeros(len(lams)))
 
 
-def _peak(size: np.ndarray, err: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Where |f| (``size``) can hold max(floor, max |f|) within the bounds
-    ``err`` on its errors: |f| + err reaches max(floor, max(|f| - err)).  A
-    nan is its own peak."""
-    return (size + err >= np.maximum(floor, (size - err).max())) | np.isnan(size)
-
-
 def _real_on_real_axis(problem: ScatteringProblem) -> bool:
     """Whether b(conj lam) = conj b(lam): Q and V are real, so when u0 is."""
     return all(z.imag == 0.0 for z in problem.ref.u0_at_0)
@@ -187,12 +181,13 @@ class _Bracket:
     odd order m >= 3 is too flat for the test, and its m-th root is simple.
 
     It is done when narrower than tol = xtol + rtol |x| at its better end,
-    or when f is exactly 0 at its probe.  While its probe p moves by less
-    than sqrt(tol (1 + |x|)) it is closing: it also probes p -/+ delta,
-    delta = 0.9 tol, and when a side point has the other sign from f(p), or
-    |f| at one of the three is within the bound on its error that came with
-    it (the noise of f), the one of the three with the smallest |f| is its
-    root.  ``root`` is (x, |f(x)|) once it is done, None before.
+    or when f is exactly 0 there (a probe where f is 0 replaces an end like
+    any other).  While its probe p moves by less than sqrt(tol (1 + |x|))
+    it is closing: it also probes p -/+ delta, delta = 0.9 tol, and when a
+    side point has the other sign from f(p), or |f| at one of the three is
+    within the bound on its error that came with it (the noise of f), the
+    one of the three with the smallest |f| is its root.  ``root`` is
+    (x, |f(x)|) once it is done, None before.
     """
 
     def __init__(self, xtol, rtol, x1, f1, x2, f2, x3=math.nan, f3=math.nan):
@@ -220,9 +215,6 @@ class _Bracket:
             ):
                 self.root = ((p - self.delta, p, p + self.delta)[best], size[best])
                 return
-        elif fp == 0.0:
-            self.root = (p, 0.0)
-            return
         # the probe replaces the end of its sign, which becomes (x3, f3)
         if (fp > 0.0) == (self.f1 > 0.0):
             self.x3, self.f3 = self.x1, self.f1
@@ -461,12 +453,12 @@ def _scan_interval(interval: tuple[float, float], grid_points: int) -> tuple[flo
     return lo, hi
 
 
-def _dips(signs, mid, left, right, scale) -> np.ndarray:
+def _dips(signs, mid, left, right) -> np.ndarray:
     """The dip test at the inner grid points, from the signs of f and |f| at
-    each point (``mid``) and its neighbours: a local minimum of |f| below
-    1e-3 ``scale`` where neither cell changes sign (sign changes are refined
-    as brackets, and an exact zero on the grid between neighbours of
-    opposite sign is taken as it is)."""
+    each point (``mid``) and its neighbours: every local minimum of |f|
+    where neither cell changes sign (sign changes are refined as brackets,
+    and an exact zero on the grid between neighbours of opposite sign is
+    taken as it is).  Whether a dip holds a zero, its residual decides."""
     change = signs[:-1] * signs[1:] < 0.0
     return (
         (signs[:-2] * signs[2:] >= 0.0)
@@ -474,7 +466,6 @@ def _dips(signs, mid, left, right, scale) -> np.ndarray:
         & ~change[1:]
         & (mid <= left)
         & (mid <= right)
-        & (mid < 1e-3 * scale)
     )
 
 
@@ -485,24 +476,19 @@ def _uncertified(vals: np.ndarray, e: np.ndarray) -> np.ndarray:
     the intervals |f| -/+ e do not overlap, and the dip test at a point
     where its comparisons are certified true or one of them certified false.
     Returns the points with e > 0 of each open sign and of each open
-    comparison of an open dip test, the points that can hold the scale
-    max(1, max |f|) standing in for it.
+    comparison of an open dip test.
     """
     a = np.abs(vals)
     low, high = np.maximum(a - e, 0.0), a + e
     unsure = a <= e
-    # the dip test's scale max(1, max |f|) lies in [scale, top]
-    scale, top = max(1.0, float(low.max())), max(1.0, float(high.max()))
     # an open sign passes every sign test of a dip: it may be either
-    maybe = _dips(np.where(unsure, 0.0, np.sign(vals)), low[1:-1], high[:-2], high[2:], top)
-    sure = _dips(np.zeros_like(a), high[1:-1], low[:-2], low[2:], scale)
+    maybe = _dips(np.where(unsure, 0.0, np.sign(vals)), low[1:-1], high[:-2], high[2:])
+    sure = _dips(np.zeros_like(a), high[1:-1], low[:-2], low[2:])
     i = np.flatnonzero(maybe & ~sure) + 1
     again = unsure.copy()
     again[i] = True
     again[i[high[i] > low[i - 1]] - 1] = True
     again[i[high[i] > low[i + 1]] + 1] = True
-    if (high[i] >= 1e-3 * scale).any():
-        again |= _peak(a, e, 1.0)
     return again & (e > 0.0)
 
 
@@ -551,8 +537,7 @@ def _scan(
     signs = np.sign(vals)
     cells = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
     absvals = np.abs(vals)
-    scale = max(1.0, float(absvals.max()))
-    dip = _dips(signs, absvals[1:-1], absvals[:-2], absvals[2:], scale)
+    dip = _dips(signs, absvals[1:-1], absvals[:-2], absvals[2:])
     # a dip or grid zero's residual may exceed its bound by 1e-12 S, S the
     # certified lower bound on max(1, max |f|) over the grid
     slack = 1e-12 * max(1.0, float((absvals - e).max()))
@@ -841,10 +826,11 @@ def _order_fit(read, radii: list[float], mirrored: bool) -> GrowthFit:
     log_max = []
     for r in radii:
         vals, err = _on_contour(read, r, _FIT_NODES, mirrored)
-        # of the evaluated nodes, those that can hold max |f| and are not
-        # already within _CONTOUR_RTOL are read again
+        # of the evaluated nodes, those that can hold max |f| (|f| + err
+        # reaches max(|f| - err), or |f| is nan) and are not already within
+        # _CONTOUR_RTOL are read again
         size = np.abs(vals[: len(err)])
-        peak = _peak(size, err)
+        peak = (size + err >= (size - err).max()) | np.isnan(size)
         loose = np.flatnonzero(peak & (err > _CONTOUR_RTOL * size))
         if loose.size:
             size[loose] = np.abs(read(_contour(r, _FIT_NODES)[loose], _CONTOUR_RTOL)[0])

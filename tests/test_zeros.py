@@ -457,8 +457,9 @@ def test_grid_point_within_its_bound_of_a_zero_is_read_again(engine_calls):
 
 def test_open_dip_comparisons_are_read_again():
     # a double zero at 0.299 whose loose grid values near it read 6e-3 high,
-    # within their bound 6.06e-3: every sign is certain, but |f| at 0.28
-    # then reads above 1e-3 max|f|, and taken as read it would be no dip
+    # within their bound 6.06e-3: every sign is certain, but the intervals
+    # |f| -/+ err of 0.28 and its neighbours overlap, so the dip comparisons
+    # there are open and those points are read again
     def exact(lams):
         return (np.real(lams) - 0.299) ** 2
 
@@ -475,22 +476,43 @@ def test_open_dip_comparisons_are_read_again():
 
 def test_shallow_dip_without_a_zero_is_no_zero_on_a_loose_grid():
     # f = (x - 0.3)^2 + c dips to c without a zero, read 1e-4 high on the
-    # loose grid: the scan reports what the exact f gives, no zero
-    c = 1e-8 * 5.29 * (1.0 + 1e-4)
+    # loose grid: the scan reports what the exact f gives, no zero, for a
+    # dip close to 0 and for one far above it
+    for c in (1e-8 * 5.29 * (1.0 + 1e-4), 0.5):
 
-    def read(lams, rtol):
-        x = np.real(lams)
-        f = (x - 0.3) ** 2 + c
-        if rtol == zeros._PHASE_RTOL:
-            return f * (1.0 + 1e-4), 2e-4 * f
-        return f, np.zeros(len(x))
+        def read(lams, rtol, c=c):
+            x = np.real(lams)
+            f = (x - 0.3) ** 2 + c
+            if rtol == zeros._PHASE_RTOL:
+                return f * (1.0 + 1e-4), 2e-4 * f
+            return f, np.zeros(len(x))
 
-    def exact(lams):
-        return (np.real(lams) - 0.3) ** 2 + c
+        def exact(lams, c=c):
+            return (np.real(lams) - 0.3) ** 2 + c
 
-    report = zeros._scan(read, -2.0, 2.0, 101, False, 1e-12)
-    assert report == real_zero_scan_fn(exact, (-2.0, 2.0), 101)
-    assert report.zeros == ()
+        report = zeros._scan(read, -2.0, 2.0, 101, False, 1e-12)
+        assert report == real_zero_scan_fn(exact, (-2.0, 2.0), 101)
+        assert report.zeros == ()
+
+
+def test_dips_far_above_zero_are_refined_and_their_residual_decides():
+    # the simple zeros 211.5 and 367.7 share the grid cell (183.1, 371.3),
+    # where b keeps its sign: |b| dips only to 0.53 at 371.25, 4.5% of
+    # max|b|, and the refined dip splits into both
+    report = real_zero_scan(catalog.ramp_well(), (-5.0, 1500.0), 9)
+    fine = [z.real for z, _, _ in real_zero_scan(catalog.ramp_well(), (-5.0, 1500.0), 4000).zeros]
+    found = [z.real for z, _, _ in report.zeros]
+    assert len(found) == 7
+    assert [round(z, 3) for z in found[1:3]] == [211.524, 367.743]
+    for z in found:
+        assert min(abs(z - w) for w in fine) <= 1e-9 * (1.0 + abs(z))
+
+
+def test_double_zero_between_larger_values_is_found():
+    # |f| dips only to 0.058 at the grid point 0.5, 0.6% of max|f|, and the
+    # refined dip is the double zero 0.33
+    report = real_zero_scan_fn(lambda x: (x.real - 0.33) ** 2 * (x.real + 1.5), (-2.0, 2.0), 9)
+    assert [(round(z.real, 6), m) for z, m, _ in report.zeros] == [(0.33, 2), (-1.5, 1)]
 
 
 def test_disk_count_sine_well(sine_well):
