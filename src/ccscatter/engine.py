@@ -269,6 +269,11 @@ def _step_matrices(c: np.ndarray, h, out: np.ndarray | None = None) -> np.ndarra
         return out
 
 
+def _starts(piece: _Piece, h: float, k: np.ndarray) -> np.ndarray:
+    """Where the sub-steps k of length h start, as offsets (x0 + h k) - x0 from x0."""
+    return (piece.x0 + h * k) - piece.x0
+
+
 def _node_values(
     piece: _Piece, n: int, lo: int = 0, hi: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -278,13 +283,12 @@ def _node_values(
     piece and (1, hi - lo) on a constant one, where c is the same at every
     node; ``h`` is the sub-step length, and all n sub-steps by default.
     ``_piece_states`` and spectral's phase count (a block at a time) form
-    c = Q + lam*V from them, and the sweep reads both members from it, so
-    the coefficients, the states and the eigenvalue counts use one
-    discretization.
+    c = Q + lam*V from them, and the sweep places both members' nodes on the
+    same ``_starts``, so the coefficients, the states and the eigenvalue
+    counts use one discretization.
     """
     h = piece.length / n
-    offsets = (piece.x0 + h * np.arange(lo, n if hi is None else hi)) - piece.x0
-    xs = offsets + _nodes(piece) * h
+    xs = _starts(piece, h, np.arange(lo, n if hi is None else hi)) + _nodes(piece) * h
     return npoly.polyval(xs, piece.q_coeffs), npoly.polyval(xs, piece.v_coeffs), h
 
 
@@ -318,21 +322,21 @@ def _tree_product(steps: np.ndarray, combine=_mul) -> np.ndarray:
 def _sweep_pair(piece: _Piece, lams: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Transfer matrices (2, 2, L) across a varying piece: (n steps, 2n steps).
 
-    Q and V of both members are laid out per node as (fine 2i, fine 2i + 1,
-    coarse i) with 4Q and 4V in the coarse row, so one kernel call at the
-    fine length h steps a block of 2k fine and k coarse sub-steps; the
-    coarse product is rescaled by diag(1, 2) at the end (see the module
-    docstring).  After the fine tree's first level both members
-    finish one pairwise tree as a batch of 2L.  k is a power of two and
-    the block products join the tree as they come, in aligned runs (a
-    binary counter), so blocking changes no rounding and costs no memory
-    per block.  Every block reuses the same buffers.
+    Q and V of both members are read in one pass, per node as (fine 2i,
+    fine 2i + 1, coarse i) with 4Q and 4V in the coarse row, whose nodes lie
+    2 G h past the start of fine step 2i: bit for bit those of n steps, as
+    halving and doubling are exact.  So one kernel call at the fine length h
+    steps a block of 2k fine and k coarse sub-steps; the coarse product is
+    rescaled by diag(1, 2) at the end (see the module docstring).  After the
+    fine tree's first level both members finish one pairwise tree as a batch
+    of 2L.  k is a power of two and the block products join the tree as they
+    come, in aligned runs (a binary counter), so blocking changes no rounding
+    and costs no memory per block.  Every block reuses the same buffers.
     """
-    *fine, h = _node_values(piece, 2 * n)
-    q, v = (
-        np.concatenate((a.reshape(3, n, 2).transpose(0, 2, 1), 4.0 * b[:, None]), axis=1)
-        for a, b in zip(fine, _node_values(piece, n)[:2])
-    )
+    h = piece.length / (2 * n)
+    starts, nodes = _starts(piece, h, np.arange(2 * n)), _nodes(piece) * h
+    xs = np.stack((starts[0::2] + nodes, starts[1::2] + nodes, starts[0::2] + 2.0 * nodes), 1)
+    q, v = (npoly.polyval(xs, c) * [[1.0], [1.0], [4.0]] for c in (piece.q_coeffs, piece.v_coeffs))
     L = len(lams)
     # k >= 2: a block's product is then never a view of the buffer the next block reuses
     k = min(n, 1 << max(1, (_BLOCK_ENTRIES // (3 * max(1, L))).bit_length() - 1))
@@ -382,8 +386,8 @@ def _matrix_scale(M: np.ndarray) -> np.ndarray:
 
 
 def _initial_substeps(piece: _Piece, lams: np.ndarray) -> int:
-    qmax = max(abs(c) for c in piece.q_coeffs) * max(1.0, piece.length)
-    vmax = max(abs(c) for c in piece.v_coeffs) * max(1.0, piece.length)
+    qmax = max(abs(c) for c in piece.q_coeffs)
+    vmax = max(abs(c) for c in piece.v_coeffs)
     cmax = qmax + float(np.abs(lams).max(initial=0.0)) * vmax
     n = max(4, int(piece.length * math.sqrt(cmax) / 2.0) + 1)
     return min(n, _MAX_SUBSTEPS)

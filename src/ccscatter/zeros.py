@@ -13,19 +13,20 @@ with spikes on a fixed control grid.  Every counting routine refuses to run
 on it.
 
 One iteration (Chandrupatla's) refines every real zero, each bracket an
-object that steps in plain floats.  A sign change of a scan is bracketed on
-b itself; a dip of |b|, where an even-order zero leaves the sign unchanged,
-is bracketed on the central difference b(x + d) - b(x - d), whose root is
-the extremum.  Every open bracket takes one probe per round, and the points
-of one round go to b in one call, so the numpy work of a round does not
-grow with the number of brackets.  A bracket whose next step is already
-tiny also probes p -/+ delta, delta just under its tolerance, so that a
-side point of the other sign closes it in that same call; so does one of
-the three points where |b| is within the error bound that
-``coefficients_batch`` returns with it.  The nine-point multiplicity
-stencil of each zero rides in the call that closes its bracket (zeros on
-the grid take theirs in the first), so a scan makes a separate stencil call
-only for a zero left without one, or for one of two zeros found so close
+object that steps in plain floats, and one loop runs its rounds.  A sign
+change of a scan is bracketed on b itself; a dip of |b|, where an even-order
+zero leaves the sign unchanged, is the bracket of the central difference
+b(x + d) - b(x - d), whose root is the extremum, and it hands on to two
+brackets on b where b(x -/+ d) changes sign.  Every open bracket takes one
+probe per round, and the points of one round go to b in one call, so the
+numpy work of a round does not grow with the number of brackets.  A bracket
+whose next step is already tiny also probes p -/+ delta, delta just under
+its tolerance, so that a side point of the other sign closes it in that same
+call; so does one of the three points where |b| is within the error bound
+that ``coefficients_batch`` returns with it.  The nine-point multiplicity
+stencil of each zero rides in the call that closes its bracket (zeros on the
+grid take theirs in the first), so a scan reads stencils in a round of their
+own only for a zero left without one, or for one of two zeros found so close
 together that each needs a narrower stencil.  A stencil keeps the error
 bounds of its values, and its order reads against them.
 
@@ -190,6 +191,9 @@ class _Bracket:
     (x, |f(x)|) once it is done, None before.
     """
 
+    reads_probe = True  # f is read at the probe, its stencil's centre
+    halves: tuple[_Bracket, ...] = ()  # the brackets that carry on from it
+
     def __init__(self, xtol, rtol, x1, f1, x2, f2, x3=math.nan, f3=math.nan):
         self.xtol, self.rtol = xtol, rtol
         self.x1, self.f1, self.x2, self.f2, self.x3, self.f3 = x1, f1, x2, f2, x3, f3
@@ -252,46 +256,46 @@ class _Bracket:
         self.delta = 0.9 * tol
 
 
-class _Dip:
-    """A dip of |f| at a grid point x, refined as the root of the central
-    difference g(x) = f(x + d) - f(x - d), d = _DIP_STEP (1 + |x|).
+class _Dip(_Bracket):
+    """A dip of |f| at a grid point x, given as the points (x, f) of x and of
+    its grid neighbours x0 and x1: the bracket of the central difference
+    g(x) = f(x + d) - f(x - d), d = _DIP_STEP (1 + |x|), whose root is the
+    extremum of f.
 
-    Its two cells have slopes of opposite sign, so f' changes sign between
-    the grid neighbours x0 and x1.  Its ``slope`` bracket holds those two
-    points, with the slopes times 2 d / h as end values.  A probe x where
-    f(x -/+ d) has the other sign from the dip splits it into the two root
-    brackets of ``halves``, from the innermost points seen on either side of
-    the dip where f has its sign (the grid neighbours at first, then x + d of
-    a probe left of the extremum and x - d of one right of it); so a simple
-    zero on a grid point between neighbours of one sign finds its partner
-    zero.  A half whose interior holds the grid point, when f is exactly 0
-    there, is dropped: its zero is already on the grid.
+    Its two cells have slopes of opposite sign, so g changes sign between x0
+    and x1, and it starts from those two points with the slopes times
+    2 d / h as values of g.  Each of its probes p reads f at p -/+ d.  A
+    probe where f(p -/+ d) has the other sign from the dip ends it, split
+    into the two root brackets of ``halves``, from the innermost points seen
+    on either side of the dip where f has its sign (the grid neighbours at
+    first, then x + d of a probe left of the extremum and x - d of one right
+    of it); so a simple zero on a grid point between neighbours of one sign
+    finds its partner zero.  A half whose interior holds the grid point,
+    when f is exactly 0 there, is dropped: its zero is already on the grid.
     """
 
-    def __init__(self, x0, f0, x, f, x1, f1):
+    reads_probe = False  # f is read at p -/+ d only
+
+    def __init__(self, left, mid, right):
+        (x0, f0), (x, f), (x1, f1) = left, mid, right
         self.d = d = _DIP_STEP * (1.0 + abs(x))
         w = 4.0 * d / (x1 - x0)  # 2 d / h
-        self.slope = _Bracket(_DIP_XTOL, _SQRT_EPS, x0, (f - f0) * w, x1, (f1 - f) * w)
-        self.left, self.right = (x0, f0), (x1, f1)
+        self.left, self.right = left, right
         # the sign of f on either side of the dip, as np.sign gives it
         self.sign = math.copysign(1.0, f0 + f1) if f0 + f1 else 0.0
         self.zero = x if f == 0.0 else math.nan
-        self.halves: tuple[_Bracket, ...] | None = None
-
-    @property
-    def open(self) -> bool:
-        return self.halves is None and self.slope.root is None
+        super().__init__(_DIP_XTOL, _SQRT_EPS, x0, (f - f0) * w, x1, (f1 - f) * w)
 
     def points(self) -> list[float]:
-        """x - d, then x + d, for each point of the slope bracket."""
-        xs, d = self.slope.points(), self.d
+        """p - d, then p + d, for each point p of the bracket on g."""
+        xs, d = super().points(), self.d
         return [x - d for x in xs] + [x + d for x in xs]
 
     def update(self, values: list[float], noise: list[float]) -> None:
-        """Take f and its noise at ``points()``: split, or step the slope bracket."""
+        """Take f and its noise at ``points()``: split, or step on g."""
         k = len(values) // 2
         lo, hi = values[:k], values[k:]
-        x, d, sign = self.slope.probe, self.d, self.sign
+        x, d, sign = self.probe, self.d, self.sign
         flo, fhi = lo[0], hi[0]
         left, right = flo * sign < 0.0, fhi * sign < 0.0
         if left or right:
@@ -302,6 +306,7 @@ class _Dip:
             self.halves = tuple(
                 _Bracket(_XTOL, _RTOL, *a, *b) for a, b in ends if not a[0] < self.zero < b[0]
             )
+            self.root = (x, abs(fhi - flo))  # ended: its halves carry on
             return
         # the probe moves the innermost point on its side of the extremum:
         # x + d where f falls towards the dip
@@ -309,7 +314,7 @@ class _Dip:
             self.left = (x + d, fhi)
         else:
             self.right = (x - d, flo)
-        self.slope.update(
+        super().update(
             [b - a for a, b in zip(lo, hi)], [a + b for a, b in zip(noise[:k], noise[k:])]
         )
 
@@ -346,80 +351,62 @@ def _stencil(lam: float, h: float) -> list[float]:
     return [lam + k * h for k in _STENCIL]
 
 
-def _refine(f, grid, vals, cells, dips, on_grid, cell):
-    """Refine the sign changes of ``cells`` and the dips at grid points ``dips``.
+def _refine(f, brackets, centres, cell):
+    """Refine ``brackets`` in rounds, each one call of ``f``, and read stencils.
 
-    A cell's bracket is seeded with the grid point left of it when that has
-    the sign of the cell's left end, so its first step can interpolate.
+    A round's points are those of every open bracket, each followed by its
+    multiplicity stencil in its first closing round, centred on its probe
+    (whose value comes with the round when the bracket ``reads_probe``).
+    The first round also takes the stencils of ``centres``, (x, h) pairs.
+    A bracket that ends in ``halves`` hands on to them.  Out of rounds, an
+    open bracket ends at its last probe.
 
-    Each round is one call of ``f``, on the points of every open bracket and
-    dip, each followed by its multiplicity stencil in its first closing
-    round: the outer points of a root bracket's, centred on its probe (whose
-    value comes with the round), and the whole of a dip's, centred on its
-    slope bracket's probe.  The first round also takes the stencils of the
-    zeros at grid points ``on_grid``.
-
-    Returns the cells' brackets, the dips and the stencils, as bracket, dip
-    or grid index -> (centre, values, their noise).
+    Returns the stencils as (centre, values, their noise), keyed by bracket
+    and by position in ``centres``.
     """
-    g, v = grid.tolist(), vals.tolist()
-    roots = []
-    for k in cells.tolist():
-        # the seed: grid point k - 1 when f has the sign of f(x_k) there
-        seeded = k > 0 and (v[k - 1] > 0.0 and v[k] > 0.0 or v[k - 1] < 0.0 and v[k] < 0.0)
-        seed = (g[k - 1], v[k - 1]) if seeded else (math.nan, math.nan)
-        roots.append(_Bracket(_XTOL, _RTOL, g[k], v[k], g[k + 1], v[k + 1], *seed))
-    cells = list(roots)
-    dips = [_Dip(g[i - 1], v[i - 1], g[i], v[i], g[i + 1], v[i + 1]) for i in dips.tolist()]
-    stencils: dict = {}
-    first = [(k, g[k]) for k in on_grid.tolist()]
-    taps = len(_STENCIL)
+    brackets, stencils, taps = list(brackets), {}, len(_STENCIL)
     for _ in range(_MAX_ITERATIONS):
-        # this round's points: each open bracket's and dip's, followed by its
-        # stencil in its first closing round, then those of the grid zeros
         points, jobs = [], []
-        for owner in [b for b in roots if b.root is None] + [dip for dip in dips if dip.open]:
-            xs = owner.points()
-            bracket = owner if isinstance(owner, _Bracket) else owner.slope
-            centre = bracket.probe if bracket.closing and owner not in stencils else None
-            jobs.append((owner, len(xs), centre))
+        # the brackets on f itself first, then those on g, each in the order made
+        for b in sorted((b for b in brackets if b.root is None), key=lambda b: not b.reads_probe):
+            xs = b.points()
+            centre = b.probe if b.closing and b not in stencils else None
+            jobs.append((b, len(xs), centre))
             if centre is not None:
                 stencil = _stencil(centre, _step(centre, cell))
-                if owner is bracket:
-                    del stencil[taps // 2]  # the probe, which the round has already
+                if b.reads_probe:
+                    del stencil[taps // 2]  # the probe, already in the round
                 xs += stencil
             points += xs
-        for _, x in first:
-            points += _stencil(x, _step(x, cell))
+        for x, h in centres:
+            points += _stencil(x, h)
         if not points:
             break
         values, noise = (a.tolist() for a in f(np.array(points)))
         at = 0
-        for owner, k, centre in jobs:
+        for b, k, centre in jobs:
             ys, es = values[at : at + k], noise[at : at + k]
             at += k
             if centre is not None:
-                m = taps - 1 if isinstance(owner, _Bracket) else taps
+                m = taps - b.reads_probe
                 sv, se = values[at : at + m], noise[at : at + m]
                 at += m
-                if m < taps:  # a root bracket's probe is its stencil's centre
+                if b.reads_probe:
                     sv.insert(taps // 2, ys[0])
                     se.insert(taps // 2, es[0])
-                stencils[owner] = (centre, sv, se)
-            owner.update(ys, es)
-            if isinstance(owner, _Dip) and owner.halves:
-                # a dip that splits drops its stencil, centred on its extremum
-                stencils.pop(owner, None)
-                roots += owner.halves
-        for k, x in first:
-            stencils[k] = (x, values[at : at + taps], noise[at : at + taps])
+                stencils[b] = (centre, sv, se)
+            b.update(ys, es)
+            brackets += b.halves
+        for i, (x, _) in enumerate(centres):
+            stencils[i] = (x, values[at : at + taps], noise[at : at + taps])
             at += taps
-        first = []
+        centres = []
     else:
         # out of rounds: what is open reports its last probe
-        for b in [b for b in roots if b.root is None] + [dip.slope for dip in dips if dip.open]:
-            b.root = (b.x1, abs(b.f1))
-    return cells, dips, stencils
+        for b in brackets:
+            if b.root is None:
+                b.root = (b.x1, abs(b.f1))
+    return stencils
 
 
 def _multiplicities(v: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -531,7 +518,7 @@ def _scan(
         if again.any():
             vals[again], e[again] = f(grid[again])[0], 0.0
 
-    on_grid = np.flatnonzero(vals == 0.0)
+    on_grid = np.flatnonzero(vals == 0.0).tolist()
     # signs compare as signs: a product of two values of f underflows to
     # zero once |f| is below about 1e-154
     signs = np.sign(vals)
@@ -541,19 +528,24 @@ def _scan(
     # a dip or grid zero's residual may exceed its bound by 1e-12 S, S the
     # certified lower bound on max(1, max |f|) over the grid
     slack = 1e-12 * max(1.0, float((absvals - e).max()))
-    roots, dips, stencils = _refine(f, grid, vals, cells, np.flatnonzero(dip) + 1, on_grid, cell)
+    xs, ys = grid.tolist(), vals.tolist()
+    roots = []
+    for k in cells.tolist():
+        # the seed: grid point k - 1 when f has the sign of f(x_k) there
+        seed = (xs[k - 1], ys[k - 1]) if k > 0 and signs[k - 1] == signs[k] else (math.nan,) * 2
+        roots.append(_Bracket(_XTOL, _RTOL, xs[k], ys[k], xs[k + 1], ys[k + 1], *seed))
+    dips = [_Dip(*zip(xs[i - 1 : i + 2], ys[i - 1 : i + 2])) for i in np.flatnonzero(dip) + 1]
+    stencils = _refine(f, roots + dips, [(xs[k], _step(xs[k], cell)) for k in on_grid], cell)
 
     # candidate zeros as (lam, residual, stencil), in the order in which the
     # first of any close pair is kept: grid zeros and cells by position,
-    # then the dips (a split one's left root, then its right)
-    at_grid = {k: (float(grid[k]), None, stencils[k]) for k in on_grid.tolist()}
+    # then the dips (a split one's halves, left then right)
+    at_grid = {k: (xs[k], None, stencils[i]) for i, k in enumerate(on_grid)}
     at_grid.update((k, (*b.root, stencils.get(b))) for k, b in zip(cells.tolist(), roots))
     candidates = [at_grid[k] for k in sorted(at_grid)]
     for d in dips:
-        if d.halves:
-            candidates += [(*b.root, stencils.get(b)) for b in d.halves]
-        else:
-            candidates.append((d.slope.root[0], None, stencils.get(d)))
+        split = [(*b.root, stencils.get(b)) for b in d.halves]
+        candidates += split or [(d.root[0], None, stencils.get(d))]
 
     # a candidate closer than _DISTINCT (1 + |x|) to a kept zero x is that
     # zero; such an x lies within 2 _DISTINCT (1 + |lam|) of the candidate lam
@@ -575,20 +567,17 @@ def _scan(
     # one would sink into the noise rule.
     gaps = [b - a for a, b in zip(kept, kept[1:])]
     gap = dict(zip(kept, map(min, [math.inf] + gaps, gaps + [math.inf])))
-    missing = []
+    late = {}
     for j, (lam, _, stencil) in enumerate(found):
         wide = _step(lam, cell)
         h = wide
         if gap[lam] < 1.5 * wide:
             h = min(wide, max(0.5 * gap[lam], 1e-3 * (1.0 + abs(lam))))
         if stencil is None or abs(lam - stencil[0]) > 0.01 * h or h < wide:
-            missing.append((j, h))
-    if missing:
-        values, noise = f(np.array([x for j, h in missing for x in _stencil(found[j][0], h)]))
-        shape = (len(missing), len(_STENCIL))
-        for (j, _), v, e in zip(missing, values.reshape(shape), noise.reshape(shape)):
-            lam, residual, _ = found[j]
-            found[j] = (lam, residual, (lam, v, e))
+            late[j] = (lam, h)
+    stencils = _refine(f, [], list(late.values()), cell)
+    for i, j in enumerate(late):
+        found[j] = (*found[j][:2], stencils[i])
 
     zeros, c = [], len(_STENCIL) // 2
     if found:
@@ -619,7 +608,10 @@ def real_zero_scan_fn(
     f is taken as exact: a closing bracket ends on a zero of f only where f
     is exactly 0.  A sign change is a zero; a dip of |f| without one, or a
     grid point where f is 0, is a zero when |f| at its stencil's centre is
-    at most 1e-12 max(1, max |f| over the grid).
+    at most 1e-12 max(1, max |f| over the grid).  Two simple zeros closer
+    than about 1e-3 (1 + |x|), the floor of the stencil step, share their
+    stencils, and each can read as a double zero: (x - 0.3)^2 - 1e-10 gives
+    (0.29999, 2) and (0.30001, 2).
     ``structural_zero_at_origin=True`` promises f(0) = 0: when 0 lies in the
     interval it becomes a grid point with the value 0.  When 0 is a point of
     the linspace, f is evaluated there and must return exactly 0, or the
@@ -792,9 +784,12 @@ def disk_zero_count_fn(
 
     Node count starts at max(nodes, 64) and doubles until consecutive
     phase increments stay below pi/2 and the winding number is within 0.25
-    of an integer.  ``nodes`` must be at least 1.  f is evaluated once per
-    node of the final contour, or, when ``conjugate_symmetric`` declares
-    f(conj z) = conj f(z), once per node with Im lam >= 0.
+    of an integer.  That rule sees only the sampled increments, so a phase
+    that turns by a multiple of 2 pi between nodes reads as settled: z^65536
+    from 64 nodes on |z| = 1 counts 0.  ``nodes`` must be at least 1.  f is
+    evaluated once per node of the final contour, or, when
+    ``conjugate_symmetric`` declares f(conj z) = conj f(z), once per node
+    with Im lam >= 0.
     """
     return _disk_count(_read_exact(f_batch), *_disk_radius(r, nodes), conjugate_symmetric)
 

@@ -265,7 +265,9 @@ def test_tree_product_matches_sequential_product(name):
         assert np.all(diff <= 1e-12 * np.abs(running).max(axis=(1, 2))), n
 
 
-@pytest.mark.parametrize("name", ["ramp_well", "tilted_background"])
+# the mixed walk's varying piece starts at x0 = 0.3, where the node offsets
+# (x0 + h k) - x0 round
+@pytest.mark.parametrize("name", ["ramp_well", "tilted_background", "mixed_walk"])
 def test_sweep_pair_members_equal_unblocked_products_bit_for_bit(name):
     """Both members of _sweep_pair are the unblocked trees at n and 2n.
 
@@ -318,7 +320,8 @@ def _matrices_last(x):
 
 
 def _varying_piece(name):
-    (piece,) = (p for p in _pieces(getattr(catalog, name)()) if not p.is_constant)
+    problem = _mixed_walk_problem() if name == "mixed_walk" else getattr(catalog, name)()
+    (piece,) = (p for p in _pieces(problem) if not p.is_constant)
     return piece
 
 
