@@ -43,8 +43,8 @@ walks the same layout, with the same step kernel, node values and pairwise
 tree.  States inside a piece come from ``_piece_states``, the products of the
 first k steps for every k, which ``reference_states`` reads at lam = 0, where
 spikes are the identity.  A piece caches ``l1_norms`` (integrals of |Q|, |V|)
-for the error bound and ``ranges`` ((min, max) of Q, V) for spectral's step
-counts and tent floor.
+for the error bound and ``ranges`` ((min, max) of Q, V) for the tent floor and
+``_resolving_substeps``, the one step count that resolves a varying piece.
 """
 
 from __future__ import annotations
@@ -385,12 +385,12 @@ def _matrix_scale(M: np.ndarray) -> np.ndarray:
     return np.abs(M).max(axis=(0, 1))
 
 
-def _initial_substeps(piece: _Piece, lams: np.ndarray) -> int:
-    qmax = max(abs(c) for c in piece.q_coeffs)
-    vmax = max(abs(c) for c in piece.v_coeffs)
-    cmax = qmax + float(np.abs(lams).max(initial=0.0)) * vmax
-    n = max(4, int(piece.length * math.sqrt(cmax) / 2.0) + 1)
-    return min(n, _MAX_SUBSTEPS)
+def _resolving_substeps(piece: _Piece, lams: np.ndarray) -> int:
+    """Sub-steps that resolve a varying piece, the phase count's n: each under a quarter
+    of the zero spacing pi/sqrt(c) at c = max|Q| + max|lam| max|V| from ``ranges``."""
+    (q_lo, q_hi), (v_lo, v_hi) = piece.ranges
+    c = max(-q_lo, q_hi) + float(np.abs(lams).max(initial=0.0)) * max(-v_lo, v_hi)
+    return max(16, int(piece.length * (math.sqrt(c) + 1.0) * 4.0) + 1)
 
 
 def _piece_transfer(
@@ -404,10 +404,11 @@ def _piece_transfer(
     conjugated by diag(1, 2), so one kernel call per block steps both, and
     they share the pairwise tree after the fine tree's first level.  A pair
     is accepted when the relative difference of its members, over 4, is at
-    most rtol for every coupling; the finer member is returned.  The
-    difference falls as n**-6, so a failed pair with worst difference e
-    predicts the next n as about 1.1 n (e/rtol)**(1/6), at most the
-    largest pair allowed.
+    most rtol for every coupling; the finer member is returned.  The first n,
+    L sqrt(c) / 2 with c from the largest coefficients, is at most
+    ``_resolving_substeps``.  The difference falls as n**-6, so a failed pair
+    with worst difference e predicts the next n as about 1.1 n (e/rtol)**(1/6).
+    Every pair, the first included, is at most the largest pair allowed.
     Rounding sets a floor under the difference that more steps do not
     lower.  When rtol is below double rounding, or a failed pair's worst
     difference fell by less than 1/64 of what the order predicts (one
@@ -418,9 +419,13 @@ def _piece_transfer(
         c = lams * piece.v_coeffs[0] + piece.q_coeffs[0]
         return _step_matrices(c[None], piece.length), np.zeros(lams.shape), 1
 
-    n = _initial_substeps(piece, lams)
-    expected = math.inf  # worst difference the order predicts for this pair
+    qmax, vmax = (max(map(abs, c)) for c in (piece.q_coeffs, piece.v_coeffs))
+    cmax = qmax + float(np.abs(lams).max(initial=0.0)) * vmax  # loose where coefficients cancel
+    guess = max(4, int(piece.length * math.sqrt(cmax) / 2.0) + 1)
+    n, worst, want = 1, math.inf, min(guess, _resolving_substeps(piece, lams))
     while True:
+        m = math.ceil(min(want, _MAX_SUBSTEPS // 2))
+        expected, n = worst * (n / m) ** 6, m  # the order's worst difference; inf at first
         M, M2 = _sweep_pair(piece, lams, n)
         scale = _matrix_scale(M2) + 1.0
         if not np.all(np.isfinite(scale)):
@@ -437,9 +442,6 @@ def _piece_transfer(
         else:
             # sixth order: pair differences fall as n**-6; aim 10 % past rtol
             want = 1.1 * n * (worst / rtol) ** (1 / 6)
-        m = math.ceil(min(want, _MAX_SUBSTEPS // 2))
-        expected = worst * (n / m) ** 6
-        n = m
 
 
 def _rounding_bound(lams, scales, walk, prods) -> np.ndarray:
@@ -532,8 +534,9 @@ def transfer_matrices(
     read-outs only pass on.  It bounds each entry's distance from the exact
     product of the layout's matrices: truncation (the pieces' summed
     Richardson estimates times max-abs entry + 1) plus rounding
-    (``_rounding_bound``).  Against 60-digit oracles on the corpus up to
-    |lam| = 1e5 the true error stayed under a third of it.
+    (``_rounding_bound``).  It exceeds the true error of b by 11x-170x on
+    tilted_background (Airy closed form, real lam 1e2 to 1e7) and by
+    35x-270x on ramp_well (parabolic cylinder functions, 37 to 1e5).
     """
     lams, walk, prods, scales, rel_sum = _walk(problem, lams, rtol)
     M = prods[:, :, -1]

@@ -163,13 +163,10 @@ def _constant_leaves(pieces: list[engine._Piece], lams: np.ndarray) -> np.ndarra
 def _varying_leaf(piece: engine._Piece, lams: np.ndarray) -> np.ndarray:
     """Lifted element (3, 2, L) across a varying piece, from n Magnus sub-steps.
 
-    n keeps sub-steps under a quarter of the zero spacing pi/sqrt(c) at the bound
-    c = max|Q| + max|lam| max|V| of ``ranges``, so each turns alpha = 0 by less
+    n is ``engine._resolving_substeps``, so each sub-step turns alpha = 0 by less
     than pi.  Blocks of ``engine._BLOCK_ENTRIES`` steps times couplings cap memory.
     """
-    (q_lo, q_hi), (v_lo, v_hi) = piece.ranges
-    c = max(-q_lo, q_hi) + float(np.abs(lams).max(initial=0.0)) * max(-v_lo, v_hi)
-    n = max(16, int(piece.length * (math.sqrt(c) + 1.0) * 4.0) + 1)
+    n = engine._resolving_substeps(piece, lams)
     k = max(1, engine._BLOCK_ENTRIES // max(1, len(lams)))
     leaf = None
     for lo in range(0, n, k):

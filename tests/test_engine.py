@@ -412,6 +412,28 @@ def test_unreachable_rtol_exhausts_within_the_step_cap(monkeypatch):
     assert sum(counts) <= 49179, counts  # 9, 18, then the pair (16384, 32768)
 
 
+def test_first_pair_is_resolving_and_within_the_largest_pair(nine_root, monkeypatch):
+    """The first pair's n is at most the resolving count, its fine member at most _MAX_SUBSTEPS.
+
+    A first n guessed from the nine-root V's largest coefficient, 2.4e5 where
+    max|V| = 1, was (24558, 49116) at lam = 1e4 and (32768, 65536) from 1e5
+    on, 25x to 60x the resolving count; tilted_background at 3e9 started at
+    (21214, 42428).  b still meets a reference at rtol 1e-11 within the two
+    errs.
+    """
+    counts = _counting_sweeps(monkeypatch)
+    cases = [(nine_root, lam) for lam in (1e3, 1e4, 1e5, 1e5j)]
+    for prob, lam in cases + [(catalog.tilted_background(), 3e9)]:
+        counts.clear()
+        got = coefficients(prob, lam)
+        (piece,) = _pieces(prob)
+        assert counts[0] <= engine._resolving_substeps(piece, np.array([lam])), (lam, counts)
+        assert counts[1] <= _MAX_SUBSTEPS, (lam, counts)
+        if prob is nine_root:
+            ref = coefficients(prob, lam, rtol=1e-11)
+            assert abs(got.b - ref.b) <= got.err + ref.err, lam
+
+
 @pytest.mark.parametrize("lam", [300.0, 1e3 * cmath.exp(0.7j)])
 def test_pair_differences_fall_at_sixth_order(lam):
     """Each doubling of the step count divides the pair difference by ~64.

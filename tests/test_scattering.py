@@ -23,6 +23,7 @@ from ccscatter import (
     zeros,
 )
 from ccscatter.engine import _layout, _pieces, _Piece, transfer_matrices
+from oracles import b_airy
 
 PI = math.pi
 
@@ -290,6 +291,23 @@ def test_varying_pieces_against_power_series_oracle():
                 return _readout(*_taylor_state_at_1(p, prob.ref.u0_at_0), *at_1)
 
             _check_error_bounds(prob, lams, exact)
+
+
+def test_tilted_background_against_the_airy_oracle():
+    """b on tilted_background against the 40-digit Airy closed form, from 1e2 to 1e7.
+
+    In one batch and one coupling at a time the true error stays within err
+    with no slack; err exceeds it by 11x to 170x.
+    """
+    prob = catalog.tilted_background()
+    assert prob.ref.u0_at_0 == (1.0, 0.0)  # the oracle's initial data
+    lams = [1e2, -1e3, 1e4, -1e4, 1e5, -1e5, 1e6, 1e7]
+    exact = [mp.mpc(m) * mp.exp(scale) for m, scale in (b_airy(lam, 40) for lam in lams)]
+    batch = coefficients_batch(prob, lams)
+    single = [np.concatenate(v) for v in zip(*(coefficients_batch(prob, [lam]) for lam in lams))]
+    for _, b, err in (batch, single):
+        for lam, got, want, bound in zip(lams, b, exact, err):
+            assert float(abs(mp.mpc(got) - want)) <= bound, lam
 
 
 def _exact_transfer(prob, lam):
