@@ -4,7 +4,8 @@ Three views of the same entire function:
 
 * real-axis scans with bracketing and refinement (plus a local-minimum
   sweep that catches even-order zeros where the sign does not change),
-* argument-principle counts over disks, with adaptive phase unwrapping,
+* counts over disks: Sturm differences of eigencounts where V keeps one
+  sign, elsewhere the argument principle, with adaptive phase unwrapping,
 * growth fitting of both log N(r) and log log max |b| against log r.
 
 A degenerate b (identically zero) is detected first: for a spike-free V
@@ -33,6 +34,14 @@ bounds of its values, and its order reads against them.
 The structural zero b(0) = W[u0, u0] = 0 is a grid point with the value 0
 exactly, inserted when the grid misses it; so a zero that shares its grid
 cell, where b keeps its sign, is found by the dip that 0 makes.
+
+Where u0 is real and V keeps one sign (spikes included), b'(lam*) = (1/c)
+int V u_lam*^2 is never 0 at a zero: the zeros are the eigenvalues of a
+right-definite problem, all real and simple, so |N(-r) - N(r)| of the
+eigencount N counts those in |lam| <= r in O(sqrt r) steps, where winding b
+takes O(r).  A flagged eigencount (its phase within tolerance of the mark:
+V = 1e-11 is at -/+ 10) hands the count to the contour, which raises where a
+zero is on the circle.  A count's ``nodes`` only seeds the contour.
 
 Contours reuse what they have evaluated: doubling n nodes evaluates only
 the n new odd nodes (the even nodes of the 2n grid are the old grid, bit
@@ -69,6 +78,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import engine, spectral
 from .errors import ContourCollisionError, DegenerateFunctionError
 from .problem import ScatteringProblem
 from .scattering import coefficients_batch, require_real_reference
@@ -143,6 +153,22 @@ def _read_exact(f_batch: Callable[[np.ndarray], np.ndarray]):
 def _real_on_real_axis(problem: ScatteringProblem) -> bool:
     """Whether b(conj lam) = conj b(lam): Q and V are real, so when u0 is."""
     return all(z.imag == 0.0 for z in problem.ref.u0_at_0)
+
+
+def _sturm_counts(problem: ScatteringProblem, radii: list[float]) -> list[int | None]:
+    """|N(-r) - N(r)| per radius where u0 is real and V keeps one sign, from one
+    eigencount call; None at a radius flagged on the mark at -r or r, and at
+    every radius of any other problem."""
+    values = [w for _, w in problem.V.spikes]
+    values += [v for piece in engine._pieces(problem) for v in piece.ranges[1]]
+    if not _real_on_real_axis(problem) or min(values) < 0.0 < max(values):
+        return [None] * len(radii)
+    lams = [s * r for r in radii for s in (-1.0, 1.0)]
+    counts = spectral.negative_eigenvalue_counts(problem, lams, spectral.boundary_angles(problem))
+    return [
+        None if lo.boundary_degenerate or hi.boundary_degenerate else abs(lo - hi)
+        for lo, hi in zip(counts[::2], counts[1::2])
+    ]
 
 
 def is_identically_zero(problem: ScatteringProblem) -> bool:
@@ -795,11 +821,18 @@ def disk_zero_count_fn(
 
 
 def disk_zero_count(problem: ScatteringProblem, r: float, nodes: int = 64) -> int:
-    """Number of zeros of b in |lam| <= r, counted by multiplicity."""
+    """Number of zeros of b in |lam| <= r, counted by multiplicity.
+
+    |N(-r) - N(r)| where u0 is real and V keeps one sign, unless either
+    eigencount is flagged; else the winding of b from ``nodes`` nodes up.
+    """
     r, n = _disk_radius(r, nodes)
     if is_identically_zero(problem):
         raise DegenerateFunctionError("b vanishes identically; no discrete zeros")
-    return _disk_count(_read_b(problem), r, n, _real_on_real_axis(problem))
+    (count,) = _sturm_counts(problem, [r])
+    if count is None:
+        count = _disk_count(_read_b(problem), r, n, _real_on_real_axis(problem))
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -815,11 +848,12 @@ def _fit_radii(radii) -> list[float]:
     return radii
 
 
-def _order_fit(read, radii: list[float], mirrored: bool) -> GrowthFit:
-    """Growth and zero-count exponents of f over the checked ``radii``."""
-    counts = []
+def _order_fit(read, radii: list[float], mirrored: bool, counts=None) -> GrowthFit:
+    """Growth and zero-count exponents of f over the checked ``radii``, winding the
+    contour for each count that is None in ``counts`` (all by default)."""
+    counts = list(counts or [None] * len(radii))
     log_max = []
-    for r in radii:
+    for i, r in enumerate(radii):
         vals, err = _on_contour(read, r, _FIT_NODES, mirrored)
         # of the evaluated nodes, those that can hold max |f| (|f| + err
         # reaches max(|f| - err), or |f| is nan) and are not already within
@@ -830,8 +864,9 @@ def _order_fit(read, radii: list[float], mirrored: bool) -> GrowthFit:
         if loose.size:
             size[loose] = np.abs(read(_contour(r, _FIT_NODES)[loose], _CONTOUR_RTOL)[0])
         log_max.append(float(np.log(size[peak].max())))
-        # the count's 64- and 128-node contours are every 4th and 2nd node
-        counts.append(_settled_count(read, r, 64, vals, mirrored))
+        if counts[i] is None:
+            # the count's 64- and 128-node contours are every 4th and 2nd node
+            counts[i] = _settled_count(read, r, 64, vals, mirrored)
     log_r = np.log(radii)
     count_fit, count_res = _slope(log_r, np.log(np.maximum(counts, 1)))
     # max|b| < e makes log log meaningless for order fitting; clamp so the
@@ -869,8 +904,13 @@ def _slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def order_fit(problem: ScatteringProblem, radii) -> GrowthFit:
-    """Fit growth and zero-count exponents of b over increasing radii."""
+    """Fit growth and zero-count exponents of b over increasing radii.
+
+    log max|b| comes from 256 contour nodes per radius, and the counts as
+    ``disk_zero_count``'s do, those by Sturm difference from one eigencount.
+    """
     radii = _fit_radii(radii)
     if is_identically_zero(problem):
         raise DegenerateFunctionError("b vanishes identically; growth undefined")
-    return _order_fit(_read_b(problem), radii, _real_on_real_axis(problem))
+    counts = _sturm_counts(problem, radii)
+    return _order_fit(_read_b(problem), radii, _real_on_real_axis(problem), counts)

@@ -537,9 +537,70 @@ def test_disk_count_contour_collision(sine_well):
 
 
 def test_disk_count_node_doubling_invariance(sine_well):
-    assert disk_zero_count(sine_well, 500.0, nodes=64) == 7
-    assert disk_zero_count(sine_well, 500.0, nodes=128) == 7
-    assert disk_zero_count(sine_well, 500.0, nodes=512) == 7
+    # sine_well's disk counts are Sturm differences, so the contour is wound directly
+    read = zeros._read_b(sine_well)
+    assert zeros._disk_count(read, 500.0, 64, True) == 7
+    assert zeros._disk_count(read, 500.0, 128, True) == 7
+    assert zeros._disk_count(read, 500.0, 512, True) == 7
+
+
+# the corpus problems where V keeps one sign, each with int_0^1 sqrt|V| dx
+ONE_SIGN = {
+    "sine_well": 1.0,
+    "box_barrier": 1.0,
+    "traveling_barrier": 1.0,
+    "ramp_well": math.sqrt(3.0) * PI / 8.0,
+    "tilted_background": math.sqrt(0.6),
+    "cosh_shelf": math.sqrt(0.8),
+    "shifted_sine": math.sqrt(0.5),
+}
+
+
+@pytest.fixture(scope="module")
+def one_sign(corpus):
+    """The one-sign corpus problems, realified where u0 is complex."""
+    return [(n, p if p.ref.u0_is_real else realify(p)) for n, p in corpus if n in ONE_SIGN]
+
+
+def test_one_sign_disk_counts_are_sturm_differences(engine_calls, one_sign):
+    # every zero is real and simple, so |N(-r) - N(r)| counts them and no b
+    # is read; the count is the contour's
+    assert len(one_sign) == 7
+    for name, problem in one_sign:
+        for r in (170.0, 1.3e3, 1.1e4, 1.03e5):
+            engine_calls.clear()
+            count = disk_zero_count(problem, r)
+            assert engine_calls == [], (name, r)
+            assert count == zeros._disk_count(zeros._read_b(problem), r, 64, True), (name, r)
+
+
+@pytest.mark.parametrize(
+    "name, radii, counts",
+    [
+        ("ramp_well", (1e2, 3e2, 1e3, 3e3), (3, 4, 7, 12)),
+        ("tilted_background", (1e2, 1e3, 1e4, 1e5), (3, 8, 25, 78)),
+    ],
+)
+def test_one_sign_order_fit_is_the_contours(name, radii, counts):
+    # Sturm counts, and the maxima of the same 256 nodes
+    problem = getattr(catalog, name)()
+    fit = order_fit(problem, radii)
+    assert fit.counts == counts
+    assert fit == zeros._order_fit(zeros._read_b(problem), list(radii), True)
+
+
+def test_one_sign_counts_reach_large_radii(one_sign):
+    # on the contour b overflows: sine_well at 1e6 raised "propagation
+    # produced non-finite values"
+    problems = dict(one_sign)
+    assert disk_zero_count(problems["sine_well"], 1e6) == len(sine_well_zeros(1e6)) == 318
+    # b = sqrt(lam) sinh(sqrt(lam)) on box_barrier: its zeros are -(n pi)^2, n >= 0
+    assert disk_zero_count(problems["box_barrier"], 1e7) == math.floor(math.sqrt(1e7) / PI) + 1
+    # Weyl's law: (sqrt(r) / pi) int_0^1 sqrt|V| dx, 6847 on ramp_well
+    r = 1e9
+    for name, problem in one_sign:
+        weyl = math.sqrt(r) / PI * ONE_SIGN[name]
+        assert abs(disk_zero_count(problem, r) - weyl) <= 1.0, name
 
 
 def test_real_zeros_accounted_by_disk_count(sine_well, box_barrier):
@@ -619,7 +680,7 @@ def test_order_fit_evaluation_budget(engine_sizes):
 def test_real_problem_evaluates_the_upper_half_of_each_circle(engine_calls, sine_well):
     # b(conj lam) = conj b(lam) for real u0: 33 of the 64 nodes are evaluated,
     # every phase certified at the phase tolerance
-    assert disk_zero_count(sine_well, 500.0) == 7
+    assert zeros._disk_count(zeros._read_b(sine_well), 500.0, 64, True) == 7
     assert engine_calls == [(33, zeros._PHASE_RTOL)]
 
 
@@ -661,7 +722,7 @@ def test_contour_near_a_zero_rereads_its_uncertified_nodes(engine_calls, offset)
     problem = catalog.ramp_well()
     r = 27.31556963932939 * (1.0 + offset)
     engine_calls.clear()
-    count = disk_zero_count(problem, r)
+    count = zeros._disk_count(zeros._read_b(problem), r, 64, True)
     assert count == disk_zero_count_fn(_tight(problem), r, conjugate_symmetric=True)
     assert count == (2 if offset > 0 else 1)
     phase = [size for size, rtol in engine_calls if rtol == zeros._PHASE_RTOL]
