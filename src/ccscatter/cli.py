@@ -306,7 +306,7 @@ _COMMANDS = {
                 text=_interval_text, help="lo:hi"),
         _Option("--grid-points", "grid_points", 400, int, type=int),
     )),
-    "count": _Command("zeros of b in a disk (argument principle)", _cmd_count, (
+    "count": _Command("zeros of b in a disk", _cmd_count, (
         _Option("--radius", "radius", (50.0,),
                 lambda r: _numbers(r if isinstance(r, list) else [r]), type=float),
         _Option("--nodes", "nodes", 64, int, type=int),

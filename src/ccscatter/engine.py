@@ -37,8 +37,8 @@ weight between the pieces it separates.  A spike contributes the jump
 u' -> u' + lam * weight * u.  ``_walk`` steps that walk, and it has two
 read-outs: the product with its bound (``transfer_matrices``), of which every
 whole-interval quantity (coefficients, reflection, ``propagate``,
-``transfer_matrix``) is a read-out, and the product alone (``_product``), for a
-caller that reads no bound, such as ``build_problem``.  Spectral's phase count
+``transfer_matrix``) is a read-out, and the product alone (``_product``) of Q
+and V, for ``build_problem``, which has no problem yet.  Spectral's phase count
 walks the same layout, with the same step kernel, node values and pairwise
 tree.  States inside a piece come from ``_piece_states``, the products of the
 first k steps for every k, which ``reference_states`` reads at lam = 0, where
@@ -478,15 +478,14 @@ def apply_delta(state: Pair, lam: complex, weight: float) -> Pair:
     return (u, up + complex(lam) * weight * u)
 
 
-def _walk(problem: ScatteringProblem, lams, rtol: float | None):
+def _walk(Q: PotentialSpec, V: PotentialSpec, lams, tol: float):
     """The walk of ``transfer_matrices``: (lams, walk, prods E_k .. E_0, scales, rel_sum)."""
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     if not lams.imag.any():  # then every layer steps in real arithmetic
         lams = lams.real.copy()
     if not np.isfinite(lams).all():
         raise ValueError(f"coupling must be finite, not {lams[~np.isfinite(lams)][0]}")
-    tol = problem.tolerances.ode_rtol if rtol is None else rtol
-    items = _layout(problem.Q, problem.V)
+    items = _layout(Q, V)
     walk = np.empty((2, 2, len(items), len(lams)), dtype=lams.dtype)
     scales = np.zeros((4, len(items)))  # rounding scales: n + 1, h, int |Q|, int |V|
     rel_sum = np.zeros(lams.shape)
@@ -516,9 +515,9 @@ def _walk(problem: ScatteringProblem, lams, rtol: float | None):
     return lams, walk, prods, scales, rel_sum
 
 
-def _product(problem: ScatteringProblem, lams) -> np.ndarray:
+def _product(Q: PotentialSpec, V: PotentialSpec, lams, tol: float) -> np.ndarray:
     """The matrices of ``transfer_matrices`` alone, without their bound."""
-    return _walk(problem, lams, None)[2][:, :, -1].transpose(2, 0, 1).astype(complex, copy=False)
+    return _walk(Q, V, lams, tol)[2][:, :, -1].transpose(2, 0, 1).astype(complex, copy=False)
 
 
 def transfer_matrices(
@@ -538,7 +537,8 @@ def transfer_matrices(
     tilted_background (Airy closed form, real lam 1e2 to 1e7) and by
     35x-270x on ramp_well (parabolic cylinder functions, 37 to 1e5).
     """
-    lams, walk, prods, scales, rel_sum = _walk(problem, lams, rtol)
+    tol = problem.tolerances.ode_rtol if rtol is None else rtol
+    lams, walk, prods, scales, rel_sum = _walk(problem.Q, problem.V, lams, tol)
     M = prods[:, :, -1]
     bound = rel_sum * (_matrix_scale(M) + 1.0) + _rounding_bound(lams, scales, walk, prods)
     return M.transpose(2, 0, 1).astype(complex, copy=False), bound.transpose(2, 0, 1)

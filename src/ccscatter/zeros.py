@@ -46,10 +46,10 @@ zero is on the circle.  A count's ``nodes`` only seeds the contour.
 Contours reuse what they have evaluated: doubling n nodes evaluates only
 the n new odd nodes (the even nodes of the 2n grid are the old grid, bit
 for bit), and a growth fit counts each radius starting from its own 256
-max-modulus nodes.  When u0 is exactly real, only the upper half of each
-circle is evaluated: Q, V and u0 are then real, so b(conj lam) =
-conj b(lam), and every node below the real axis is the exact conjugate of
-one above it.
+max-modulus nodes.  When ``ReferenceData.u0_is_real`` holds, only the upper
+half of each circle is evaluated: Q and V are real and u0 is within 1e-14 of
+real, so b(conj lam) = conj b(lam) to about 1e-14 relative, and every node
+below the real axis is taken as the conjugate of one above it.
 
 Every routine reads f through one protocol, ``read(lams, rtol) -> (values,
 bounds)``: b with the error bound that ``coefficients_batch`` returns, or a
@@ -150,18 +150,13 @@ def _read_exact(f_batch: Callable[[np.ndarray], np.ndarray]):
     return lambda lams, rtol: (f_batch(np.asarray(lams, dtype=complex)), np.zeros(len(lams)))
 
 
-def _real_on_real_axis(problem: ScatteringProblem) -> bool:
-    """Whether b(conj lam) = conj b(lam): Q and V are real, so when u0 is."""
-    return all(z.imag == 0.0 for z in problem.ref.u0_at_0)
-
-
 def _sturm_counts(problem: ScatteringProblem, radii: list[float]) -> list[int | None]:
     """|N(-r) - N(r)| per radius where u0 is real and V keeps one sign, from one
     eigencount call; None at a radius flagged on the mark at -r or r, and at
     every radius of any other problem."""
     values = [w for _, w in problem.V.spikes]
     values += [v for piece in engine._pieces(problem) for v in piece.ranges[1]]
-    if not _real_on_real_axis(problem) or min(values) < 0.0 < max(values):
+    if not problem.ref.u0_is_real or min(values) < 0.0 < max(values):
         return [None] * len(radii)
     lams = [s * r for r in radii for s in (-1.0, 1.0)]
     counts = spectral.negative_eigenvalue_counts(problem, lams, spectral.boundary_angles(problem))
@@ -811,8 +806,9 @@ def disk_zero_count_fn(
     Node count starts at max(nodes, 64) and doubles until consecutive
     phase increments stay below pi/2 and the winding number is within 0.25
     of an integer.  That rule sees only the sampled increments, so a phase
-    that turns by a multiple of 2 pi between nodes reads as settled: z^65536
-    from 64 nodes on |z| = 1 counts 0.  ``nodes`` must be at least 1.  f is
+    that turns by more than pi between nodes aliases.  From the default 64
+    nodes on |z| = 1, z^65536 counts 0, z^68 counts 4, and z^60 raises
+    "negative winding".  ``nodes`` must be at least 1.  f is
     evaluated once per node of the final contour, or, when
     ``conjugate_symmetric`` declares f(conj z) = conj f(z), once per node
     with Im lam >= 0.
@@ -831,7 +827,7 @@ def disk_zero_count(problem: ScatteringProblem, r: float, nodes: int = 64) -> in
         raise DegenerateFunctionError("b vanishes identically; no discrete zeros")
     (count,) = _sturm_counts(problem, [r])
     if count is None:
-        count = _disk_count(_read_b(problem), r, n, _real_on_real_axis(problem))
+        count = _disk_count(_read_b(problem), r, n, problem.ref.u0_is_real)
     return count
 
 
@@ -913,4 +909,4 @@ def order_fit(problem: ScatteringProblem, radii) -> GrowthFit:
     if is_identically_zero(problem):
         raise DegenerateFunctionError("b vanishes identically; growth undefined")
     counts = _sturm_counts(problem, radii)
-    return _order_fit(_read_b(problem), radii, _real_on_real_axis(problem), counts)
+    return _order_fit(_read_b(problem), radii, problem.ref.u0_is_real, counts)

@@ -23,7 +23,7 @@ from ccscatter import (
     zeros,
 )
 from ccscatter.engine import _layout, _pieces, _Piece, transfer_matrices
-from oracles import b_airy
+from oracles import b_airy, b_weber
 
 PI = math.pi
 
@@ -303,6 +303,26 @@ def test_tilted_background_against_the_airy_oracle():
     assert prob.ref.u0_at_0 == (1.0, 0.0)  # the oracle's initial data
     lams = [1e2, -1e3, 1e4, -1e4, 1e5, -1e5, 1e6, 1e7]
     exact = [mp.mpc(m) * mp.exp(scale) for m, scale in (b_airy(lam, 40) for lam in lams)]
+    batch = coefficients_batch(prob, lams)
+    single = [np.concatenate(v) for v in zip(*(coefficients_batch(prob, [lam]) for lam in lams))]
+    for _, b, err in (batch, single):
+        for lam, got, want, bound in zip(lams, b, exact, err):
+            assert float(abs(mp.mpc(got) - want)) <= bound, lam
+
+
+def test_ramp_well_against_the_weber_oracle():
+    """b on ramp_well against the 40-digit parabolic cylinder closed form, to |lam| = 1e5.
+
+    Real couplings from 37 to -/+1e5 and complex ones on radii 1e3 to 1e5.  In
+    one batch and one coupling at a time the true error stays within err with
+    no slack; err exceeds it by 37x to 271x on real couplings one at a time,
+    by 46x to 93x on complex ones and by 48x to 2422x in the batch.
+    """
+    prob = catalog.ramp_well()
+    assert prob.ref.u0_at_0 == (1.0, 0.0)  # the oracle's initial data
+    lams = [37.0, 1e3, -1e3, 1e4, -1e4, 1e5, -1e5]
+    lams += [1e5j, -1e5j, 1e4 * (0.6 + 0.8j), 1e3 * (-0.8 + 0.6j)]
+    exact = [mp.mpc(m) * mp.exp(scale) for m, scale in (b_weber(lam, 40) for lam in lams)]
     batch = coefficients_batch(prob, lams)
     single = [np.concatenate(v) for v in zip(*(coefficients_batch(prob, [lam]) for lam in lams))]
     for _, b, err in (batch, single):

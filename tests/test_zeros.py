@@ -603,6 +603,22 @@ def test_one_sign_counts_reach_large_radii(one_sign):
         assert abs(disk_zero_count(problem, r) - weyl) <= 1.0, name
 
 
+def test_nearly_real_u0_counts_and_fits_as_the_real_one(engine_calls):
+    # imaginary parts within u0_is_real's 1e-14 take the real route in every
+    # layer: Sturm counts with no b read, and the contour's upper half
+    sine = catalog.sine_well()
+    sine = build_problem(sine.Q, sine.V, (1e-17j, PI), tolerances=sine.tolerances)
+    ramp = catalog.ramp_well()
+    nearly = build_problem(ramp.Q, ramp.V, (1.0, 1e-16j), tolerances=ramp.tolerances)
+    assert sine.ref.u0_is_real and nearly.ref.u0_is_real
+    assert [disk_zero_count(sine, r) for r in (500.0, 1e4, 1e6)] == [7, 31, 318]
+    assert engine_calls == []
+    radii = (1e2, 3e2, 1e3, 3e3)
+    fit = order_fit(nearly, radii)
+    assert engine_calls == [(129, zeros._PHASE_RTOL), (1, zeros._CONTOUR_RTOL)] * 4
+    assert fit == order_fit(ramp, radii)
+
+
 def test_real_zeros_accounted_by_disk_count(sine_well, box_barrier):
     for prob, interval in ((sine_well, (-5.0, 100.0)), (box_barrier, (-50.0, 1.0))):
         report = real_zero_scan(prob, interval, 400)
