@@ -24,10 +24,10 @@ numpy work of a round does not grow with the number of brackets.  A bracket
 whose next step is already tiny also probes p -/+ delta, delta just under
 its tolerance, so that a side point of the other sign closes it in that same
 call; so does one of the three points where |b| is within the error bound
-that ``coefficients_batch`` returns with it.  The nine-point multiplicity
-stencil of each zero rides in the call that closes its bracket (zeros on the
-grid take theirs in the first), so a scan reads stencils in a round of their
-own only for a zero left without one, or for one of two zeros found so close
+that ``coefficients_batch`` returns with it.  A zero whose order is open
+(below) reads a nine-point multiplicity stencil in the call that closes its
+bracket (on the grid, in the first), so a scan reads stencils in a round of
+their own only for a zero left without one, or for one of two zeros so close
 together that each needs a narrower stencil.  A stencil keeps the error
 bounds of its values, and its order reads against them.
 
@@ -41,7 +41,9 @@ right-definite problem, all real and simple, so |N(-r) - N(r)| of the
 eigencount N counts those in |lam| <= r in O(sqrt r) steps, where winding b
 takes O(r).  A flagged eigencount (its phase within tolerance of the mark:
 V = 1e-11 is at -/+ 10) hands the count to the contour, which raises where a
-zero is on the circle.  A count's ``nodes`` only seeds the contour.
+zero is on the circle.  A count's ``nodes`` only seeds the contour.  A scan
+of such a b reads a stencil only for a dip that does not split: its roots
+and grid zeros are simple, and a grid zero's residual is its value, 0.
 
 Contours reuse what they have evaluated: doubling n nodes evaluates only
 the n new odd nodes (the even nodes of the 2n grid are the old grid, bit
@@ -150,13 +152,18 @@ def _read_exact(f_batch: Callable[[np.ndarray], np.ndarray]):
     return lambda lams, rtol: (f_batch(np.asarray(lams, dtype=complex)), np.zeros(len(lams)))
 
 
+def _one_sign(problem: ScatteringProblem) -> bool:
+    """Whether u0 is real and V keeps one sign, spikes included: b's zeros are simple."""
+    values = [w for _, w in problem.V.spikes]
+    values += [v for piece in engine._pieces(problem) for v in piece.ranges[1]]
+    return problem.ref.u0_is_real and not min(values) < 0.0 < max(values)
+
+
 def _sturm_counts(problem: ScatteringProblem, radii: list[float]) -> list[int | None]:
     """|N(-r) - N(r)| per radius where u0 is real and V keeps one sign, from one
     eigencount call; None at a radius flagged on the mark at -r or r, and at
     every radius of any other problem."""
-    values = [w for _, w in problem.V.spikes]
-    values += [v for piece in engine._pieces(problem) for v in piece.ranges[1]]
-    if not problem.ref.u0_is_real or min(values) < 0.0 < max(values):
+    if not _one_sign(problem):
         return [None] * len(radii)
     lams = [s * r for r in radii for s in (-1.0, 1.0)]
     counts = spectral.negative_eigenvalue_counts(problem, lams, spectral.boundary_angles(problem))
@@ -372,15 +379,15 @@ def _stencil(lam: float, h: float) -> list[float]:
     return [lam + k * h for k in _STENCIL]
 
 
-def _refine(f, brackets, centres, cell):
+def _refine(f, brackets, centres, cell, simple=False):
     """Refine ``brackets`` in rounds, each one call of ``f``, and read stencils.
 
     A round's points are those of every open bracket, each followed by its
-    multiplicity stencil in its first closing round, centred on its probe
-    (whose value comes with the round when the bracket ``reads_probe``).
-    The first round also takes the stencils of ``centres``, (x, h) pairs.
-    A bracket that ends in ``halves`` hands on to them.  Out of rounds, an
-    open bracket ends at its last probe.
+    multiplicity stencil in its first closing round (a dip's only, when
+    ``simple``), centred on its probe (whose value comes with the round when
+    the bracket ``reads_probe``).  The first round also takes the stencils of
+    ``centres``, (x, h) pairs.  A bracket that ends in ``halves`` hands on to
+    them.  Out of rounds, an open bracket ends at its last probe.
 
     Returns the stencils as (centre, values, their noise), keyed by bracket
     and by position in ``centres``.
@@ -391,7 +398,8 @@ def _refine(f, brackets, centres, cell):
         # the brackets on f itself first, then those on g, each in the order made
         for b in sorted((b for b in brackets if b.root is None), key=lambda b: not b.reads_probe):
             xs = b.points()
-            centre = b.probe if b.closing and b not in stencils else None
+            wanted = b.closing and b not in stencils and not (simple and b.reads_probe)
+            centre = b.probe if wanted else None
             jobs.append((b, len(xs), centre))
             if centre is not None:
                 stencil = _stencil(centre, _step(centre, cell))
@@ -501,7 +509,8 @@ def _uncertified(vals: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _scan(
-    read, lo: float, hi: float, n: int, structural_zero_at_origin: bool, rtol: float
+    read, lo: float, hi: float, n: int, structural_zero_at_origin: bool, rtol: float,
+    simple: bool = False,
 ) -> ZeroReport:
     """The real zeros of f on [lo, hi] from an n-point grid.
 
@@ -509,6 +518,7 @@ def _scan(
     and bounds on its errors.  The grid is read at _PHASE_RTOL, or at
     ``rtol``, the problem tolerance, if that is looser, and every other point
     at ``rtol``.  A grid value is loose where its bound exceeds rtol max(1, |f|).
+    ``simple`` promises simple zeros: only a dip that does not split reads a stencil.
     """
 
     def f(lams: np.ndarray, rtol: float = rtol) -> tuple[np.ndarray, np.ndarray]:
@@ -556,12 +566,13 @@ def _scan(
         seed = (xs[k - 1], ys[k - 1]) if k > 0 and signs[k - 1] == signs[k] else (math.nan,) * 2
         roots.append(_Bracket(_XTOL, _RTOL, xs[k], ys[k], xs[k + 1], ys[k + 1], *seed))
     dips = [_Dip(*zip(xs[i - 1 : i + 2], ys[i - 1 : i + 2])) for i in np.flatnonzero(dip) + 1]
-    stencils = _refine(f, roots + dips, [(xs[k], _step(xs[k], cell)) for k in on_grid], cell)
+    centres = [] if simple else [(xs[k], _step(xs[k], cell)) for k in on_grid]
+    stencils = _refine(f, roots + dips, centres, cell, simple)
 
     # candidate zeros as (lam, residual, stencil), in the order in which the
     # first of any close pair is kept: grid zeros and cells by position,
     # then the dips (a split one's halves, left then right)
-    at_grid = {k: (xs[k], None, stencils[i]) for i, k in enumerate(on_grid)}
+    at_grid = {k: (xs[k], 0.0 if simple else None, stencils.get(i)) for i, k in enumerate(on_grid)}
     at_grid.update((k, (*b.root, stencils.get(b))) for k, b in zip(cells.tolist(), roots))
     candidates = [at_grid[k] for k in sorted(at_grid)]
     for d in dips:
@@ -589,7 +600,9 @@ def _scan(
     gaps = [b - a for a, b in zip(kept, kept[1:])]
     gap = dict(zip(kept, map(min, [math.inf] + gaps, gaps + [math.inf])))
     late = {}
-    for j, (lam, _, stencil) in enumerate(found):
+    for j, (lam, residual, stencil) in enumerate(found):
+        if simple and residual is not None:
+            continue  # a root or grid zero, simple by promise
         wide = _step(lam, cell)
         h = wide
         if gap[lam] < 1.5 * wide:
@@ -600,7 +613,8 @@ def _scan(
     for i, j in enumerate(late):
         found[j] = (*found[j][:2], stencils[i])
 
-    zeros, c = [], len(_STENCIL) // 2
+    c, zeros = len(_STENCIL) // 2, [(complex(z), 1, r) for z, r, s in found if s is None]
+    found = [z for z in found if z[2] is not None]
     if found:
         rows = np.array([stencil[1] for _, _, stencil in found])
         bounds = np.array([stencil[2] for _, _, stencil in found])
@@ -661,7 +675,9 @@ def real_zero_scan(
     a zero is located to within err / |b'| of the zero of the computed b,
     as close as the computed b locates the exact one.  A dip of |b| without
     a sign change is a zero when |b| at its refined centre is within its
-    ``err`` plus 1e-12 max(1, max(|b| - err) over the grid).
+    ``err`` plus 1e-12 max(1, max(|b| - err) over the grid).  Where V keeps
+    one sign every zero is simple: only a dip that does not split reads a
+    stencil, for its residual and order, and the structural zero has residual 0.
 
     The grid is read at 1e-5 (or the problem tolerance if looser) and every
     decision on it certified by ``err``, so the zeros, multiplicities and
@@ -671,7 +687,8 @@ def real_zero_scan(
     if is_identically_zero(problem):
         return ZeroReport((), True, _SCAN_LABEL.format(lo, hi, grid_points))
     require_real_reference(problem)
-    return _scan(_read_b(problem), lo, hi, grid_points, True, problem.tolerances.ode_rtol)
+    tol = problem.tolerances.ode_rtol
+    return _scan(_read_b(problem), lo, hi, grid_points, True, tol, _one_sign(problem))
 
 
 # ---------------------------------------------------------------------------

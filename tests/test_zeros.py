@@ -11,6 +11,7 @@ from ccscatter import (
     PotentialSpec,
     RealificationRequiredError,
     Tolerances,
+    boundary_angles,
     build_problem,
     catalog,
     coefficients_batch,
@@ -18,6 +19,7 @@ from ccscatter import (
     disk_zero_count_fn,
     engine,
     is_identically_zero,
+    negative_eigenvalue_counts,
     order_fit,
     order_fit_fn,
     real_zero_scan,
@@ -112,7 +114,7 @@ def test_scan_finds_the_zero_sharing_the_structural_zeros_cell(engine_sizes, sin
     # and only the half that holds 3 pi^2 is refined
     engine_sizes.clear()
     report = real_zero_scan(sine_well, (-5.0, 1e5), 2000)
-    assert engine_sizes == [2000, 109, 119, 773, 300, 75, 13, 22]
+    assert engine_sizes == [2000, 100, 103, 237, 132, 27, 5, 6]
     found = sorted(z.real for z, _, _ in report.zeros)
     want = sine_well_zeros(1e5)
     assert len(found) == len(want) == 100
@@ -323,11 +325,10 @@ def test_scan_refines_all_brackets_in_few_engine_calls(engine_sizes):
     "name, interval", [("ramp_well", (-5.0, 120.0)), ("tilted_background", (-5.0, 300.0))]
 )
 def test_benchmark_scans_take_at_most_five_engine_calls(engine_sizes, name, interval):
-    # the grid, then refinement rounds whose last also carries the
-    # multiplicity stencils: no separate stencil call.  The structural zero
-    # is a grid point, so the first round holds only its stencil, and the
-    # probes and closing trios of the other brackets.
-    sizes = {"ramp_well": [100, 11, 2, 22], "tilted_background": [100, 13, 4, 44]}
+    # the grid, then refinement rounds of probes and closing trios.  V keeps
+    # one sign, so every zero is simple and reads no multiplicity stencil:
+    # the structural zero is a grid point and costs no call at all.
+    sizes = {"ramp_well": [100, 2, 2, 6], "tilted_background": [100, 4, 4, 12]}
     problem = getattr(catalog, name)()
     engine_sizes.clear()
     report = real_zero_scan(problem, interval, 100)
@@ -347,7 +348,8 @@ def _single_pass(problem, interval, points):
             err = np.minimum(err, tol * np.maximum(1.0, np.abs(b)))
         return b, err
 
-    return zeros._scan(read, float(interval[0]), float(interval[1]), points, True, tol)
+    lo, hi = float(interval[0]), float(interval[1])
+    return zeros._scan(read, lo, hi, points, True, tol, zeros._one_sign(problem))
 
 
 # the survey of two-pass scans: the corpus (realified) on (-R, R), (-5, R)
@@ -398,8 +400,8 @@ def test_two_pass_scans_keep_the_single_pass_zeros_and_calls(engine_calls):
 @pytest.mark.parametrize(
     "name, interval, sizes",
     [
-        ("ramp_well", (-5.0, 120.0), [11, 2, 22]),
-        ("tilted_background", (-5.0, 300.0), [13, 4, 44]),
+        ("ramp_well", (-5.0, 120.0), [2, 2, 6]),
+        ("tilted_background", (-5.0, 300.0), [4, 4, 12]),
     ],
 )
 def test_benchmark_scans_read_the_grid_at_the_phase_tolerance(engine_calls, name, interval, sizes):
@@ -424,8 +426,8 @@ def test_scan_grid_is_never_read_tighter_than_the_problem(engine_calls):
 @pytest.mark.parametrize(
     "name, interval, points, sizes",
     [
-        ("sine_well", (-5.0, 1e5), 2000, [109, 119, 773, 300, 75, 13, 22]),
-        ("box_barrier", (-50.0, 1.0), 400, [11, 12, 14]),
+        ("sine_well", (-5.0, 1e5), 2000, [100, 103, 237, 132, 27, 5, 6]),
+        ("box_barrier", (-50.0, 1.0), 400, [2, 4, 6]),
     ],
 )
 def test_constant_pieces_scan_as_in_a_single_pass(engine_calls, name, interval, points, sizes):
@@ -450,7 +452,7 @@ def test_grid_point_within_its_bound_of_a_zero_is_read_again(engine_calls):
     engine_calls.clear()
     report = real_zero_scan(problem, (z - 10.0, z + 10.0), 21)
     tol = problem.tolerances.ode_rtol
-    assert engine_calls == [(21, zeros._PHASE_RTOL), (1, tol), (11, tol)]
+    assert engine_calls == [(21, zeros._PHASE_RTOL), (1, tol), (3, tol)]
     assert [m for _, m, _ in report.zeros] == [1]
     assert abs(report.zeros[0][0] - z) <= 1e-12
 
@@ -617,6 +619,67 @@ def test_nearly_real_u0_counts_and_fits_as_the_real_one(engine_calls):
     fit = order_fit(nearly, radii)
     assert engine_calls == [(129, zeros._PHASE_RTOL), (1, zeros._CONTOUR_RTOL)] * 4
     assert fit == order_fit(ramp, radii)
+
+
+def _stencil_path(problem, interval, points):
+    """The scan that reads a multiplicity stencil at every zero."""
+    lo, hi, tol = float(interval[0]), float(interval[1]), problem.tolerances.ode_rtol
+    return zeros._scan(zeros._read_b(problem), lo, hi, points, True, tol, False)
+
+
+def test_one_sign_scans_report_what_their_stencils_read(engine_sizes, one_sign):
+    # every zero of a one-sign b is simple: its scan reads no stencil but an
+    # unsplit dip's, and finds the stencil path's zeros and orders in fewer
+    # values of b
+    problems = dict(one_sign)
+    for name, interval, points in SURVEY_SCANS:
+        if name not in problems or points not in (33, 100):
+            continue
+        case = (name, interval, points)
+        engine_sizes.clear()
+        want = _stencil_path(problems[name], interval, points)
+        stencil_reads = sum(engine_sizes)
+        engine_sizes.clear()
+        report = real_zero_scan(problems[name], interval, points)
+        assert sum(engine_sizes) < stencil_reads, case
+        assert len(report.zeros) == len(want.zeros), case
+        for (z, m, _), (w, n, _) in zip(report.zeros, want.zeros):
+            assert m == n == 1 and abs(z - w) <= 1e-12 * (1.0 + abs(w)), case
+
+
+def test_sign_changing_scans_keep_the_stencil_path(engine_calls, corpus):
+    # V changes sign: zeros may be multiple, and the scan is the stencil
+    # path's, calls included, bit for bit
+    problems = {name: realify(p) for name, p in corpus if name in ("noise_bed", "delta_pair")}
+    for name, interval, points in SURVEY_SCANS:
+        if name not in problems:
+            continue
+        engine_calls.clear()
+        want = _stencil_path(problems[name], interval, points)
+        single = engine_calls[:]
+        engine_calls.clear()
+        report = real_zero_scan(problems[name], interval, points)
+        assert report == want, (name, interval, points)
+        assert [c for c in engine_calls if c[1] is not None] == single, (name, interval, points)
+
+
+def test_one_sign_scans_find_at_most_the_sturm_count(one_sign):
+    # the zeros of b in [lo, hi] are the jumps of the eigencount N, so a scan
+    # reports at most |N(lo) - N(hi)| counted by multiplicity (coarse grids
+    # can report fewer: they miss zeros)
+    scans = [
+        (interval, points)
+        for R in (60.0, 300.0)
+        for interval in ((-R, R), (-5.0, R), (-R, 5.0))
+        for points in (9, 33, 65)
+    ]
+    ends = [x for interval, _ in scans for x in interval]
+    for name, problem in one_sign:
+        counts = negative_eigenvalue_counts(problem, ends, boundary_angles(problem))
+        for (interval, points), lo, hi in zip(scans, counts[::2], counts[1::2]):
+            assert not (lo.boundary_degenerate or hi.boundary_degenerate)
+            report = real_zero_scan(problem, interval, points)
+            assert sum(m for _, m, _ in report.zeros) <= abs(lo - hi), (name, interval, points)
 
 
 def test_real_zeros_accounted_by_disk_count(sine_well, box_barrier):
