@@ -43,11 +43,15 @@ takes O(r).  A flagged eigencount (its phase within tolerance of the mark:
 V = 1e-11 is at -/+ 10) hands the count to the contour, which raises where a
 zero is on the circle.  A count's ``nodes`` only seeds the contour.  A scan
 of such a b reads a stencil only for a dip that does not split: its roots
-and grid zeros are simple, and a grid zero's residual is its value, 0.
+and grid zeros are simple, and a grid zero's residual is its value, 0.  If
+also N(0) = 0 (u0 has no zero in (0, 1)), every eigenvalue of H_lam moves
+with V's sign away from its value >= 0 at lam = 0, so every zero lies on the
+half-line lam V >= 0; b, of genus 0, then peaks on |lam| = r at the one real
+node opposite them, the only node an order fit reads.
 
 Contours reuse what they have evaluated: doubling n nodes evaluates only
 the n new odd nodes (the even nodes of the 2n grid are the old grid, bit
-for bit), and a growth fit counts each radius starting from its own 256
+for bit), and a growth fit that winds a radius counts from its own 256
 max-modulus nodes.  When ``ReferenceData.u0_is_real`` holds, only the upper
 half of each circle is evaluated: Q and V are real and u0 is within 1e-14 of
 real, so b(conj lam) = conj b(lam) to about 1e-14 relative, and every node
@@ -65,10 +69,10 @@ signs, the dip test and the brackets' first probes, so it is read at
 comparison where the intervals |b| -/+ err do not overlap, and the points
 of an open decision are read again at the problem tolerance, as every later
 point is.  An order fit reads again, at ``_CONTOUR_RTOL``, the nodes that can
-hold max |f|, for log max|b|.  A sign-change root is a zero; a dip (every
-local minimum of |f| without a sign change) or a grid zero is one when |f|
-at its stencil's centre is within the bound read with it plus 1e-12 S,
-S = max(1, max(|f| - err)) over the grid.
+hold max |f| (a certified peak node only at it), for log max|b|.  A
+sign-change root is a zero; a dip (every local minimum of |f| without a sign
+change) or a grid zero is one when |f| at its stencil's centre is within the
+bound read with it plus 1e-12 S, S = max(1, max(|f| - err)) over the grid.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ _DEGENERACY_REAL_GRID = 64
 _DEGENERACY_COMPLEX_POINTS = 16
 _MAX_CONTOUR_NODES = 1 << 17
 _ZERO_THRESHOLD = 1e-9  # relative max|b| on the control grid of a degenerate b
-_FIT_NODES = 256  # contour nodes of the max-modulus sample per radius
+_FIT_NODES = 256  # contour nodes of the max-modulus sample per radius: r is node 0, -r node 128
 _SCAN_LABEL = "[{:g}, {:g}] grid={}"
 
 # refinement stopping rules: a root's bracket is done when narrower than
@@ -152,25 +156,31 @@ def _read_exact(f_batch: Callable[[np.ndarray], np.ndarray]):
     return lambda lams, rtol: (f_batch(np.asarray(lams, dtype=complex)), np.zeros(len(lams)))
 
 
-def _one_sign(problem: ScatteringProblem) -> bool:
-    """Whether u0 is real and V keeps one sign, spikes included: b's zeros are simple."""
+def _one_sign(problem: ScatteringProblem) -> int:
+    """V's sign, 1 or -1, where u0 is real and V keeps one sign, spikes included; else 0."""
     values = [w for _, w in problem.V.spikes]
     values += [v for piece in engine._pieces(problem) for v in piece.ranges[1]]
-    return problem.ref.u0_is_real and not min(values) < 0.0 < max(values)
+    return problem.ref.u0_is_real * (1 if min(values) >= 0.0 else -1 if max(values) <= 0.0 else 0)
 
 
-def _sturm_counts(problem: ScatteringProblem, radii: list[float]) -> list[int | None]:
+def _sturm_counts(
+    problem: ScatteringProblem, radii: list[float], fit: bool = False
+) -> tuple[list[int | None], int | None]:
     """|N(-r) - N(r)| per radius where u0 is real and V keeps one sign, from one
     eigencount call; None at a radius flagged on the mark at -r or r, and at
-    every radius of any other problem."""
-    if not _one_sign(problem):
-        return [None] * len(radii)
-    lams = [s * r for r in radii for s in (-1.0, 1.0)]
-    counts = spectral.negative_eigenvalue_counts(problem, lams, spectral.boundary_angles(problem))
-    return [
+    every radius of any other problem.  With ``fit`` the call also reads N(0),
+    and beside the counts comes ``order_fit``'s certified peak node, or None."""
+    sign = _one_sign(problem)
+    if not sign:
+        return [None] * len(radii), None
+    lams = [s * r for r in radii for s in (-1.0, 1.0)] + [0.0] * fit
+    n = spectral.negative_eigenvalue_counts(problem, lams, spectral.boundary_angles(problem))
+    counts = [
         None if lo.boundary_degenerate or hi.boundary_degenerate else abs(lo - hi)
-        for lo, hi in zip(counts[::2], counts[1::2])
+        for lo, hi in zip(n[::2], n[1::2])
     ]
+    certified = fit and n[-1] == 0 and n[-1].boundary_degenerate and None not in counts
+    return counts, ((_FIT_NODES // 2 if sign < 0 else 0) if certified else None)
 
 
 def is_identically_zero(problem: ScatteringProblem) -> bool:
@@ -688,7 +698,7 @@ def real_zero_scan(
         return ZeroReport((), True, _SCAN_LABEL.format(lo, hi, grid_points))
     require_real_reference(problem)
     tol = problem.tolerances.ode_rtol
-    return _scan(_read_b(problem), lo, hi, grid_points, True, tol, _one_sign(problem))
+    return _scan(_read_b(problem), lo, hi, grid_points, True, tol, _one_sign(problem) != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +852,7 @@ def disk_zero_count(problem: ScatteringProblem, r: float, nodes: int = 64) -> in
     r, n = _disk_radius(r, nodes)
     if is_identically_zero(problem):
         raise DegenerateFunctionError("b vanishes identically; no discrete zeros")
-    (count,) = _sturm_counts(problem, [r])
+    (count,), _ = _sturm_counts(problem, [r])
     if count is None:
         count = _disk_count(_read_b(problem), r, n, problem.ref.u0_is_real)
     return count
@@ -880,6 +890,11 @@ def _order_fit(read, radii: list[float], mirrored: bool, counts=None) -> GrowthF
         if counts[i] is None:
             # the count's 64- and 128-node contours are every 4th and 2nd node
             counts[i] = _settled_count(read, r, 64, vals, mirrored)
+    return _growth_fit(radii, counts, log_max)
+
+
+def _growth_fit(radii: list[float], counts: list[int], log_max: list[float]) -> GrowthFit:
+    """The two slopes against log r, and the larger of their residuals."""
     log_r = np.log(radii)
     count_fit, count_res = _slope(log_r, np.log(np.maximum(counts, 1)))
     # max|b| < e makes log log meaningless for order fitting; clamp so the
@@ -919,11 +934,19 @@ def _slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 def order_fit(problem: ScatteringProblem, radii) -> GrowthFit:
     """Fit growth and zero-count exponents of b over increasing radii.
 
-    log max|b| comes from 256 contour nodes per radius, and the counts as
-    ``disk_zero_count``'s do, those by Sturm difference from one eigencount.
+    The counts come as ``disk_zero_count``'s do.  Where all are Sturm
+    differences and N(0) = 0 on the mark (u0 has no zero in (0, 1)), every
+    zero lies on the half-line lam V >= 0, and max|b| on |lam| = r is read at
+    -r (V <= 0) or r (V >= 0) alone; else from 256 contour nodes per radius,
+    which also wind the counts still missing.
     """
     radii = _fit_radii(radii)
     if is_identically_zero(problem):
         raise DegenerateFunctionError("b vanishes identically; growth undefined")
-    counts = _sturm_counts(problem, radii)
-    return _order_fit(_read_b(problem), radii, problem.ref.u0_is_real, counts)
+    read = _read_b(problem)
+    counts, node = _sturm_counts(problem, radii, fit=True)
+    if node is None:
+        return _order_fit(read, radii, problem.ref.u0_is_real, counts)
+    # one read per radius: a batch of radii moves log max by up to 4e-11
+    peaks = [read(_contour(r, _FIT_NODES)[[node]], _CONTOUR_RTOL)[0] for r in radii]
+    return _growth_fit(radii, counts, [float(np.log(np.abs(p[0]))) for p in peaks])

@@ -591,6 +591,43 @@ def test_one_sign_order_fit_is_the_contours(name, radii, counts):
     assert fit == zeros._order_fit(zeros._read_b(problem), list(radii), True)
 
 
+FIT_RADII = [(1e2, 3e2, 1e3, 3e3), (1e2, 1e3, 1e4, 1e5)]
+
+
+@pytest.mark.parametrize("radii", FIT_RADII)
+def test_one_sign_fit_reads_the_contours_peak_node(engine_calls, one_sign, radii):
+    # u0 has no zero in (0, 1), so every zero of b is on the half-line where
+    # V lam >= 0, and |b| peaks on each circle at -r (V <= 0) or r (V >= 0)
+    for name, problem in one_sign:
+        read = zeros._read_b(problem)
+        want = zeros._order_fit(read, list(radii), True)
+        node = zeros._FIT_NODES // 2 if zeros._one_sign(problem) < 0 else 0
+        for r in radii:
+            size = np.abs(read(zeros._contour(r, zeros._FIT_NODES)[:129], zeros._CONTOUR_RTOL)[0])
+            assert size.argmax() == node, (name, r)
+        engine_calls.clear()
+        fit = order_fit(problem, radii)
+        assert engine_calls == [(1, zeros._CONTOUR_RTOL)] * 4, name
+        assert fit.counts == want.counts, name
+        assert np.allclose(fit.log_max_modulus, want.log_max_modulus, rtol=1e-12, atol=0), name
+
+
+@pytest.mark.parametrize("v", [-1.0, 1.0])
+def test_fit_winds_the_contour_where_u0_has_an_interior_zero(engine_calls, v):
+    # u0 = sin 2 pi x: N(0) = 1, so b has a zero on each half-line, and at
+    # r = 30 the peak is node 89 (V = -1), where |b(-r)| is 0.023 of it
+    sin2 = (PotentialSpec.constant(-4.0 * PI**2), PotentialSpec.constant(v), (0.0, 2.0 * PI))
+    problem = build_problem(*sin2)
+    read = zeros._read_b(problem)
+    size = np.abs(read(zeros._contour(30.0, zeros._FIT_NODES)[:129], zeros._CONTOUR_RTOL)[0])
+    assert size.argmax() == (89 if v < 0 else 39)
+    radii = (30.0, 1e2, 1e3, 1e4)
+    engine_calls.clear()
+    fit = order_fit(problem, radii)
+    assert engine_calls == [(129, zeros._PHASE_RTOL)] * 4
+    assert fit == zeros._order_fit(read, list(radii), True)
+
+
 def test_one_sign_counts_reach_large_radii(one_sign):
     # on the contour b overflows: sine_well at 1e6 raised "propagation
     # produced non-finite values"
@@ -617,7 +654,8 @@ def test_nearly_real_u0_counts_and_fits_as_the_real_one(engine_calls):
     assert engine_calls == []
     radii = (1e2, 3e2, 1e3, 3e3)
     fit = order_fit(nearly, radii)
-    assert engine_calls == [(129, zeros._PHASE_RTOL), (1, zeros._CONTOUR_RTOL)] * 4
+    # every zero is positive, so the peak of each circle is its one node -r
+    assert engine_calls == [(1, zeros._CONTOUR_RTOL)] * 4
     assert fit == order_fit(ramp, radii)
 
 
@@ -753,7 +791,7 @@ def test_order_fit_evaluation_budget(engine_sizes):
     engine_sizes.clear()
     fit = order_fit(problem, (1e2, 3e2, 1e3, 3e3))
     assert fit.counts == (3, 4, 7, 12)
-    assert sum(engine_sizes) <= 560
+    assert sum(engine_sizes) <= 4
 
 
 def test_real_problem_evaluates_the_upper_half_of_each_circle(engine_calls, sine_well):
@@ -768,8 +806,8 @@ def test_fit_radius_is_one_phase_call_and_one_small_tight_call(engine_calls):
     engine_calls.clear()
     fit = order_fit(problem, (1e2, 3e2, 1e3, 3e3))
     assert fit.counts == (3, 4, 7, 12)
-    # the count reads the 129 phases; the maximum, one node read again
-    assert engine_calls == [(129, zeros._PHASE_RTOL), (1, zeros._CONTOUR_RTOL)] * 4
+    # the counts are Sturm differences, and the maximum is b(-r), one tight read
+    assert engine_calls == [(1, zeros._CONTOUR_RTOL)] * 4
 
 
 def _tight(problem):
