@@ -178,9 +178,9 @@ def _cmd_zeros(run: cfg.RunConfig, interval, grid_points: int) -> list[dict]:
     ]
 
 
-def _cmd_count(run: cfg.RunConfig, radii: list[float], nodes: int) -> list[dict]:
+def _cmd_count(run: cfg.RunConfig, radii: list[float]) -> list[dict]:
     return [
-        {"radius": r, "count": zeros.disk_zero_count(run.problem, r, nodes), "method": "ode"}
+        {"radius": r, "count": zeros.disk_zero_count(run.problem, r), "method": "ode"}
         for r in radii
     ]
 
@@ -309,7 +309,6 @@ _COMMANDS = {
     "count": _Command("zeros of b in a disk", _cmd_count, (
         _Option("--radius", "radius", (50.0,),
                 lambda r: _numbers(r if isinstance(r, list) else [r]), type=float),
-        _Option("--nodes", "nodes", 64, int, type=int),
     )),
     "order": _Command("growth and zero-count exponents", _cmd_order, (
         _Option("--radii", "radii", (1e2, 1e3, 1e4, 1e5), _numbers,

@@ -369,8 +369,8 @@ def _piece_states(piece: _Piece, n: int) -> np.ndarray:
     """Products (2, 2, n) of the first k steps of a piece at lam = 0, k = 1..n.
 
     Recursive doubling builds them.  Their only reader is
-    ``reference_states``, after ``_piece_transfer`` has accepted the same
-    n, so they are finite.
+    ``reference_states``, with n = 1 on a constant piece and, on a varying
+    one, the n that ``_piece_transfer`` has accepted, so they are finite.
     """
     q, _, h = _node_values(piece, n)
     prefix = _step_matrices(q, h)
@@ -396,17 +396,16 @@ def _resolving_substeps(piece: _Piece, lams: np.ndarray) -> int:
 def _piece_transfer(
     piece: _Piece, lams: np.ndarray, rtol: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Adaptive transfer over a piece: (matrices, relative errors, step count).
+    """Adaptive transfer over a varying piece: (matrices, relative errors, step count).
 
-    A constant piece is one exact step.  A varying piece is swept with a
-    pair (n, 2n) of step counts, both members in one ``_sweep_pair`` call:
-    the coarse step of length 2h at c is the fine-length step at 4c
-    conjugated by diag(1, 2), so one kernel call per block steps both, and
-    they share the pairwise tree after the fine tree's first level.  A pair
-    is accepted when the relative difference of its members, over 4, is at
-    most rtol for every coupling; the finer member is returned.  The first n,
-    L sqrt(c) / 2 with c from the largest coefficients, is at most
-    ``_resolving_substeps``.  The difference falls as n**-6, so a failed pair
+    The piece is swept with a pair (n, 2n) of step counts, both members in
+    one ``_sweep_pair`` call: the coarse step of length 2h at c is the
+    fine-length step at 4c conjugated by diag(1, 2), so one kernel call per
+    block steps both, and they share the pairwise tree after the fine tree's
+    first level.  A pair is accepted when the relative difference of its
+    members, over 4, is at most rtol for every coupling; the finer member is
+    returned.  The first n, L sqrt(c) / 2 with c from the largest
+    coefficients, is at most ``_resolving_substeps``.  The difference falls as n**-6, so a failed pair
     with worst difference e predicts the next n as about 1.1 n (e/rtol)**(1/6).
     Every pair, the first included, is at most the largest pair allowed.
     Rounding sets a floor under the difference that more steps do not
@@ -415,10 +414,6 @@ def _piece_transfer(
     doubling's worth), the next pair is the largest one, and its failure
     raises.
     """
-    if piece.is_constant:
-        c = lams * piece.v_coeffs[0] + piece.q_coeffs[0]
-        return _step_matrices(c[None], piece.length), np.zeros(lams.shape), 1
-
     qmax, vmax = (max(map(abs, c)) for c in (piece.q_coeffs, piece.v_coeffs))
     cmax = qmax + float(np.abs(lams).max(initial=0.0)) * vmax  # loose where coefficients cancel
     guess = max(4, int(piece.length * math.sqrt(cmax) / 2.0) + 1)
@@ -565,10 +560,11 @@ def reference_states(
     """Values (u0, u0', v0, v0') of the reference solutions at sorted xs.
 
     Reference solutions solve the zero-coupling equation, where spikes are
-    the identity.  Each piece is swept once, at the step count its
-    refinement accepts, and a node is reached from the sub-step state at or
-    before it by one partial Magnus step.  ``xs`` must lie in [0, 1] and be
-    nondecreasing.
+    the identity.  Each varying piece is swept once, at the step count its
+    refinement accepts, and a constant piece is one exact step.  A node is
+    reached from the sub-step state at or before it by one partial Magnus
+    step, and the next piece starts from the state after the last sub-step.
+    ``xs`` must lie in [0, 1] and be nondecreasing.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
@@ -578,7 +574,7 @@ def reference_states(
     if np.any(np.diff(xs) < 0):
         raise ValueError("xs must be nondecreasing")
     xs = np.clip(xs, 0.0, 1.0)
-    zero = np.zeros(1)
+    zero, rtol = np.zeros(1), problem.tolerances.ode_rtol
     pieces = _pieces(problem)
     # nodes of piece i: xs[edges[i]:edges[i + 1]], a cut going to the right
     edges = [0, *np.searchsorted(xs, [p.x0 for p in pieces[1:]]), len(xs)]
@@ -586,12 +582,12 @@ def reference_states(
     M = np.array([[[u], [v]], [[up], [vp]]], dtype=complex)  # (2, 2, 1), columns: u0, v0
     out = np.empty((2, 2, len(xs)), dtype=complex)
     for piece, lo, hi in zip(pieces, edges[:-1], edges[1:]):
-        Mp, _, n = _piece_transfer(piece, zero, problem.tolerances.ode_rtol)
+        n = 1 if piece.is_constant else _piece_transfer(piece, zero, rtol)[2]
         states = np.concatenate((_IDENTITY, _piece_states(piece, n)), axis=-1)
         h = piece.length / n
         k = np.clip(np.floor((xs[lo:hi] - piece.x0) / h), 0, n).astype(int)
         part = xs[lo:hi] - piece.x0 - k * h  # from the state after k sub-steps
         c = npoly.polyval(k * h + _nodes(piece) * part, piece.q_coeffs)
         out[..., lo:hi] = _mul(_mul(_step_matrices(c, part), states[..., k]), M)
-        M = _mul(Mp, M)
+        M = _mul(states[..., -1:], M)
     return out[0, 0], out[1, 0], out[0, 1], out[1, 1]

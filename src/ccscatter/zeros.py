@@ -41,13 +41,13 @@ right-definite problem, all real and simple, so |N(-r) - N(r)| of the
 eigencount N counts those in |lam| <= r in O(sqrt r) steps, where winding b
 takes O(r).  A flagged eigencount (its phase within tolerance of the mark:
 V = 1e-11 is at -/+ 10) hands the count to the contour, which raises where a
-zero is on the circle.  A count's ``nodes`` only seeds the contour.  A scan
-of such a b reads a stencil only for a dip that does not split: its roots
-and grid zeros are simple, and a grid zero's residual is its value, 0.  If
-also N(0) = 0 (u0 has no zero in (0, 1)), every eigenvalue of H_lam moves
-with V's sign away from its value >= 0 at lam = 0, so every zero lies on the
-half-line lam V >= 0; b, of genus 0, then peaks on |lam| = r at the one real
-node opposite them, the only node an order fit reads.
+zero is on the circle.  A scan of such a b reads a stencil only for a dip
+that does not split: its roots and grid zeros are simple, and a grid zero's
+residual is its value, 0.  If also N(0) = 0 (u0 has no zero in (0, 1)),
+every eigenvalue of H_lam moves with V's sign away from its value >= 0 at
+lam = 0, so every zero lies on the half-line lam V <= 0; b, of genus 0, then
+peaks on |lam| = r at the one real node opposite them, the only node an
+order fit reads.
 
 Contours reuse what they have evaluated: doubling n nodes evaluates only
 the n new odd nodes (the even nodes of the 2n grid are the old grid, bit
@@ -94,6 +94,7 @@ _DEGENERACY_COMPLEX_POINTS = 16
 _MAX_CONTOUR_NODES = 1 << 17
 _ZERO_THRESHOLD = 1e-9  # relative max|b| on the control grid of a degenerate b
 _FIT_NODES = 256  # contour nodes of the max-modulus sample per radius: r is node 0, -r node 128
+_COUNT_NODES = 64  # first contour of a winding count, every 4th node of the fit's
 _SCAN_LABEL = "[{:g}, {:g}] grid={}"
 
 # refinement stopping rules: a root's bracket is done when narrower than
@@ -806,14 +807,14 @@ def _settled_count(read, r: float, n: int, vals: np.ndarray, mirrored: bool) -> 
             )
 
 
-def _disk_radius(r: float, nodes: int) -> tuple[float, int]:
+def _disk_radius(r: float, nodes: int = _COUNT_NODES) -> tuple[float, int]:
     """The checked radius, and the first node count max(nodes, 64)."""
     r = float(r)
     if not 0.0 < r < math.inf:
         raise ValueError(f"radius must be positive and finite, not {r}")
     if nodes < 1:
         raise ValueError("nodes must be >= 1")
-    return r, max(int(nodes), 64)
+    return r, max(int(nodes), _COUNT_NODES)
 
 
 def _disk_count(read, r: float, n: int, mirrored: bool) -> int:
@@ -843,13 +844,13 @@ def disk_zero_count_fn(
     return _disk_count(_read_exact(f_batch), *_disk_radius(r, nodes), conjugate_symmetric)
 
 
-def disk_zero_count(problem: ScatteringProblem, r: float, nodes: int = 64) -> int:
+def disk_zero_count(problem: ScatteringProblem, r: float) -> int:
     """Number of zeros of b in |lam| <= r, counted by multiplicity.
 
     |N(-r) - N(r)| where u0 is real and V keeps one sign, unless either
-    eigencount is flagged; else the winding of b from ``nodes`` nodes up.
+    eigencount is flagged; else the winding of b from 64 nodes up.
     """
-    r, n = _disk_radius(r, nodes)
+    r, n = _disk_radius(r)
     if is_identically_zero(problem):
         raise DegenerateFunctionError("b vanishes identically; no discrete zeros")
     (count,), _ = _sturm_counts(problem, [r])
@@ -889,7 +890,7 @@ def _order_fit(read, radii: list[float], mirrored: bool, counts=None) -> GrowthF
         log_max.append(float(np.log(size[peak].max())))
         if counts[i] is None:
             # the count's 64- and 128-node contours are every 4th and 2nd node
-            counts[i] = _settled_count(read, r, 64, vals, mirrored)
+            counts[i] = _settled_count(read, r, _COUNT_NODES, vals, mirrored)
     return _growth_fit(radii, counts, log_max)
 
 
@@ -936,7 +937,7 @@ def order_fit(problem: ScatteringProblem, radii) -> GrowthFit:
 
     The counts come as ``disk_zero_count``'s do.  Where all are Sturm
     differences and N(0) = 0 on the mark (u0 has no zero in (0, 1)), every
-    zero lies on the half-line lam V >= 0, and max|b| on |lam| = r is read at
+    zero lies on the half-line lam V <= 0, and max|b| on |lam| = r is read at
     -r (V <= 0) or r (V >= 0) alone; else from 256 contour nodes per radius,
     which also wind the counts still missing.
     """

@@ -135,7 +135,6 @@ def test_zeros_exit_code_on_degenerate(tmp_path, capsys):
         ["zeros", "sine_well.json", "--interval=5"],
         ["zeros", "sine_well.json", "--grid-points", "0"],
         ["count", "sine_well.json", "--radius", "0"],
-        ["count", "sine_well.json", "--nodes", "0"],
         ["series", "noise_bed.json", "--order", "0"],
         ["witness", "box_barrier.json", "--tents", "0"],
         ["order", "sine_well.json", "--radii", "1,2"],
@@ -161,6 +160,15 @@ def test_bad_flag_values_are_usage_errors(bundle_dir, capsys, args):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_count_takes_no_nodes_flag(bundle_dir, capsys):
+    # a count's contour always starts at 64 nodes
+    args = ["count", str(bundle_dir / "sine_well.json"), "--nodes", "64"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --nodes 64" in err
 
 
 @pytest.mark.parametrize(
@@ -546,10 +554,12 @@ def test_series_subcommand(bundle_dir, capsys):
 
 
 def test_console_entry_point(bundle_dir):
+    src = pathlib.Path(ccscatter.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-m", "ccscatter.cli", "count", str(bundle_dir / "sine_well.json")],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert proc.returncode == 0
     assert "7" in proc.stdout

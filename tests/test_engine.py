@@ -566,7 +566,10 @@ def _sequential_walk(prob, lams):
 
     M = jump(0.0)
     for item in engine._layout(prob.Q, prob.V):
-        if isinstance(item, engine._Piece):
+        if isinstance(item, engine._Piece) and item.is_constant:  # one exact step
+            c = lams * item.v_coeffs[0] + item.q_coeffs[0]
+            M = _matrices_last(_step_matrices(c[None], item.length)) @ M
+        elif isinstance(item, engine._Piece):
             Mp, _, _ = _piece_transfer(item, lams, prob.tolerances.ode_rtol)
             M = _matrices_last(Mp) @ M
         else:
@@ -589,6 +592,26 @@ def test_walk_mixing_constant_and_varying_pieces():
     for lam in lams:
         M1, bound1 = transfer_matrices(prob, [lam])
         assert np.all(np.abs(M1 - _sequential_walk(prob, np.array([lam]))) <= bound1), lam
+
+
+def test_layout_cuts_segment_ends_within_the_tolerance_at_0_and_1():
+    # Q's segments start at 1e-13 and end at 1 - 1e-13, both within the
+    # segment tolerance of the ends: the walk adds the slivers to 0 and to 1
+    V = PotentialSpec(((0.0, 1.0, (1.0, -3.0)),))
+
+    def problem(e):
+        Q = PotentialSpec(((e, 0.5, (2.0, -4.0)), (0.5, 1.0 - e, (0.0, 6.0, -3.0))))
+        return build_problem(Q, V, (1.0, 0.0))
+
+    prob, exact = problem(1e-13), problem(0.0)
+    pieces = _pieces(prob)
+    assert [(p.x0, p.x1) for p in pieces] == [
+        (0.0, 1e-13), (1e-13, 0.5), (0.5, 1.0 - 1e-13), (1.0 - 1e-13, 1.0)
+    ]
+    lams = np.array([-300.0, -20.0, 0.7, 15.0, 400.0, 30.0 + 40.0j])
+    _, b, err = coefficients_batch(prob, lams)
+    _, b_exact, _ = coefficients_batch(exact, lams)
+    assert np.all(np.abs(b - b_exact) <= err)
 
 
 @pytest.mark.parametrize("name", ["noise_bed", "sine_well", "delta_pair"])
@@ -646,6 +669,7 @@ def test_reference_states_on_a_varying_piece_against_airy():
 
 
 def test_reference_states_sweep_each_piece_once(corpus, monkeypatch):
+    # a constant piece is one exact step, with no refinement to accept
     calls = []
     piece_transfer = engine._piece_transfer
 
@@ -657,7 +681,7 @@ def test_reference_states_sweep_each_piece_once(corpus, monkeypatch):
     for name, prob in corpus:
         calls.clear()
         reference_states(prob, np.linspace(0.0, 1.0, 513))
-        assert calls == list(_pieces(prob)), name
+        assert calls == [p for p in _pieces(prob) if not p.is_constant], name
 
 
 def test_reference_states_reject_nodes_outside_the_interval():

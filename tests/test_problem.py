@@ -8,8 +8,10 @@ import pytest
 from scipy.integrate import quad
 
 from ccscatter import (
+    ConfigError,
     InvalidProblemError,
     PotentialSpec,
+    Tolerances,
     UnsupportedBackgroundError,
     build_problem,
     catalog,
@@ -18,6 +20,7 @@ from ccscatter import (
     wronskian,
 )
 from ccscatter import engine
+from ccscatter.config import problem_from_dict, problem_to_dict
 from ccscatter.engine import reference_states
 
 PI = math.pi
@@ -101,6 +104,19 @@ def test_build_problem_rejects_bad_v0_override(box_barrier):
         build_problem(
             box_barrier.Q, box_barrier.V, (1.0, 0.0), v0_init=(1.0, 1.0)
         )
+
+
+def test_build_problem_rejects_a_drifted_wronskian():
+    # the zero-coupling walk of tilted_background keeps W[u0, v0] = 1 to
+    # 1.1e-15 (that of ramp_well, sine_well or noise_bed to exactly 0)
+    prob = catalog.tilted_background()
+    tol = Tolerances(ode_rtol=prob.tolerances.ode_rtol, wronskian_tol=1e-300)
+    with pytest.raises(InvalidProblemError, match=r"drifted to 1\.110e-15 across \[0, 1\]"):
+        build_problem(prob.Q, prob.V, prob.ref.u0_at_0, tolerances=tol)
+    d = problem_to_dict(prob)
+    d["tolerances"]["wronskian_tol"] = 1e-300
+    with pytest.raises(ConfigError, match=r"drifted to 1\.110e-15"):
+        problem_from_dict(d)
 
 
 def test_wronskian_constancy_across_interval(corpus):

@@ -14,6 +14,7 @@ from ccscatter import (
     boundary_angles,
     build_problem,
     catalog,
+    coefficients,
     coefficients_batch,
     disk_zero_count,
     disk_zero_count_fn,
@@ -27,6 +28,8 @@ from ccscatter import (
     realify,
     zeros,
 )
+from mpmath import mp
+from oracles import b_airy, b_weber
 
 PI = math.pi
 
@@ -597,7 +600,7 @@ FIT_RADII = [(1e2, 3e2, 1e3, 3e3), (1e2, 1e3, 1e4, 1e5)]
 @pytest.mark.parametrize("radii", FIT_RADII)
 def test_one_sign_fit_reads_the_contours_peak_node(engine_calls, one_sign, radii):
     # u0 has no zero in (0, 1), so every zero of b is on the half-line where
-    # V lam >= 0, and |b| peaks on each circle at -r (V <= 0) or r (V >= 0)
+    # V lam <= 0, and |b| peaks on each circle at -r (V <= 0) or r (V >= 0)
     for name, problem in one_sign:
         read = zeros._read_b(problem)
         want = zeros._order_fit(read, list(radii), True)
@@ -718,6 +721,31 @@ def test_one_sign_scans_find_at_most_the_sturm_count(one_sign):
             assert not (lo.boundary_degenerate or hi.boundary_degenerate)
             report = real_zero_scan(problem, interval, points)
             assert sum(m for _, m, _ in report.zeros) <= abs(lo - hi), (name, interval, points)
+
+
+def test_zero_locations_against_the_oracles():
+    # a scan locates each zero z within err(z) / |b'| of the root of the exact
+    # b: |b(z)| is within its bound when a bracket closes, and the engine's b
+    # is within its bound of the exact one.  Both problems have V <= 0, so
+    # every zero is positive.  Thinnest margin: 2.5x, ramp_well's fourth zero
+    for name, oracle, count in (("tilted_background", b_airy, 13), ("ramp_well", b_weber, 11)):
+        problem = getattr(catalog, name)()
+        report = real_zero_scan(problem, (1.0, 3000.0), 400)
+        assert len(report.zeros) == count, name
+        with mp.workdps(30):
+
+            def b(lam):  # b is real at real couplings
+                mantissa, scale = oracle(lam)
+                return mp.mpf(mantissa.real) * mp.exp(scale)
+
+            for z, _, _ in report.zeros:
+                z = z.real
+                start = (mp.mpf(z), mp.mpf(z) * (1 + mp.mpf(1e-9)))
+                root = mp.findroot(b, start, solver="secant", tol=1e-40, verify=False)
+                h = 1e-6 * root
+                slope = abs(float((b(root + h) - b(root - h)) / (2 * h)))
+                bound = coefficients(problem, z).err / slope
+                assert abs(float(z - root)) <= bound, (name, z, float(root), bound)
 
 
 def test_real_zeros_accounted_by_disk_count(sine_well, box_barrier):
