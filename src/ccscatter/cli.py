@@ -327,6 +327,20 @@ _COMMANDS = {
 }
 
 
+def _check_blocks(blocks: dict) -> None:
+    """Refuse a command block that no config-reading subcommand owns, or a key
+    that no option of its subcommand reads: either would be ignored."""
+    for name, block in blocks.items():
+        command = _COMMANDS.get(name)
+        if command is None or not command.config:
+            raise ConfigError("unknown block; no subcommand reads it", f"command.{name}")
+        keys = sorted(option.key for option in command.options)
+        for key in block:
+            if key not in keys:
+                where = f"command.{name}.{key}"
+                raise ConfigError(f"unknown key; {name} reads only {', '.join(keys)}", where)
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
@@ -360,6 +374,7 @@ def main(argv=None) -> int:
         run, block = None, {}
         if command.config:
             run = cfg.load_config(args.config)
+            _check_blocks(run.command)
             block = run.command.get(args.cmd, {})
         values = [option.value(args, args.cmd, block) for option in command.options]
         _emit(command.handler(run, *values), args.format, args.output)

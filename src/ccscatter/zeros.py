@@ -46,8 +46,8 @@ that does not split: its roots and grid zeros are simple, and a grid zero's
 residual is its value, 0.  If also N(0) = 0 (u0 has no zero in (0, 1)),
 every eigenvalue of H_lam moves with V's sign away from its value >= 0 at
 lam = 0, so every zero lies on the half-line lam V <= 0; b, of genus 0, then
-peaks on |lam| = r at the one real node opposite them, the only node an
-order fit reads.
+peaks on |lam| = r at the real coupling opposite them, -r where V <= 0 and r
+where V >= 0, the only coupling an order fit reads.
 
 Contours reuse what they have evaluated: doubling n nodes evaluates only
 the n new odd nodes (the even nodes of the 2n grid are the old grid, bit
@@ -69,7 +69,7 @@ signs, the dip test and the brackets' first probes, so it is read at
 comparison where the intervals |b| -/+ err do not overlap, and the points
 of an open decision are read again at the problem tolerance, as every later
 point is.  An order fit reads again, at ``_CONTOUR_RTOL``, the nodes that can
-hold max |f| (a certified peak node only at it), for log max|b|.  A
+hold max |f| (where the peak is certified, its real coupling alone), for log max|b|.  A
 sign-change root is a zero; a dip (every local minimum of |f| without a sign
 change) or a grid zero is one when |f| at its stencil's centre is within the
 bound read with it plus 1e-12 S, S = max(1, max(|f| - err)) over the grid.
@@ -93,7 +93,7 @@ _DEGENERACY_REAL_GRID = 64
 _DEGENERACY_COMPLEX_POINTS = 16
 _MAX_CONTOUR_NODES = 1 << 17
 _ZERO_THRESHOLD = 1e-9  # relative max|b| on the control grid of a degenerate b
-_FIT_NODES = 256  # contour nodes of the max-modulus sample per radius: r is node 0, -r node 128
+_FIT_NODES = 256  # contour nodes of the max-modulus sample per radius
 _COUNT_NODES = 64  # first contour of a winding count, every 4th node of the fit's
 _SCAN_LABEL = "[{:g}, {:g}] grid={}"
 
@@ -170,7 +170,7 @@ def _sturm_counts(
     """|N(-r) - N(r)| per radius where u0 is real and V keeps one sign, from one
     eigencount call; None at a radius flagged on the mark at -r or r, and at
     every radius of any other problem.  With ``fit`` the call also reads N(0),
-    and beside the counts comes ``order_fit``'s certified peak node, or None."""
+    and beside the counts comes V's sign (the side of the certified peak), or None."""
     sign = _one_sign(problem)
     if not sign:
         return [None] * len(radii), None
@@ -181,7 +181,7 @@ def _sturm_counts(
         for lo, hi in zip(n[::2], n[1::2])
     ]
     certified = fit and n[-1] == 0 and n[-1].boundary_degenerate and None not in counts
-    return counts, ((_FIT_NODES // 2 if sign < 0 else 0) if certified else None)
+    return counts, (sign if certified else None)
 
 
 def is_identically_zero(problem: ScatteringProblem) -> bool:
@@ -807,14 +807,12 @@ def _settled_count(read, r: float, n: int, vals: np.ndarray, mirrored: bool) -> 
             )
 
 
-def _disk_radius(r: float, nodes: int = _COUNT_NODES) -> tuple[float, int]:
-    """The checked radius, and the first node count max(nodes, 64)."""
+def _disk_radius(r: float) -> float:
+    """The radius as a float, checked positive and finite."""
     r = float(r)
     if not 0.0 < r < math.inf:
         raise ValueError(f"radius must be positive and finite, not {r}")
-    if nodes < 1:
-        raise ValueError("nodes must be >= 1")
-    return r, max(int(nodes), _COUNT_NODES)
+    return r
 
 
 def _disk_count(read, r: float, n: int, mirrored: bool) -> int:
@@ -836,12 +834,14 @@ def disk_zero_count_fn(
     of an integer.  That rule sees only the sampled increments, so a phase
     that turns by more than pi between nodes aliases.  From the default 64
     nodes on |z| = 1, z^65536 counts 0, z^68 counts 4, and z^60 raises
-    "negative winding".  ``nodes`` must be at least 1.  f is
-    evaluated once per node of the final contour, or, when
-    ``conjugate_symmetric`` declares f(conj z) = conj f(z), once per node
-    with Im lam >= 0.
+    "negative winding".  ``nodes`` must be at least 1.  f is evaluated once
+    per node of the final contour, or, when ``conjugate_symmetric`` declares
+    f(conj z) = conj f(z), once per node with Im lam >= 0.
     """
-    return _disk_count(_read_exact(f_batch), *_disk_radius(r, nodes), conjugate_symmetric)
+    r = _disk_radius(r)
+    if nodes < 1:
+        raise ValueError("nodes must be >= 1")
+    return _disk_count(_read_exact(f_batch), r, max(int(nodes), _COUNT_NODES), conjugate_symmetric)
 
 
 def disk_zero_count(problem: ScatteringProblem, r: float) -> int:
@@ -850,12 +850,12 @@ def disk_zero_count(problem: ScatteringProblem, r: float) -> int:
     |N(-r) - N(r)| where u0 is real and V keeps one sign, unless either
     eigencount is flagged; else the winding of b from 64 nodes up.
     """
-    r, n = _disk_radius(r)
+    r = _disk_radius(r)
     if is_identically_zero(problem):
         raise DegenerateFunctionError("b vanishes identically; no discrete zeros")
     (count,), _ = _sturm_counts(problem, [r])
     if count is None:
-        count = _disk_count(_read_b(problem), r, n, problem.ref.u0_is_real)
+        count = _disk_count(_read_b(problem), r, _COUNT_NODES, problem.ref.u0_is_real)
     return count
 
 
@@ -945,9 +945,9 @@ def order_fit(problem: ScatteringProblem, radii) -> GrowthFit:
     if is_identically_zero(problem):
         raise DegenerateFunctionError("b vanishes identically; growth undefined")
     read = _read_b(problem)
-    counts, node = _sturm_counts(problem, radii, fit=True)
-    if node is None:
+    counts, sign = _sturm_counts(problem, radii, fit=True)
+    if sign is None:
         return _order_fit(read, radii, problem.ref.u0_is_real, counts)
-    # one read per radius: a batch of radii moves log max by up to 4e-11
-    peaks = [read(_contour(r, _FIT_NODES)[[node]], _CONTOUR_RTOL)[0] for r in radii]
+    # one real read per radius: a batch of radii moves log max by up to 4e-11
+    peaks = [read(np.array([sign * r]), _CONTOUR_RTOL)[0] for r in radii]
     return _growth_fit(radii, counts, [float(np.log(np.abs(p[0]))) for p in peaks])

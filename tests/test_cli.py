@@ -381,6 +381,38 @@ def test_malformed_command_blocks_are_config_errors(tmp_path, capsys, cmd, block
 
 
 @pytest.mark.parametrize(
+    "blocks, where",
+    [
+        ({"count": {"radus": 5}}, "command.count.radus"),
+        ({"cuont": {"radius": 5}}, "command.cuont"),
+        ({"count": {"nodes": 0}}, "command.count.nodes"),
+        ({"examples": {"output_dir": "out"}}, "command.examples"),
+        # every block is checked, not only the one of the running subcommand
+        ({"count": {"radius": 5}, "zeros": {"grid": 40}}, "command.zeros.grid"),
+    ],
+)
+def test_unknown_command_blocks_and_keys_are_config_errors(tmp_path, capsys, blocks, where):
+    # a block or key that nothing reads would silently leave the default
+    path = tmp_path / "unknown.json"
+    path.write_text(config_to_text(catalog.sine_well(), blocks))
+    code, out, err = run_cli(["count", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error:")
+    assert f"({where})" in err
+    assert "Traceback" not in err
+
+
+def test_bundled_configs_use_only_known_keys(bundle_dir):
+    keys = set()
+    for path in bundle_dir.glob("*.json"):
+        for name, block in load_config(path).command.items():
+            keys |= set(block)
+            cli._check_blocks({name: block})
+    assert keys == {"N", "grid_points", "interval", "lambda", "lambdas", "radii", "radius", "tents"}
+
+
+@pytest.mark.parametrize(
     "key, value",
     [
         ("k", [1.0]),

@@ -594,24 +594,33 @@ def test_walk_mixing_constant_and_varying_pieces():
         assert np.all(np.abs(M1 - _sequential_walk(prob, np.array([lam]))) <= bound1), lam
 
 
+def _on_exact_ends(pot: PotentialSpec) -> PotentialSpec:
+    """pot's polynomials with its ends moved to 0 and 1, the first re-expanded about 0."""
+    (lo, hi, c), *rest = pot.segments
+    first = np.polynomial.Polynomial(c)(np.polynomial.Polynomial([-lo, 1.0])).coef
+    segments = [(0.0, hi, tuple(first.tolist())), *rest]
+    segments[-1] = (segments[-1][0], 1.0, segments[-1][2])
+    return PotentialSpec(tuple(segments))
+
+
 def test_layout_cuts_segment_ends_within_the_tolerance_at_0_and_1():
     # Q's segments start at 1e-13 and end at 1 - 1e-13, both within the
-    # segment tolerance of the ends: the walk adds the slivers to 0 and to 1
-    V = PotentialSpec(((0.0, 1.0, (1.0, -3.0)),))
-
-    def problem(e):
-        Q = PotentialSpec(((e, 0.5, (2.0, -4.0)), (0.5, 1.0 - e, (0.0, 6.0, -3.0))))
-        return build_problem(Q, V, (1.0, 0.0))
-
-    prob, exact = problem(1e-13), problem(0.0)
-    pieces = _pieces(prob)
-    assert [(p.x0, p.x1) for p in pieces] == [
-        (0.0, 1e-13), (1e-13, 0.5), (0.5, 1.0 - 1e-13), (1.0 - 1e-13, 1.0)
-    ]
+    # segment tolerance of the ends: the walk adds the slivers to 0 and to 1.
+    # V on (0, 1) supplies the cuts 0 and 1; V on (1e-13, 1 - 1e-13) does
+    # not, and the layout adds them itself
+    e = 1e-13
+    Q = PotentialSpec(((e, 0.5, (2.0, -4.0)), (0.5, 1.0 - e, (0.0, 6.0, -3.0))))
     lams = np.array([-300.0, -20.0, 0.7, 15.0, 400.0, 30.0 + 40.0j])
-    _, b, err = coefficients_batch(prob, lams)
-    _, b_exact, _ = coefficients_batch(exact, lams)
-    assert np.all(np.abs(b - b_exact) <= err)
+    for v_lo in (0.0, e):
+        V = PotentialSpec(((v_lo, 1.0 - v_lo, (1.0, -3.0)),))
+        prob = build_problem(Q, V, (1.0, 0.0))
+        exact = build_problem(_on_exact_ends(Q), _on_exact_ends(V), (1.0, 0.0))
+        assert [(p.x0, p.x1) for p in _pieces(prob)] == [
+            (0.0, e), (e, 0.5), (0.5, 1.0 - e), (1.0 - e, 1.0)
+        ], v_lo
+        _, b, err = coefficients_batch(prob, lams)
+        _, b_exact, _ = coefficients_batch(exact, lams)
+        assert np.all(np.abs(b - b_exact) <= err), v_lo
 
 
 @pytest.mark.parametrize("name", ["noise_bed", "sine_well", "delta_pair"])

@@ -149,12 +149,12 @@ class Counting:
 
 
 def _recorded_engine_calls(monkeypatch, entry):
-    """entry(size, rtol) of each engine coefficient call made inside the test."""
+    """entry(lams, rtol) of each engine coefficient call made inside the test."""
     calls = []
     inner = engine.transfer_matrices
 
     def counted(problem, lams, *args, **kwargs):
-        calls.append(entry(int(np.size(lams)), kwargs.get("rtol")))
+        calls.append(entry(np.array(lams), kwargs.get("rtol")))
         return inner(problem, lams, *args, **kwargs)
 
     monkeypatch.setattr(engine, "transfer_matrices", counted)
@@ -164,13 +164,19 @@ def _recorded_engine_calls(monkeypatch, entry):
 @pytest.fixture
 def engine_sizes(monkeypatch):
     """Sizes of the engine's coefficient calls made inside the test."""
-    return _recorded_engine_calls(monkeypatch, lambda size, rtol: size)
+    return _recorded_engine_calls(monkeypatch, lambda lams, rtol: lams.size)
 
 
 @pytest.fixture
 def engine_calls(monkeypatch):
     """(size, rtol) of each engine coefficient call made inside the test."""
-    return _recorded_engine_calls(monkeypatch, lambda size, rtol: (size, rtol))
+    return _recorded_engine_calls(monkeypatch, lambda lams, rtol: (lams.size, rtol))
+
+
+@pytest.fixture
+def engine_reads(monkeypatch):
+    """(couplings, rtol) of each engine coefficient call made inside the test."""
+    return _recorded_engine_calls(monkeypatch, lambda lams, rtol: (lams, rtol))
 
 
 @pytest.mark.parametrize(
@@ -598,19 +604,24 @@ FIT_RADII = [(1e2, 3e2, 1e3, 3e3), (1e2, 1e3, 1e4, 1e5)]
 
 
 @pytest.mark.parametrize("radii", FIT_RADII)
-def test_one_sign_fit_reads_the_contours_peak_node(engine_calls, one_sign, radii):
+def test_one_sign_fit_reads_the_contours_peak_node(engine_reads, one_sign, radii):
     # u0 has no zero in (0, 1), so every zero of b is on the half-line where
-    # V lam <= 0, and |b| peaks on each circle at -r (V <= 0) or r (V >= 0)
+    # V lam <= 0, and |b| peaks on each circle at -r (V <= 0) or r (V >= 0):
+    # the fit reads b there, at one real coupling, in real arithmetic
     for name, problem in one_sign:
         read = zeros._read_b(problem)
         want = zeros._order_fit(read, list(radii), True)
-        node = zeros._FIT_NODES // 2 if zeros._one_sign(problem) < 0 else 0
+        sign = zeros._one_sign(problem)
+        node = zeros._FIT_NODES // 2 if sign < 0 else 0
         for r in radii:
             size = np.abs(read(zeros._contour(r, zeros._FIT_NODES)[:129], zeros._CONTOUR_RTOL)[0])
             assert size.argmax() == node, (name, r)
-        engine_calls.clear()
+        engine_reads.clear()
         fit = order_fit(problem, radii)
-        assert engine_calls == [(1, zeros._CONTOUR_RTOL)] * 4, name
+        calls = [(lams.size, rtol) for lams, rtol in engine_reads]
+        assert calls == [(1, zeros._CONTOUR_RTOL)] * 4, name
+        for (lams, _), r in zip(engine_reads, radii):
+            assert lams.dtype == np.float64 and lams[0] == sign * r, (name, r, lams)
         assert fit.counts == want.counts, name
         assert np.allclose(fit.log_max_modulus, want.log_max_modulus, rtol=1e-12, atol=0), name
 
@@ -802,6 +813,10 @@ def test_disk_count_evaluates_only_its_final_nodes():
     assert f.sizes == [64, 64]
     f = Counting(lambda lams: lams**60)
     assert disk_zero_count_fn(f, 1.0, nodes=100) == 60
+    assert f.sizes == [100, 100, 200]
+    # a seed below one node is refused before f is read
+    with pytest.raises(ValueError, match="nodes must be >= 1"):
+        disk_zero_count_fn(f, 1.0, nodes=0)
     assert f.sizes == [100, 100, 200]
 
 
